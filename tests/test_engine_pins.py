@@ -1,0 +1,189 @@
+"""Pins of the compiled constraint systems and of the direct checker's
+failure lists.
+
+The systems are pinned by size and by a sha256 over their sorted
+`Poly.key()`s, so any change to constraint generation that alters a single
+coefficient shows up here, even when the solver would still reach the same
+solutions.  The checker is pinned by the exact `CheckFailure` list (order,
+condition, `at` tuple and witness text) on corrupted tables of both sides.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hopffactor.actions import (
+    LeftActionTable,
+    MatchedPairCandidate,
+    RightActionTable,
+    antidiagonal_right_table,
+    check_module_coalgebras,
+    g_action_circulant_system,
+    left_family_instance,
+    left_module_coalgebra_system,
+    matched_pair_system,
+    right_module_coalgebra_system,
+    x_action_circulant_system,
+)
+from hopffactor.poly import Poly
+from hopffactor.scalar import HALF, ONE, ZERO
+
+
+def _sha256(obj):
+    text = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+SYSTEMS = {
+    "left": (
+        lambda: left_module_coalgebra_system(LeftActionTable.symbolic()),
+        939,
+        "cc9078ef015fdced35c8026935703176e58adf1570a464a3666d1ccfd1b3018a",
+    ),
+    "right": (
+        lambda: right_module_coalgebra_system(RightActionTable.symbolic()),
+        1803,
+        "5aad6ae64f6c4ec67f25b85ee6749c1e5d8c9c165ccca727a12216dfe733b105",
+    ),
+    "matched-pair": (
+        lambda: matched_pair_system(
+            MatchedPairCandidate(LeftActionTable.symbolic(), RightActionTable.symbolic())
+        ),
+        2256,
+        "ea7035863d16c177d3844331d82f702b4d65cffba7bd4ed6a4827462d27f2f6f",
+    ),
+    "g-circulant": (
+        g_action_circulant_system,
+        8,
+        "74ced39b80667d9e7b65197e795c01130fc60a796a51583806c9e145bd054387",
+    ),
+    "x-circulant": (
+        lambda: x_action_circulant_system((HALF, HALF, HALF, -HALF)),
+        20,
+        "c065ccfcdbcd9bde360ecd967721e1ffd9fe277ddb94de168ba841edbe0d0311",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_compiled_system_keys_pinned(name):
+    build, size, digest = SYSTEMS[name]
+    system = build()
+    assert len(system) == size
+    assert _sha256(sorted(p.key() for p in system)) == digest
+
+
+def _corrupt(table, *spots):
+    """Copy of `table` with 1 added to coordinate k of each entry (xi, ai, k)."""
+    entries = dict(table.entries)
+    for xi, ai, k in spots:
+        row = list(entries[(xi, ai)])
+        row[k] = row[k] + Poly.const(ONE)
+        entries[(xi, ai)] = tuple(row)
+    return type(table)(entries)
+
+
+def _grouplike_swap_right():
+    # g <| G = h without h <| G = g: the invalid table of the group-like case test
+    return RightActionTable.from_components(
+        {"g": "h", "h": "h", "gh": "gh"},
+        {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
+        tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)),
+        tuple((ZERO,) * 4 for _ in range(4)),
+    )
+
+
+def _case(name):
+    left, right = left_family_instance(2, "b"), antidiagonal_right_table()
+    # spots are (H8 index, H4 index, coordinate); H4 index 2 is X
+    return {
+        "right-grouplike": lambda: MatchedPairCandidate(left, _grouplike_swap_right()),
+        "right-entry": lambda: MatchedPairCandidate(left, _corrupt(right, (4, 2, 4))),
+        "right-units": lambda: MatchedPairCandidate(
+            left, _corrupt(right, (0, 2, 0), (1, 0, 2))
+        ),
+        "left-entry": lambda: MatchedPairCandidate(_corrupt(left, (4, 2, 1)), right),
+        "left-units": lambda: MatchedPairCandidate(
+            _corrupt(left, (0, 2, 0), (1, 0, 2)), right
+        ),
+    }[name]()
+
+
+_RIGHT_ASSOC = "x <| (ab) != (x <| a) <| b"
+_RIGHT_DELTA = "delta(x <| a) != sum x1<|a1 (x) x2<|a2"
+_LEFT_ASSOC = "(xy) |> a != x |> (y |> a)"
+_LEFT_DELTA = "delta(x |> a) != sum x1|>a1 (x) x2|>a2"
+
+FAILURES = {
+    "right-grouplike": [
+        ("right-module-associativity", ("g", "G", "G"), _RIGHT_ASSOC),
+    ],
+    "right-entry": [
+        ("right-counit-compatibility", ("z", "X"), "eps(x <| a) = 1"),
+        ("right-comultiplication-compatibility", ("z", "X"), _RIGHT_DELTA),
+        ("right-comultiplication-compatibility", ("gz", "X"), _RIGHT_DELTA),
+        ("right-comultiplication-compatibility", ("hz", "X"), _RIGHT_DELTA),
+        ("right-module-associativity", ("z", "G", "GX"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("z", "X", "G"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("z", "X", "X"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("z", "GX", "G"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("ghz", "G", "X"), _RIGHT_ASSOC),
+    ],
+    "right-units": [
+        ("right-unit-action", ("g", "1"), "x <| 1 != x"),
+        ("right-unit-action", ("1", "X"), "1 <| a != eps(a) 1"),
+        ("right-counit-compatibility", ("1", "X"), "eps(x <| a) = 1"),
+        ("right-comultiplication-compatibility", ("1", "X"), _RIGHT_DELTA),
+        ("right-counit-compatibility", ("g", "1"), "eps(x <| a) = 2"),
+        ("right-comultiplication-compatibility", ("g", "1"), _RIGHT_DELTA),
+        ("right-module-associativity", ("1", "G", "X"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("1", "G", "GX"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("1", "X", "G"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("1", "X", "X"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("1", "GX", "G"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("g", "1", "1"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("g", "1", "G"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("g", "G", "1"), _RIGHT_ASSOC),
+        ("right-module-associativity", ("g", "G", "G"), _RIGHT_ASSOC),
+    ],
+    "left-entry": [
+        ("left-counit-compatibility", ("z", "X"), "eps(x |> a) = 1"),
+        ("left-comultiplication-compatibility", ("z", "X"), _LEFT_DELTA),
+    ] + [
+        ("left-module-associativity", (x, y, "X"), _LEFT_ASSOC)
+        for x, y in (
+            ("g", "z"), ("g", "gz"), ("h", "z"), ("h", "hz"), ("gh", "z"),
+            ("gh", "ghz"), ("z", "g"), ("z", "h"), ("z", "gh"), ("z", "gz"),
+            ("z", "hz"), ("z", "ghz"), ("gz", "h"), ("gz", "z"), ("hz", "g"),
+            ("hz", "z"), ("ghz", "gh"), ("ghz", "z"),
+        )
+    ],
+}
+
+# the 81-entry list of the corrupted left units, pinned by digest; its head
+# covers both unit witnesses
+LEFT_UNITS_COUNT = 81
+LEFT_UNITS_SHA256 = "9f78a8dce7c52f559d525fb01fb43058f18a8983b351ebe954d1832cd012819f"
+LEFT_UNITS_HEAD = [
+    ("left-unit-action", ("1", "X"), "1 |> a != a"),
+    ("left-unit-action", ("g", "1"), "x |> 1 != eps(x) 1"),
+    ("left-counit-compatibility", ("1", "X"), "eps(x |> a) = 1"),
+    ("left-comultiplication-compatibility", ("1", "X"), _LEFT_DELTA),
+]
+
+
+def _failures(name):
+    return [(f.condition, f.at, f.witness) for f in check_module_coalgebras(_case(name))]
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_check_failures_pinned(name):
+    assert _failures(name) == FAILURES[name]
+
+
+def test_check_failures_pinned_left_units():
+    got = _failures("left-units")
+    assert got[: len(LEFT_UNITS_HEAD)] == LEFT_UNITS_HEAD
+    assert len(got) == LEFT_UNITS_COUNT
+    assert _sha256([[c, list(at), w] for c, at, w in got]) == LEFT_UNITS_SHA256
