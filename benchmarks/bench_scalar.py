@@ -1,19 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled scalar kernel against the pure-Python twin.
-
-Three workloads: raw scalar arithmetic, the full axiom battery on the
-8-dimensional algebra, and one pass of the left-action enumeration (the
-solver-heavy path).  Forcing the backend is only possible per process, so
-the suite re-executes itself with HOPFFACTOR_PURE=1 for the second column.
+"""Time the scalar kernel on three workloads: raw scalar arithmetic, the
+full axiom battery on the 8-dimensional algebra, and one pass of the
+left-action enumeration (the solver-heavy path).  Each line is the best of
+--repeat runs.
 
 Usage: python benchmarks/bench_scalar.py [--repeat N]
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
 
@@ -62,41 +56,13 @@ WORKLOADS = {
 }
 
 
-def run_all(repeat):
-    from hopffactor.scalar import BACKEND
-
-    results = {"backend": BACKEND, "timings": {}}
-    for name, fn in WORKLOADS.items():
-        best = min(fn() for _ in range(repeat))
-        results["timings"][name] = best
-    return results
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--emit-json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-
-    if args.emit_json:
-        print(json.dumps(run_all(args.repeat)))
-        return
-
-    here = run_all(args.repeat)
-    env = dict(os.environ, HOPFFACTOR_PURE="1")
-    out = subprocess.run(
-        [sys.executable, __file__, "--repeat", str(args.repeat), "--emit-json"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    pure = json.loads(out.stdout)
-
-    print(f"{'workload':24s} {here['backend']:>10s} {'python':>10s} {'speedup':>9s}")
-    for name in WORKLOADS:
-        a = here["timings"][name]
-        b = pure["timings"][name]
-        print(f"{name:24s} {a:9.3f}s {b:9.3f}s {b / a:8.2f}x")
-    if here["backend"] == "python":
-        print("note: compiled backend unavailable; both columns ran pure Python")
+    for name, fn in WORKLOADS.items():
+        best = min(fn() for _ in range(args.repeat))
+        print(f"{name:24s} {best:9.3f}s")
 
 
 if __name__ == "__main__":

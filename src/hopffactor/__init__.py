@@ -2,9 +2,7 @@
 Hopf algebras H4 (Sweedler) and H8 (Kac-Paljutkin).
 
 Everything is computed over Q(i) with reduced big-integer fractions, so
-every check in the pipeline is exact: no tolerances anywhere.  The hot
-scalar kernel is compiled when the extension is available and falls back
-to a pure-Python twin (see `hopffactor.scalar.BACKEND`).
+every check in the pipeline is exact: no tolerances anywhere.
 """
 
 from hopffactor.actions import (
@@ -37,7 +35,7 @@ from hopffactor.hopf import (
     tensor_product,
     verify_axioms,
 )
-from hopffactor.linalg import INCONSISTENT, Mat, kron, mat_kernel, mat_solve
+from hopffactor.linalg import Mat
 from hopffactor.poly import Poly
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import BACKEND, Scalar
@@ -58,7 +56,6 @@ __all__ = [
     "Branch",
     "Element",
     "HopfAlgebraData",
-    "INCONSISTENT",
     "IrreducibleSystemError",
     "LeftActionTable",
     "Mat",
@@ -78,10 +75,7 @@ __all__ = [
     "grouplikes",
     "invariant_report",
     "is_grouplike",
-    "kron",
     "left_module_coalgebra_system",
-    "mat_kernel",
-    "mat_solve",
     "matched_pair_search",
     "matched_pair_system",
     "right_module_coalgebra_system",

@@ -1,9 +1,7 @@
 """Pure-Python Gaussian-rational scalars.
 
-A scalar is a + (b)i with a, b reduced big-integer fractions.  This is the
-reference implementation of the arithmetic kernel; `hopffactor._scalar_cy`
-is a compiled twin with the identical interface and canonical forms, and
-`hopffactor.scalar` picks between them at import time.
+A scalar is a + (b)i with a, b reduced big-integer fractions; the rest of
+the engine imports it through `hopffactor.scalar`.
 
 Canonical form invariants: denominators strictly positive, numerator and
 denominator coprime, zero stored as 0/1.  Equality is therefore structural
@@ -47,9 +45,15 @@ class Scalar:
 
     @classmethod
     def from_json(cls, data):
-        if not (isinstance(data, (list, tuple)) and len(data) == 4):
+        if not (
+            isinstance(data, (list, tuple))
+            and len(data) == 4
+            and all(type(x) is int for x in data)
+            and data[1] != 0
+            and data[3] != 0
+        ):
             raise ValueError(f"bad scalar payload: {data!r}")
-        return cls(int(data[0]), int(data[1]), int(data[2]), int(data[3]))
+        return cls(*data)
 
     @classmethod
     def parse(cls, text):

@@ -1,10 +1,8 @@
 """Text and JSON format for Gaussian-rational scalars.
 
-Shared by the pure-Python and compiled scalar implementations so that both
-render and parse the exact same canonical strings.  The wire format for a
-scalar a/b + (c/d)i is the 4-integer list [a, b, c, d] with b, d > 0 and
-both fractions reduced; the text format is e.g. "0", "-3/2", "i", "-i",
-"2*i", "1/2-1/2*i".
+The wire format for a scalar a/b + (c/d)i is the 4-integer list
+[a, b, c, d] with b, d > 0 and both fractions reduced; the text format is
+e.g. "0", "-3/2", "i", "-i", "2*i", "1/2-1/2*i".
 """
 
 import re

@@ -40,14 +40,95 @@ def _pc(s):
 
 class _ActionTable:
     """Shared mechanics of the two table kinds.  `entries[(xi, ai)]` holds
-    the coefficient polynomials of the action value in the target basis."""
+    the coefficient polynomials of the action value in the target basis,
+    keyed by the H8 index first on both sides.
+
+    A right action of H4 on H8 is a left action of H4^op, so the axioms are
+    stated once on entries re-keyed as (acting index, acted index) (see
+    `by_acting`); only the order of the product in the module law and the
+    text of the failure witnesses depend on the side."""
 
     side = None
+    symbol = None
+    # witnesses for the acting unit, the acted unit and the module law
+    unit_witnesses = ()
+    module_law_witness = ""
 
     def __init__(self, entries):
         self.h8 = build_H8()
         self.h4 = build_H4()
         self.entries = entries
+        if self.side == "left":
+            self.acting, self.acted = self.h8, self.h4
+        else:
+            self.acting, self.acted = self.h4, self.h8
+
+    def entry_key(self, u, w):
+        """The (H8 index, H4 index) key of acting index u on acted index w."""
+        return (u, w) if self.side == "left" else (w, u)
+
+    def by_acting(self, entries):
+        """`entries` (keyed (H8 index, H4 index)) re-keyed as
+        {(acting index, acted index): row}."""
+        if self.side == "left":
+            return entries
+        return {(ai, xi): row for (xi, ai), row in entries.items()}
+
+    def unit_row(self, u, w):
+        """The structural value of acting index u on acted index w when one of
+        them is the unit: 1 . w = w and u . 1 = eps(u) 1."""
+        if u == 0:
+            return tuple(_P_ONE if k == w else _P_ZERO for k in range(self.acted.dim))
+        eps = _pc(self.acting.counit[u])
+        return tuple(eps if k == 0 else _P_ZERO for k in range(self.acted.dim))
+
+    @classmethod
+    def symbolic(cls):
+        """Every entry an unknown, except the structural unit ones."""
+        table = cls({})
+        h8, h4, acting, acted = table.h8, table.h4, table.acting, table.acted
+        prefix = cls.side[0]
+        for u in range(acting.dim):
+            for w in range(acted.dim):
+                xi, ai = table.entry_key(u, w)
+                if u == 0 or w == 0:
+                    row = table.unit_row(u, w)
+                else:
+                    row = tuple(
+                        Poly.var(f"{prefix}_{h8.basis[xi]}_{h4.basis[ai]}_{acted.basis[k]}")
+                        for k in range(acted.dim)
+                    )
+                table.entries[(xi, ai)] = row
+        return table
+
+    @classmethod
+    def from_json(cls, data):
+        if not (
+            isinstance(data, dict)
+            and data.get("schema") == "action/v1"
+            and data.get("side") == cls.side
+            and isinstance(data.get("entries"), list)
+        ):
+            raise ValueError(f"not a {cls.side} action/v1 payload")
+        table = cls({})
+        width = table.acted.dim
+        for row in data["entries"]:
+            if not (
+                isinstance(row, list)
+                and len(row) == 3
+                and type(row[0]) is int
+                and type(row[1]) is int
+                and isinstance(row[2], list)
+                and len(row[2]) == width
+            ):
+                raise ValueError(f"bad {cls.side} action entry {row!r}")
+            table.entries[(row[0], row[1])] = tuple(
+                _pc(Scalar.from_json(c)) for c in row[2]
+            )
+        wanted = {(xi, ai) for xi in range(table.h8.dim) for ai in range(table.h4.dim)}
+        if set(table.entries) != wanted:
+            raise ValueError(f"{cls.side} action/v1 payload needs exactly one entry per basis pair")
+        return table
 
     def entry(self, xi, ai):
         return self.entries[(xi, ai)]
@@ -100,39 +181,9 @@ class LeftActionTable(_ActionTable):
     the a = 1 column is eps(x) * 1; both are structural."""
 
     side = "left"
-
-    @classmethod
-    def symbolic(cls):
-        h8, h4 = build_H8(), build_H4()
-        entries = {}
-        for xi in range(h8.dim):
-            for ai in range(h4.dim):
-                if xi == 0:
-                    entries[(xi, ai)] = tuple(
-                        _P_ONE if k == ai else _P_ZERO for k in range(h4.dim)
-                    )
-                elif ai == 0:
-                    eps = h8.counit[xi]
-                    entries[(xi, ai)] = tuple(
-                        _pc(eps) if k == 0 else _P_ZERO for k in range(h4.dim)
-                    )
-                else:
-                    entries[(xi, ai)] = tuple(
-                        Poly.var(f"l_{h8.basis[xi]}_{h4.basis[ai]}_{h4.basis[k]}")
-                        for k in range(h4.dim)
-                    )
-        return cls(entries)
-
-    @classmethod
-    def from_json(cls, data):
-        if data.get("schema") != "action/v1" or data.get("side") != "left":
-            raise ValueError("not a left action/v1 payload")
-        entries = {}
-        for xi, ai, coeffs in data["entries"]:
-            entries[(int(xi), int(ai))] = tuple(
-                _pc(Scalar.from_json(c)) for c in coeffs
-            )
-        return cls(entries)
+    symbol = "|>"
+    unit_witnesses = ("1 |> a != a", "x |> 1 != eps(x) 1")
+    module_law_witness = "(xy) |> a != x |> (y |> a)"
 
     @classmethod
     def from_generator_images(cls, g_images, h_images, z_images):
@@ -170,29 +221,6 @@ class LeftActionTable(_ActionTable):
                 entries[(xi, ai)] = tuple(_pc(c) for c in coords)
         return cls(entries)
 
-    def apply_coords(self, x_coords, a_coords):
-        """Concrete bilinear action on coordinate vectors; returns H4 coords."""
-        scalars = self._scalar_cache()
-        out = {}
-        for xi, cx in enumerate(x_coords):
-            if cx.is_zero():
-                continue
-            for ai, ca in enumerate(a_coords):
-                if ca.is_zero():
-                    continue
-                f = cx * ca
-                for k, e in enumerate(scalars[(xi, ai)]):
-                    if not e.is_zero():
-                        _sacc(out, k, f * e)
-        return tuple(out.get(k, ZERO) for k in range(self.h4.dim))
-
-    def _scalar_cache(self):
-        cached = getattr(self, "_scalars", None)
-        if cached is None:
-            cached = self.scalar_entries()
-            self._scalars = cached
-        return cached
-
 
 def _generator_row(h4, images):
     """images: {label ('G','X','GX') -> 4-tuple of Scalars}; row for 1 is
@@ -207,116 +235,56 @@ class RightActionTable(_ActionTable):
     """x <| a with values in H8.  The x = 1 row is eps(a) * 1."""
 
     side = "right"
-
-    @classmethod
-    def symbolic(cls):
-        h8, h4 = build_H8(), build_H4()
-        entries = {}
-        for xi in range(h8.dim):
-            for ai in range(h4.dim):
-                if ai == 0:
-                    entries[(xi, ai)] = tuple(
-                        _P_ONE if k == xi else _P_ZERO for k in range(h8.dim)
-                    )
-                elif xi == 0:
-                    eps = h4.counit[ai]
-                    entries[(xi, ai)] = tuple(
-                        _pc(eps) if k == 0 else _P_ZERO for k in range(h8.dim)
-                    )
-                else:
-                    entries[(xi, ai)] = tuple(
-                        Poly.var(f"r_{h8.basis[xi]}_{h4.basis[ai]}_{h8.basis[k]}")
-                        for k in range(h8.dim)
-                    )
-        return cls(entries)
-
-    @classmethod
-    def from_json(cls, data):
-        if data.get("schema") != "action/v1" or data.get("side") != "right":
-            raise ValueError("not a right action/v1 payload")
-        entries = {}
-        for xi, ai, coeffs in data["entries"]:
-            entries[(int(xi), int(ai))] = tuple(
-                _pc(Scalar.from_json(c)) for c in coeffs
-            )
-        return cls(entries)
+    symbol = "<|"
+    unit_witnesses = ("x <| 1 != x", "1 <| a != eps(a) 1")
+    module_law_witness = "x <| (ab) != (x <| a) <| b"
 
     @classmethod
     def from_components(cls, grouplike_g_images, grouplike_x_images, a_matrix, b_matrix):
-        """Concrete table from: images of g, h, gh under <|G (H8 basis labels),
-        their <|X images (8-tuples), and the two 4x4 z-block matrices (column
-        j = coordinates of basis_j <| G resp. <| X on (z, gz, hz, ghz)).
-        The GX column is forced by the module law: x <| GX = (x <| G) <| X."""
-        h8, h4 = build_H8(), build_H4()
-        entries = {}
+        """Table from: images of g, h, gh under <|G (H8 basis labels), their
+        <|X images (8-tuples), and the two 4x4 z-block matrices (column j =
+        coordinates of basis_j <| G resp. <| X on (z, gz, hz, ghz)).  Values
+        may be Scalars or Polys.  The GX column is forced by the module law:
+        x <| GX = (x <| G) <| X."""
+        table = cls({})
+        h8, h4, entries = table.h8, table.h4, table.entries
+
+        def to_poly(v):
+            return v if isinstance(v, Poly) else _pc(v)
+
         zblock = [4, 5, 6, 7]
-        # unit row and unit column
         for ai in range(h4.dim):
-            eps = h4.counit[ai]
-            entries[(0, ai)] = tuple(
-                _pc(eps) if k == 0 else _P_ZERO for k in range(h8.dim)
-            )
+            entries[(0, ai)] = table.unit_row(ai, 0)
         for xi in range(1, h8.dim):
-            entries[(xi, 0)] = tuple(
-                _P_ONE if k == xi else _P_ZERO for k in range(h8.dim)
-            )
-        gi, xi_col = h4.index["G"], h4.index["X"]
+            entries[(xi, 0)] = table.unit_row(0, xi)
+        gi, xcol, gxi = h4.index["G"], h4.index["X"], h4.index["GX"]
         for row, label in ((1, "g"), (2, "h"), (3, "gh")):
             target = h8.index[grouplike_g_images[label]]
             entries[(row, gi)] = tuple(
                 _P_ONE if k == target else _P_ZERO for k in range(h8.dim)
             )
-            entries[(row, xi_col)] = tuple(
-                _pc(c) for c in grouplike_x_images[label]
+            entries[(row, xcol)] = tuple(
+                to_poly(c) for c in grouplike_x_images[label]
             )
         for col, xi in enumerate(zblock):
             entries[(xi, gi)] = tuple(
-                _pc(a_matrix[k - 4][col]) if k in zblock else _P_ZERO
+                to_poly(a_matrix[k - 4][col]) if k in zblock else _P_ZERO
                 for k in range(h8.dim)
             )
-            entries[(xi, xi_col)] = tuple(
-                _pc(b_matrix[k - 4][col]) if k in zblock else _P_ZERO
+            entries[(xi, xcol)] = tuple(
+                to_poly(b_matrix[k - 4][col]) if k in zblock else _P_ZERO
                 for k in range(h8.dim)
             )
-        table = cls(entries)
-        gxi = h4.index["GX"]
         for xi in range(1, h8.dim):
-            after_g = [p.const_value() for p in entries[(xi, gi)]]
-            acc = {}
-            for k, c in enumerate(after_g):
-                if c.is_zero():
+            acc = [dict() for _ in range(h8.dim)]
+            for k, p in enumerate(entries[(xi, gi)]):
+                if p.is_zero():
                     continue
-                for m, e in enumerate(entries[(k, xi_col)]):
-                    ev = e.const_value()
-                    if not ev.is_zero():
-                        _sacc(acc, m, c * ev)
-            entries[(xi, gxi)] = tuple(
-                _pc(acc.get(m, ZERO)) for m in range(h8.dim)
-            )
+                for m, q in enumerate(entries[(k, xcol)]):
+                    if not q.is_zero():
+                        acc_mul(acc[m], p, q)
+            entries[(xi, gxi)] = tuple(from_acc(d) for d in acc)
         return table
-
-    def apply_coords(self, x_coords, a_coords):
-        """Concrete bilinear action on coordinate vectors; returns H8 coords."""
-        scalars = self._scalar_cache()
-        out = {}
-        for xi, cx in enumerate(x_coords):
-            if cx.is_zero():
-                continue
-            for ai, ca in enumerate(a_coords):
-                if ca.is_zero():
-                    continue
-                f = cx * ca
-                for k, e in enumerate(scalars[(xi, ai)]):
-                    if not e.is_zero():
-                        _sacc(out, k, f * e)
-        return tuple(out.get(k, ZERO) for k in range(self.h8.dim))
-
-    def _scalar_cache(self):
-        cached = getattr(self, "_scalars", None)
-        if cached is None:
-            cached = self.scalar_entries()
-            self._scalars = cached
-        return cached
 
     def matrix_G(self):
         """The 4x4 block A with (z<|G, gz<|G, hz<|G, ghz<|G) = (z,gz,hz,ghz) A."""
@@ -347,41 +315,41 @@ def _canonical_system(polys):
     return sorted(seen.values(), key=lambda p: (p.degree(), len(p.variables()), p.key()))
 
 
-def left_module_coalgebra_system(L):
-    """Constraints making L a left module-coalgebra action of H8 on H4:
-    unit action, associativity of the action with the H8 product on every
-    basis pair, compatibility with delta and eps, and x |> 1 = eps(x) 1."""
-    h8, h4 = L.h8, L.h4
+def _unit_constraints(T):
+    """1 . w = w for the acting unit and u . 1 = eps(u) 1 for the acted one."""
+    act = T.by_acting(T.entries)
+    keys = [(0, w) for w in range(T.acted.dim)] + [(u, 0) for u in range(T.acting.dim)]
+    return [p - q for key in keys for p, q in zip(act[key], T.unit_row(*key))]
+
+
+def _counit_constraints(T, keys):
+    """eps(x . a) = eps(x) eps(a) on the given (H8, H4) index pairs."""
+    h8, h4, acted = T.h8, T.h4, T.acted
     sys = []
-    # 1 |> a = a and x |> 1 = eps(x) 1
-    for ai in range(h4.dim):
-        for k, p in enumerate(L.entry(0, ai)):
-            sys.append(p - (_P_ONE if k == ai else _P_ZERO))
-    for xi in range(h8.dim):
-        eps = h8.counit[xi]
-        for k, p in enumerate(L.entry(xi, 0)):
-            sys.append(p - (_pc(eps) if k == 0 else _P_ZERO))
-    # eps(x |> a) = eps(x) eps(a)
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            acc = {}
-            for k, p in enumerate(L.entry(xi, ai)):
-                acc_add(acc, p, h4.counit[k])
-            sys.append(from_acc(acc) - _pc(h8.counit[xi] * h4.counit[ai]))
-    # delta(x |> a) = sum (x1 |> a1) (x) (x2 |> a2)
+    for xi, ai in keys:
+        acc = {}
+        for k, p in enumerate(T.entry(xi, ai)):
+            acc_add(acc, p, acted.counit[k])
+        sys.append(from_acc(acc) - _pc(h8.counit[xi] * h4.counit[ai]))
+    return sys
+
+
+def _comultiplication_constraints(T):
+    """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on every basis pair."""
+    h8, h4, acted = T.h8, T.h4, T.acted
+    sys = []
     for xi in range(h8.dim):
         for ai in range(h4.dim):
             lhs = {}
-            for k, p in enumerate(L.entry(xi, ai)):
-                for c, jj, kk in h4.comul[k]:
-                    cur = lhs.setdefault((jj, kk), {})
-                    acc_add(cur, p, c)
+            for k, p in enumerate(T.entry(xi, ai)):
+                for c, jj, kk in acted.comul[k]:
+                    acc_add(lhs.setdefault((jj, kk), {}), p, c)
             rhs = {}
             for c8, x1, x2 in h8.comul[xi]:
                 for c4, a1, a2 in h4.comul[ai]:
                     f = c8 * c4
-                    left_row = L.entry(x1, a1)
-                    right_row = L.entry(x2, a2)
+                    left_row = T.entry(x1, a1)
+                    right_row = T.entry(x2, a2)
                     for p_idx, pp in enumerate(left_row):
                         if pp.is_zero():
                             continue
@@ -392,92 +360,51 @@ def left_module_coalgebra_system(L):
                             acc_mul(cur, pp, qq, f)
             for key in sorted(set(lhs) | set(rhs)):
                 sys.append(from_acc(lhs.get(key, {})) - from_acc(rhs.get(key, {})))
-    # (e_i e_j) |> a = e_i |> (e_j |> a)
-    for xi in range(h8.dim):
-        for yi in range(h8.dim):
-            prod_row = h8.mul_sparse[xi][yi]
-            for ai in range(h4.dim):
-                lhs = [dict() for _ in range(h4.dim)]
+    return sys
+
+
+def _module_law_constraints(T):
+    """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
+    right, for every acting pair (u, v) and acted w."""
+    act = T.by_acting(T.entries)
+    acting, acted = T.acting, T.acted
+    sys = []
+    for u in range(acting.dim):
+        for v in range(acting.dim):
+            prod_row = acting.mul_sparse[u][v]
+            first, second = (v, u) if T.side == "left" else (u, v)
+            for w in range(acted.dim):
+                lhs = [dict() for _ in range(acted.dim)]
                 for m, c in prod_row:
-                    for k, p in enumerate(L.entry(m, ai)):
+                    for k, p in enumerate(act[(m, w)]):
                         acc_add(lhs[k], p, c)
-                rhs = [dict() for _ in range(h4.dim)]
-                inner = L.entry(yi, ai)
-                for k, p in enumerate(inner):
+                rhs = [dict() for _ in range(acted.dim)]
+                for k, p in enumerate(act[(first, w)]):
                     if p.is_zero():
                         continue
-                    outer = L.entry(xi, k)
-                    for m, q in enumerate(outer):
+                    for m, q in enumerate(act[(second, k)]):
                         if not q.is_zero():
                             acc_mul(rhs[m], p, q)
-                for k in range(h4.dim):
+                for k in range(acted.dim):
                     sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
-    return _canonical_system(sys)
+    return sys
 
 
-def right_module_coalgebra_system(R):
-    """Constraints making R a right module-coalgebra action of H4 on H8."""
-    h8, h4 = R.h8, R.h4
-    sys = []
-    # x <| 1 = x and 1 <| a = eps(a) 1
-    for xi in range(h8.dim):
-        for k, p in enumerate(R.entry(xi, 0)):
-            sys.append(p - (_P_ONE if k == xi else _P_ZERO))
-    for ai in range(h4.dim):
-        eps = h4.counit[ai]
-        for k, p in enumerate(R.entry(0, ai)):
-            sys.append(p - (_pc(eps) if k == 0 else _P_ZERO))
-    # eps(x <| a) = eps(x) eps(a)
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            acc = {}
-            for k, p in enumerate(R.entry(xi, ai)):
-                acc_add(acc, p, h8.counit[k])
-            sys.append(from_acc(acc) - _pc(h8.counit[xi] * h4.counit[ai]))
-    # delta(x <| a) = sum (x1 <| a1) (x) (x2 <| a2)
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            lhs = {}
-            for k, p in enumerate(R.entry(xi, ai)):
-                for c, jj, kk in h8.comul[k]:
-                    cur = lhs.setdefault((jj, kk), {})
-                    acc_add(cur, p, c)
-            rhs = {}
-            for c8, x1, x2 in h8.comul[xi]:
-                for c4, a1, a2 in h4.comul[ai]:
-                    f = c8 * c4
-                    left_row = R.entry(x1, a1)
-                    right_row = R.entry(x2, a2)
-                    for p_idx, pp in enumerate(left_row):
-                        if pp.is_zero():
-                            continue
-                        for q_idx, qq in enumerate(right_row):
-                            if qq.is_zero():
-                                continue
-                            cur = rhs.setdefault((p_idx, q_idx), {})
-                            acc_mul(cur, pp, qq, f)
-            for key in sorted(set(lhs) | set(rhs)):
-                sys.append(from_acc(lhs.get(key, {})) - from_acc(rhs.get(key, {})))
-    # x <| (a b) = (x <| a) <| b
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            for bi in range(h4.dim):
-                lhs = [dict() for _ in range(h8.dim)]
-                for m, c in h4.mul_sparse[ai][bi]:
-                    for k, p in enumerate(R.entry(xi, m)):
-                        acc_add(lhs[k], p, c)
-                rhs = [dict() for _ in range(h8.dim)]
-                inner = R.entry(xi, ai)
-                for k, p in enumerate(inner):
-                    if p.is_zero():
-                        continue
-                    outer = R.entry(k, bi)
-                    for m, q in enumerate(outer):
-                        if not q.is_zero():
-                            acc_mul(rhs[m], p, q)
-                for k in range(h8.dim):
-                    sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
-    return _canonical_system(sys)
+def module_coalgebra_system(T):
+    """Constraints making T a module-coalgebra action on its side: unit
+    actions, compatibility with eps and delta, and the module law on every
+    basis instance."""
+    keys = [(xi, ai) for xi in range(T.h8.dim) for ai in range(T.h4.dim)]
+    return _canonical_system(
+        _unit_constraints(T)
+        + _counit_constraints(T, keys)
+        + _comultiplication_constraints(T)
+        + _module_law_constraints(T)
+    )
+
+
+# one generator serves both sides; the side-named entry points stay bound
+left_module_coalgebra_system = right_module_coalgebra_system = module_coalgebra_system
 
 
 def _exchange_constraints(L, R, instances):
@@ -627,7 +554,7 @@ class MatchedPairCandidate:
 def enumerate_left_actions(split_budget=_DEFAULT_BUDGET):
     """All left module-coalgebra actions of H8 on H4, as solver branches."""
     L = LeftActionTable.symbolic()
-    system = left_module_coalgebra_system(L)
+    system = module_coalgebra_system(L)
     return solve(system, split_budget=split_budget, var_universe=L.variables())
 
 
@@ -639,7 +566,7 @@ def enumerate_right_actions(split_budget=_DEFAULT_BUDGET):
     expected to stop with its honest irreducible-system error rather than
     return a fictitious enumeration."""
     R = RightActionTable.symbolic()
-    system = right_module_coalgebra_system(R)
+    system = module_coalgebra_system(R)
     return solve(system, split_budget=split_budget, var_universe=R.variables())
 
 
@@ -663,8 +590,8 @@ def _matched_pair_search_uncached(split_budget):
     R = RightActionTable.symbolic()
     cand = MatchedPairCandidate(L, R)
     system = _canonical_system(
-        left_module_coalgebra_system(L)
-        + right_module_coalgebra_system(R)
+        module_coalgebra_system(L)
+        + module_coalgebra_system(R)
         + matched_pair_system(cand)
     )
     universe = L.variables() + R.variables()
@@ -715,185 +642,103 @@ def _tensor_render(h8, h4, tensor):
     return " + ".join(terms) if terms else "0"
 
 
-def check_left_module_coalgebra(L):
-    """Re-evaluate every left module-coalgebra axiom instance with scalar
-    arithmetic on a concrete table."""
-    h8, h4 = L.h8, L.h4
+def check_module_coalgebra(T):
+    """Re-evaluate every module-coalgebra axiom instance of a concrete table
+    with scalar arithmetic, on the table's side.  Witnesses name the
+    instance in the order the law is written: (x, y, a) for (xy) |> a and
+    (x, a, b) for x <| (ab)."""
+    h8, h4, acting, acted = T.h8, T.h4, T.acting, T.acted
+    side, s = T.side, T.symbol
     failures = []
-    scalars = L.scalar_entries()
+    scalars = T.scalar_entries()
+    act = T.by_acting(scalars)
 
-    def act(xi, ai):
-        return scalars[(xi, ai)]
+    def at(u, w):
+        xi, ai = T.entry_key(u, w)
+        return (h8.basis[xi], h4.basis[ai])
 
-    unit4 = tuple(ONE if k == 0 else ZERO for k in range(h4.dim))
-    for ai in range(h4.dim):
-        expected = tuple(ONE if k == ai else ZERO for k in range(h4.dim))
-        if act(0, ai) != expected:
-            failures.append(CheckFailure("left-unit-action", ("1", h4.basis[ai]), "1 |> a != a"))
-    for xi in range(h8.dim):
-        expected = tuple(h8.counit[xi] * u for u in unit4)
-        if act(xi, 0) != expected:
-            failures.append(
-                CheckFailure("left-unit-action", (h8.basis[xi], "1"), "x |> 1 != eps(x) 1")
-            )
+    acting_unit, acted_unit = T.unit_witnesses
+    for w in range(acted.dim):
+        expected = tuple(ONE if k == w else ZERO for k in range(acted.dim))
+        if act[(0, w)] != expected:
+            failures.append(CheckFailure(f"{side}-unit-action", at(0, w), acting_unit))
+    for u in range(acting.dim):
+        expected = tuple(acting.counit[u] if k == 0 else ZERO for k in range(acted.dim))
+        if act[(u, 0)] != expected:
+            failures.append(CheckFailure(f"{side}-unit-action", at(u, 0), acted_unit))
     for xi in range(h8.dim):
         for ai in range(h4.dim):
-            val = act(xi, ai)
+            val = scalars[(xi, ai)]
             eps = ZERO
             for k, c in enumerate(val):
                 if not c.is_zero():
-                    eps = eps + c * h4.counit[k]
+                    eps = eps + c * acted.counit[k]
             if eps != h8.counit[xi] * h4.counit[ai]:
                 failures.append(
                     CheckFailure(
-                        "left-counit-compatibility",
+                        f"{side}-counit-compatibility",
                         (h8.basis[xi], h4.basis[ai]),
-                        f"eps(x |> a) = {eps}",
+                        f"eps(x {s} a) = {eps}",
                     )
                 )
             lhs = {}
             for k, c in enumerate(val):
                 if c.is_zero():
                     continue
-                for cc, jj, kk in h4.comul[k]:
+                for cc, jj, kk in acted.comul[k]:
                     _sacc(lhs, (jj, kk), c * cc)
             rhs = {}
             for c8, x1, x2 in h8.comul[xi]:
                 for c4, a1, a2 in h4.comul[ai]:
                     f = c8 * c4
-                    u = act(x1, a1)
-                    w = act(x2, a2)
-                    for p_idx, cp in enumerate(u):
+                    first_leg = scalars[(x1, a1)]
+                    second_leg = scalars[(x2, a2)]
+                    for p_idx, cp in enumerate(first_leg):
                         if cp.is_zero():
                             continue
-                        for q_idx, cq in enumerate(w):
+                        for q_idx, cq in enumerate(second_leg):
                             if not cq.is_zero():
                                 _sacc(rhs, (p_idx, q_idx), f * cp * cq)
             if lhs != rhs:
                 failures.append(
                     CheckFailure(
-                        "left-comultiplication-compatibility",
+                        f"{side}-comultiplication-compatibility",
                         (h8.basis[xi], h4.basis[ai]),
-                        "delta(x |> a) != sum x1|>a1 (x) x2|>a2",
+                        f"delta(x {s} a) != sum x1{s}a1 (x) x2{s}a2",
                     )
                 )
-    for xi in range(h8.dim):
-        for yi in range(h8.dim):
-            for ai in range(h4.dim):
-                lhs = {}
-                for m, c in h8.mul_sparse[xi][yi]:
-                    for k, e in enumerate(act(m, ai)):
-                        if not e.is_zero():
-                            _sacc(lhs, k, c * e)
-                rhs = {}
-                inner = act(yi, ai)
-                for k, c in enumerate(inner):
-                    if c.is_zero():
-                        continue
-                    for m, e in enumerate(act(xi, k)):
-                        if not e.is_zero():
-                            _sacc(rhs, m, c * e)
-                if lhs != rhs:
-                    failures.append(
-                        CheckFailure(
-                            "left-module-associativity",
-                            (h8.basis[xi], h8.basis[yi], h4.basis[ai]),
-                            "(xy) |> a != x |> (y |> a)",
-                        )
-                    )
-    return failures
-
-
-def check_right_module_coalgebra(R):
-    h8, h4 = R.h8, R.h4
-    failures = []
-    scalars = R.scalar_entries()
-
-    def act(xi, ai):
-        return scalars[(xi, ai)]
-
-    for xi in range(h8.dim):
-        expected = tuple(ONE if k == xi else ZERO for k in range(h8.dim))
-        if act(xi, 0) != expected:
+    # module law, reported in the written order of the instance
+    n_acting, n_acted = range(acting.dim), range(acted.dim)
+    if side == "left":
+        instances = [(u, v, w) for u in n_acting for v in n_acting for w in n_acted]
+    else:
+        instances = [(u, v, w) for w in n_acted for u in n_acting for v in n_acting]
+    for u, v, w in instances:
+        lhs = {}
+        for m, c in acting.mul_sparse[u][v]:
+            for k, e in enumerate(act[(m, w)]):
+                if not e.is_zero():
+                    _sacc(lhs, k, c * e)
+        first, second = (v, u) if side == "left" else (u, v)
+        rhs = {}
+        for k, c in enumerate(act[(first, w)]):
+            if c.is_zero():
+                continue
+            for m, e in enumerate(act[(second, k)]):
+                if not e.is_zero():
+                    _sacc(rhs, m, c * e)
+        if lhs != rhs:
+            names = (acting.basis[u], acting.basis[v])
+            spot = names + (acted.basis[w],) if side == "left" else (acted.basis[w],) + names
             failures.append(
-                CheckFailure("right-unit-action", (h8.basis[xi], "1"), "x <| 1 != x")
+                CheckFailure(f"{side}-module-associativity", spot, T.module_law_witness)
             )
-    for ai in range(h4.dim):
-        expected = tuple(h4.counit[ai] if k == 0 else ZERO for k in range(h8.dim))
-        if act(0, ai) != expected:
-            failures.append(
-                CheckFailure("right-unit-action", ("1", h4.basis[ai]), "1 <| a != eps(a) 1")
-            )
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            val = act(xi, ai)
-            eps = ZERO
-            for k, c in enumerate(val):
-                if not c.is_zero():
-                    eps = eps + c * h8.counit[k]
-            if eps != h8.counit[xi] * h4.counit[ai]:
-                failures.append(
-                    CheckFailure(
-                        "right-counit-compatibility",
-                        (h8.basis[xi], h4.basis[ai]),
-                        f"eps(x <| a) = {eps}",
-                    )
-                )
-            lhs = {}
-            for k, c in enumerate(val):
-                if c.is_zero():
-                    continue
-                for cc, jj, kk in h8.comul[k]:
-                    _sacc(lhs, (jj, kk), c * cc)
-            rhs = {}
-            for c8, x1, x2 in h8.comul[xi]:
-                for c4, a1, a2 in h4.comul[ai]:
-                    f = c8 * c4
-                    u = act(x1, a1)
-                    w = act(x2, a2)
-                    for p_idx, cp in enumerate(u):
-                        if cp.is_zero():
-                            continue
-                        for q_idx, cq in enumerate(w):
-                            if not cq.is_zero():
-                                _sacc(rhs, (p_idx, q_idx), f * cp * cq)
-            if lhs != rhs:
-                failures.append(
-                    CheckFailure(
-                        "right-comultiplication-compatibility",
-                        (h8.basis[xi], h4.basis[ai]),
-                        "delta(x <| a) != sum x1<|a1 (x) x2<|a2",
-                    )
-                )
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            for bi in range(h4.dim):
-                lhs = {}
-                for m, c in h4.mul_sparse[ai][bi]:
-                    for k, e in enumerate(act(xi, m)):
-                        if not e.is_zero():
-                            _sacc(lhs, k, c * e)
-                rhs = {}
-                inner = act(xi, ai)
-                for k, c in enumerate(inner):
-                    if c.is_zero():
-                        continue
-                    for m, e in enumerate(act(k, bi)):
-                        if not e.is_zero():
-                            _sacc(rhs, m, c * e)
-                if lhs != rhs:
-                    failures.append(
-                        CheckFailure(
-                            "right-module-associativity",
-                            (h8.basis[xi], h4.basis[ai], h4.basis[bi]),
-                            "x <| (ab) != (x <| a) <| b",
-                        )
-                    )
     return failures
 
 
 def check_module_coalgebras(cand):
-    return check_left_module_coalgebra(cand.left) + check_right_module_coalgebra(cand.right)
+    return check_module_coalgebra(cand.left) + check_module_coalgebra(cand.right)
+
 
 
 def check_matched_pair(cand):
@@ -1028,20 +873,6 @@ def check_matched_pair(cand):
     return failures
 
 
-def verify_matched_pair(cand):
-    """Module-coalgebra axioms plus the pairing conditions; promotes the
-    candidate status as checks pass and returns all failures."""
-    failures = check_module_coalgebras(cand)
-    if failures:
-        return failures
-    cand.status = "module-valid"
-    failures = check_matched_pair(cand)
-    if failures:
-        return failures
-    cand.status = "matched"
-    return []
-
-
 # -- the published action families --------------------------------------------------
 
 
@@ -1134,16 +965,24 @@ def classify_left_table(L):
     return xf, gx_name, alpha, beta
 
 
-def trivial_right_table():
-    """A = E, B = 0, group-likes fixed."""
-    E = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
-    Z = tuple((ZERO,) * 4 for _ in range(4))
+
+def _fixed_grouplike_right_table(a_matrix, b_matrix):
+    """g, h, gh fixed by G and killed by X; z-blocks A and B."""
     return RightActionTable.from_components(
         {"g": "g", "h": "h", "gh": "gh"},
         {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
-        E,
-        Z,
+        a_matrix,
+        b_matrix,
     )
+
+
+_ZERO_BLOCK = tuple((ZERO,) * 4 for _ in range(4))
+
+
+def trivial_right_table():
+    """A = E, B = 0, group-likes fixed."""
+    E = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+    return _fixed_grouplike_right_table(E, _ZERO_BLOCK)
 
 
 def antidiagonal_right_table():
@@ -1151,13 +990,7 @@ def antidiagonal_right_table():
     A = tuple(
         tuple(ONE if i + j == 3 else ZERO for j in range(4)) for i in range(4)
     )
-    Z = tuple((ZERO,) * 4 for _ in range(4))
-    return RightActionTable.from_components(
-        {"g": "g", "h": "h", "gh": "gh"},
-        {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
-        A,
-        Z,
-    )
+    return _fixed_grouplike_right_table(A, _ZERO_BLOCK)
 
 
 # -- the small published equation systems ------------------------------------------
@@ -1168,78 +1001,16 @@ def _circulant(names_or_values):
     return ((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
 
 
-def _circulant_right_table(a_entries, b_entries):
-    """Right table with trivially-fixed group-likes, vanishing X-action on
-    the group block, circulant z-blocks (entries Poly or Scalar), and the
-    GX column derived from the module law."""
-    h8, h4 = build_H8(), build_H4()
-
-    def to_poly(v):
-        return v if isinstance(v, Poly) else _pc(v)
-
-    entries = {}
-    for ai in range(h4.dim):
-        eps = h4.counit[ai]
-        entries[(0, ai)] = tuple(_pc(eps) if k == 0 else _P_ZERO for k in range(h8.dim))
-    for xi in range(1, h8.dim):
-        entries[(xi, 0)] = tuple(_P_ONE if k == xi else _P_ZERO for k in range(h8.dim))
-    gi, xcol, gxi = h4.index["G"], h4.index["X"], h4.index["GX"]
-    for row in (1, 2, 3):
-        entries[(row, gi)] = tuple(_P_ONE if k == row else _P_ZERO for k in range(h8.dim))
-        entries[(row, xcol)] = tuple(_P_ZERO for _ in range(h8.dim))
-    A = _circulant(a_entries)
-    B = _circulant(b_entries)
-    for col, xi in enumerate((4, 5, 6, 7)):
-        entries[(xi, gi)] = tuple(
-            to_poly(A[k - 4][col]) if k >= 4 else _P_ZERO for k in range(h8.dim)
-        )
-        entries[(xi, xcol)] = tuple(
-            to_poly(B[k - 4][col]) if k >= 4 else _P_ZERO for k in range(h8.dim)
-        )
-    # GX column from x <| GX = (x <| G) <| X
-    for xi in range(1, h8.dim):
-        acc = [dict() for _ in range(h8.dim)]
-        for k in range(h8.dim):
-            p = entries[(xi, gi)][k]
-            if p.is_zero():
-                continue
-            for m in range(h8.dim):
-                q = entries[(k, xcol)][m]
-                if not q.is_zero():
-                    acc_mul(acc[m], p, q)
-        entries[(xi, gxi)] = tuple(from_acc(d) for d in acc)
-    return RightActionTable(entries)
-
-
-def _circulant_shared_system(R):
-    h8, h4 = R.h8, R.h4
-    sys = []
-    # counit compatibility on the z-block columns
-    for xi in (4, 5, 6, 7):
-        for ai in range(h4.dim):
-            acc = {}
-            for k, p in enumerate(R.entry(xi, ai)):
-                acc_add(acc, p, h8.counit[k])
-            sys.append(from_acc(acc) - _pc(h8.counit[xi] * h4.counit[ai]))
-    # module law on every H4 product
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            for bi in range(h4.dim):
-                lhs = [dict() for _ in range(h8.dim)]
-                for m, c in h4.mul_sparse[ai][bi]:
-                    for k, p in enumerate(R.entry(xi, m)):
-                        acc_add(lhs[k], p, c)
-                rhs = [dict() for _ in range(h8.dim)]
-                inner = R.entry(xi, ai)
-                for k, p in enumerate(inner):
-                    if p.is_zero():
-                        continue
-                    for m, q in enumerate(R.entry(k, bi)):
-                        if not q.is_zero():
-                            acc_mul(rhs[m], p, q)
-                for k in range(h8.dim):
-                    sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
-    return sys
+def _circulant_system(a_entries, b_entries, column):
+    """Counit sums on the z-block rows, the module law on every H4 product,
+    and the z^2-measuring identity (z z) <| column under the trivial left
+    action, for circulant z-blocks (entries Poly or Scalar)."""
+    R = _fixed_grouplike_right_table(_circulant(a_entries), _circulant(b_entries))
+    L = left_family_instance(1, "a")
+    sys = _counit_constraints(R, [(xi, ai) for xi in (4, 5, 6, 7) for ai in range(R.h4.dim)])
+    sys += _module_law_constraints(R)
+    sys += _right_product_constraints(L, R, [(4, 4, R.h4.index[column])])
+    return _canonical_system(sys)
 
 
 def g_action_circulant_system():
@@ -1248,14 +1019,9 @@ def g_action_circulant_system():
     the z^2-measuring identity (z <| G)^2 = z^2 under the trivial left
     action.  Its full solution list is the published one: exactly four
     points."""
-    R = _circulant_right_table(
-        tuple(Poly.var(v) for v in ("a", "b", "c", "d")),
-        (ZERO, ZERO, ZERO, ZERO),
+    return _circulant_system(
+        tuple(Poly.var(v) for v in ("a", "b", "c", "d")), (ZERO,) * 4, "G"
     )
-    L = left_family_instance(1, "a")
-    sys = _circulant_shared_system(R)
-    sys += _right_product_constraints(L, R, [(4, 4, R.h4.index["G"])])
-    return _canonical_system(sys)
 
 
 def x_action_circulant_system(a_values):
@@ -1264,11 +1030,6 @@ def x_action_circulant_system(a_values):
     counit sums, B^2 = 0 and the anticommutation with A from the H4
     relations, and the z^2-measuring identity under the trivial left
     action."""
-    R = _circulant_right_table(
-        tuple(a_values),
-        tuple(Poly.var(v) for v in ("p", "q", "r", "s")),
+    return _circulant_system(
+        tuple(a_values), tuple(Poly.var(v) for v in ("p", "q", "r", "s")), "X"
     )
-    L = left_family_instance(1, "a")
-    sys = _circulant_shared_system(R)
-    sys += _right_product_constraints(L, R, [(4, 4, R.h4.index["X"])])
-    return _canonical_system(sys)

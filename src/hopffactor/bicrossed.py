@@ -15,6 +15,7 @@ axiom breaks, because a genuine matched pair must yield a Hopf algebra.
 from dataclasses import dataclass
 
 from hopffactor.hopf import (
+    AxiomReport,
     HopfAlgebraData,
     grouplikes,
     is_grouplike,
@@ -36,6 +37,7 @@ class BicrossedConstructionError(RuntimeError):
 class BicrossedProduct:
     algebra: HopfAlgebraData
     pair: object  # MatchedPairCandidate provenance
+    axiom_report: AxiomReport  # the battery run at construction, all passed
 
     @property
     def dim(self):
@@ -68,8 +70,9 @@ class BicrossedProduct:
         return self.embed_h8(h8.basis_element(name))
 
 
-def build_bicrossed(pair, verify=True):
-    """The 32-dimensional product of a matched pair, fully axiom-checked."""
+def build_bicrossed(pair):
+    """The 32-dimensional product of a matched pair, fully axiom-checked;
+    the axiom report is kept on the product."""
     left, right = pair.left, pair.right
     h8, h4 = left.h8, left.h4
     lsc = left.scalar_entries()
@@ -153,16 +156,14 @@ def build_bicrossed(pair, verify=True):
     algebra = HopfAlgebraData(
         algebra.name, basis, mul, unit, comul, counit, antipode
     )
-    product = BicrossedProduct(algebra, pair)
-    if verify:
-        report = verify_axioms(algebra)
-        if not report.all_passed:
-            bad = report.failing()[0]
-            raise BicrossedConstructionError(
-                f"product of a non-matched pair: axiom {bad.name} fails "
-                f"({bad.witnesses[0] if bad.witnesses else 'no witness'})"
-            )
-    return product
+    report = verify_axioms(algebra)
+    if not report.all_passed:
+        bad = report.failing()[0]
+        raise BicrossedConstructionError(
+            f"product of a non-matched pair: axiom {bad.name} fails "
+            f"({bad.witnesses[0] if bad.witnesses else 'no witness'})"
+        )
+    return BicrossedProduct(algebra, pair, report)
 
 
 def _product_name(pair):

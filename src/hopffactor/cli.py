@@ -291,7 +291,7 @@ def cmd_theorem_check(args):
     try:
         for n, (pair, product, sig, pres) in enumerate(rows, start=1):
             signatures.append(sig)
-            axiom_rep = verify_axioms(product.algebra)
+            axiom_rep = product.axiom_report
             checks = verify_presentation(product, pres)
             relations_ok = all(c.holds for c in checks)
             all_relations_ok = all_relations_ok and relations_ok and axiom_rep.all_passed

@@ -65,28 +65,62 @@ def algebra_to_json(H):
     }
 
 
+def _field(data, key, kind, schema):
+    value = data.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{schema}: {key!r} is missing or not of type {kind.__name__}")
+    return value
+
+
+def _sparse(data, key, n_indices, dim, schema):
+    """Entries [index, ..., scalar] of a sparse table, indices in range(dim)."""
+    out = []
+    for row in _field(data, key, list, schema):
+        if not (
+            isinstance(row, list)
+            and len(row) == n_indices + 1
+            and all(type(i) is int and 0 <= i < dim for i in row[:-1])
+        ):
+            raise ValueError(f"{schema}: bad {key} entry {row!r}")
+        out.append((*row[:-1], Scalar.from_json(row[-1])))
+    return out
+
+
+def _vector(data, key, dim, schema):
+    coords = _field(data, key, list, schema)
+    if len(coords) != dim:
+        raise ValueError(f"{schema}: {key!r} needs {dim} coordinates")
+    return [Scalar.from_json(c) for c in coords]
+
+
 def algebra_from_json(data):
-    if data.get("schema") != "hopf-algebra/v1":
-        raise ValueError("not a hopf-algebra/v1 payload")
-    dim = int(data["dim"])
-    basis = list(data["basis"])
+    schema = "hopf-algebra/v1"
+    if not isinstance(data, dict) or data.get("schema") != schema:
+        raise ValueError(f"not a {schema} payload")
+    dim = _field(data, "dim", int, schema)
+    basis = _field(data, "basis", list, schema)
+    if dim <= 0 or len(basis) != dim or not all(isinstance(b, str) for b in basis):
+        raise ValueError(f"{schema}: 'basis' must list {dim} labels")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"{schema}: 'name' is not a string")
     zero = Scalar(0)
     mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, c in data["mul"]:
-        mul[int(i)][int(j)][int(k)] = Scalar.from_json(c)
+    for i, j, k, c in _sparse(data, "mul", 3, dim, schema):
+        mul[i][j][k] = c
     comul = [[] for _ in range(dim)]
-    for i, j, k, c in data["comul"]:
-        comul[int(i)].append((Scalar.from_json(c), int(j), int(k)))
+    for i, j, k, c in _sparse(data, "comul", 3, dim, schema):
+        comul[i].append((c, j, k))
     antipode = [[zero] * dim for _ in range(dim)]
-    for i, j, c in data["antipode"]:
-        antipode[int(i)][int(j)] = Scalar.from_json(c)
+    for i, j, c in _sparse(data, "antipode", 2, dim, schema):
+        antipode[i][j] = c
     return HopfAlgebraData(
-        data.get("name", ""),
+        name,
         basis,
         mul,
-        [Scalar.from_json(c) for c in data["unit"]],
+        _vector(data, "unit", dim, schema),
         comul,
-        [Scalar.from_json(c) for c in data["counit"]],
+        _vector(data, "counit", dim, schema),
         antipode,
     )
 
@@ -152,12 +186,16 @@ def matched_pair_to_json(cand, digest=None):
 def matched_pair_from_json(data):
     from hopffactor.actions import LeftActionTable, MatchedPairCandidate, RightActionTable
 
-    if data.get("schema") != "matched-pair/v1":
-        raise ValueError("not a matched-pair/v1 payload")
+    schema = "matched-pair/v1"
+    if not isinstance(data, dict) or data.get("schema") != schema:
+        raise ValueError(f"not a {schema} payload")
+    status = data.get("status", "unchecked")
+    if not isinstance(status, str):
+        raise ValueError(f"{schema}: 'status' is not a string")
     return MatchedPairCandidate(
-        LeftActionTable.from_json(data["left"]),
-        RightActionTable.from_json(data["right"]),
-        status=data.get("status", "unchecked"),
+        LeftActionTable.from_json(data.get("left")),
+        RightActionTable.from_json(data.get("right")),
+        status=status,
     )
 
 

@@ -1,67 +1,13 @@
-"""Dense exact linear algebra over Q(i).
+"""Dense exact linear algebra over Q(i): rank, kernel and invertibility.
 
-Vectors are tuples of Scalar; matrices are immutable row-major rectangles.
-Everything is dimension-checked and exact: Gaussian elimination never
-pivots on a numerically "small" entry because there is no rounding to
-protect against.  Matrix sizes in this engine top out at the tensor-square
-maps of a 32-dimensional algebra, so no sparse machinery is needed.
+Matrices are immutable row-major rectangles of Scalars.  Gaussian
+elimination is exact, so it never pivots on a numerically "small" entry
+because there is no rounding to protect against.  Matrix sizes in this
+engine top out at the 32x32 maps of the bicrossed products, so no sparse
+machinery is needed.
 """
 
-from hopffactor.scalar import ONE, ZERO, Scalar
-
-
-class _Inconsistent:
-    """Marker returned by solve() when the system has no solution."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Inconsistent"
-
-
-INCONSISTENT = _Inconsistent()
-
-
-def vec(*entries):
-    return tuple(_coerce(e) for e in entries)
-
-
-def _coerce(e):
-    return e if isinstance(e, Scalar) else Scalar(e)
-
-
-def vec_add(u, v):
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    c = _coerce(c)
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u):
-    return all(a.is_zero() for a in u)
-
-
-def zero_vec(n):
-    return (ZERO,) * n
-
-
-def unit_vec(n, k):
-    return tuple(ONE if j == k else ZERO for j in range(n))
+from hopffactor.scalar import ONE, ZERO
 
 
 class Mat:
@@ -70,7 +16,7 @@ class Mat:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_coerce(e) for e in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -79,108 +25,6 @@ class Mat:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = width
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, m, n):
-        return cls([[ZERO] * n for _ in range(m)])
-
-    @classmethod
-    def diag(cls, entries):
-        n = len(entries)
-        return cls(
-            [[_coerce(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
-        return f"Mat[{body}]"
-
-    def __add__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("matrix shape mismatch in addition")
-        return Mat(
-            [vec_add(r1, r2) for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("matrix shape mismatch in subtraction")
-        return Mat(
-            [vec_sub(r1, r2) for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self.matmul(other)
-        if isinstance(other, (Scalar, int)):
-            c = _coerce(other)
-            return Mat([[c * e for e in row] for row in self.rows])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = _coerce(other)
-            return Mat([[c * e for e in row] for row in self.rows])
-        return NotImplemented
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"matrix shape mismatch in product: {self.ncols} vs {other.nrows}"
-            )
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(out)
-
-    def apply(self, v):
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match matrix width")
-        out = []
-        for row in self.rows:
-            acc = ZERO
-            for a, b in zip(row, v):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
-
-    def transpose(self):
-        return Mat(list(zip(*self.rows)))
-
-    def kron(self, other):
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                out.append([a * b for a in arow for b in brow])
-        return Mat(out)
-
-    # -- elimination ---------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
@@ -226,30 +70,5 @@ class Mat:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, b):
-        """Exact solution of self * x = b, or INCONSISTENT."""
-        if len(b) != self.nrows:
-            raise ValueError("right-hand side length does not match matrix height")
-        aug = Mat([list(row) + [rhs] for row, rhs in zip(self.rows, b)])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return INCONSISTENT
-        x = [ZERO] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
-        return tuple(x)
-
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-
-def kron(a, b):
-    return a.kron(b)
-
-
-def mat_kernel(m):
-    return m.kernel()
-
-
-def mat_solve(m, b):
-    return m.solve(b)

@@ -394,13 +394,6 @@ def _is_simple(rendered):
     return not any(ch in "+-" for ch in rendered[1:])
 
 
-def psum(polys):
-    acc = Poly({}, normalized=True)
-    for p in polys:
-        acc = acc + p
-    return acc
-
-
 # -- bulk accumulation (constraint generation avoids intermediate Poly objects)
 
 

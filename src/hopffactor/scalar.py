@@ -2,25 +2,12 @@
 
 Every constant in the engine lives in Q(i) (the constructions only ever
 need 1/2, roots of unity +-1, +-i and (1+-i)^-1), which keeps all checks
-decidable and exact.  The compiled arithmetic kernel is selected here when
-available; set HOPFFACTOR_PURE=1 to force the pure-Python twin.
+decidable and exact.  The arithmetic itself is in `hopffactor._scalar_py`.
 """
 
-import os
+from hopffactor._scalar_py import Scalar
 
-if os.environ.get("HOPFFACTOR_PURE") == "1":
-    from hopffactor._scalar_py import Scalar
-
-    BACKEND = "python"
-else:
-    try:
-        from hopffactor._scalar_cy import Scalar
-
-        BACKEND = "cython"
-    except ImportError:
-        from hopffactor._scalar_py import Scalar
-
-        BACKEND = "python"
+BACKEND = "python"
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -29,8 +16,3 @@ NEG_ONE = Scalar(-1)
 HALF = Scalar(1, 2)
 I = Scalar(0, 1, 1, 1)
 NEG_I = Scalar(0, 1, -1, 1)
-
-
-def sc(rn, rd=1, imn=0, imd=1):
-    """Shorthand constructor."""
-    return Scalar(rn, rd, imn, imd)

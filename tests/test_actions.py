@@ -7,10 +7,9 @@ from hopffactor.actions import (
     MatchedPairCandidate,
     RightActionTable,
     antidiagonal_right_table,
-    check_left_module_coalgebra,
     check_matched_pair,
+    check_module_coalgebra,
     check_module_coalgebras,
-    check_right_module_coalgebra,
     classify_left_table,
     enumerate_left_actions,
     enumerate_right_actions,
@@ -51,7 +50,7 @@ def test_all_sixteen_instances_pass_at_parameter_one():
     for xf in (1, 2, 3, 4):
         for gf in "abcd":
             table = left_family_instance(xf, gf, ONE, ONE)
-            assert check_left_module_coalgebra(table) == []
+            assert check_module_coalgebra(table) == []
             residual = [
                 p for p in left_module_coalgebra_system(table) if not p.is_zero()
             ]
@@ -141,9 +140,9 @@ def test_mixed_case_parameters_agree(left_solutions):
 
 
 def test_published_right_examples_are_valid():
-    assert check_right_module_coalgebra(trivial_right_table()) == []
+    assert check_module_coalgebra(trivial_right_table()) == []
     table = antidiagonal_right_table()
-    assert check_right_module_coalgebra(table) == []
+    assert check_module_coalgebra(table) == []
     residual = [p for p in right_module_coalgebra_system(table) if not p.is_zero()]
     assert residual == []
 
@@ -165,7 +164,7 @@ def test_grouplike_action_case_constraints():
         tuple((ZERO,) * 4 for _ in range(4)),
     )
     module_failures = [
-        f for f in check_right_module_coalgebra(valid)
+        f for f in check_module_coalgebra(valid)
         if f.condition == "right-module-associativity"
     ]
     assert module_failures == []
@@ -176,7 +175,7 @@ def test_grouplike_action_case_constraints():
         tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)),
         tuple((ZERO,) * 4 for _ in range(4)),
     )
-    assert check_right_module_coalgebra(invalid) != []
+    assert check_module_coalgebra(invalid) != []
 
 
 def test_right_enumeration_reports_irreducible():

@@ -46,6 +46,10 @@ def test_products_pass_all_axioms(products):
     for E in products.values():
         report = verify_axioms(E.algebra)
         assert report.all_passed
+        # the report kept from construction is the same battery's verdict
+        assert [(c.name, c.passed) for c in E.axiom_report.checks] == [
+            (c.name, c.passed) for c in report.checks
+        ]
 
 
 def test_trivial_product_equals_tensor_product(products):

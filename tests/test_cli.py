@@ -1,9 +1,12 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
+import copy
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hopffactor import jsonio
 from hopffactor.cli import (
@@ -13,7 +16,8 @@ from hopffactor.cli import (
     EXIT_OK,
     main,
 )
-from hopffactor.presentations import build_H8
+from hopffactor.actions import MatchedPairCandidate, left_family_instance, trivial_right_table
+from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import Scalar
 
 
@@ -224,3 +228,95 @@ def test_actions_enumerate_rerun_byte_identical(tmp_path):
     assert main(["actions", "enumerate", "--side", "left", "--out", str(out1)]) == EXIT_OK
     assert main(["actions", "enumerate", "--side", "left", "--out", str(out2)]) == EXIT_OK
     assert tree_bytes(out1) == tree_bytes(out2)
+
+
+# -- malformed stored files ----------------------------------------------------------
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_catalog_load_without_dim_fails_cleanly(tmp_path, capsys):
+    payload = jsonio.algebra_to_json(build_H8())
+    del payload["dim"]
+    path = tmp_path / "no-dim.hopf.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["catalog", "verify", "--load", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHECK_FAILED
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_matched_pair_load_zero_denominator_fails_cleanly(tmp_path, capsys):
+    cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
+    payload = jsonio.matched_pair_to_json(cand)
+    payload["left"]["entries"][0][2][0][1] = 0
+    path = tmp_path / "zero-denominator.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["matched-pairs", "find", "--load", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHECK_FAILED
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mutate(payload, data):
+    """Replace or delete one node of a JSON payload, chosen by hypothesis."""
+    node = payload
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = keys[data.draw(st.integers(0, len(keys) - 1))]
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(json_values)
+        return payload
+
+
+def run_mutated(tmp_path, capsys, argv, payload):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(argv + [str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_IO)
+    if code != EXIT_OK:
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) <= 1, captured.err
+
+
+_FUZZ = settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_catalog_load_fuzzed_payload_never_crashes(tmp_path, capsys, data):
+    payload = mutate(jsonio.algebra_to_json(build_H4()), data)
+    run_mutated(tmp_path, capsys, ["catalog", "verify", "--load"], payload)
+
+
+_PAIR = jsonio.matched_pair_to_json(
+    MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
+)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_matched_pair_load_fuzzed_payload_never_crashes(tmp_path, capsys, data):
+    payload = mutate(copy.deepcopy(_PAIR), data)
+    run_mutated(tmp_path, capsys, ["matched-pairs", "find", "--load"], payload)
