@@ -99,7 +99,9 @@ def algebra_from_json(data):
         raise ValueError(f"not a {schema} payload")
     dim = _field(data, "dim", int, schema)
     basis = _field(data, "basis", list, schema)
-    if dim <= 0 or len(basis) != dim or not all(isinstance(b, str) for b in basis):
+    if dim <= 0:
+        raise ValueError(f"{schema}: 'dim' must be positive")
+    if len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ValueError(f"{schema}: 'basis' must list {dim} labels")
     name = data.get("name", "")
     if not isinstance(name, str):

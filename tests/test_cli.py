@@ -1,6 +1,5 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
-import copy
 import json
 import os
 
@@ -310,13 +309,9 @@ def test_catalog_load_fuzzed_payload_never_crashes(tmp_path, capsys, data):
     run_mutated(tmp_path, capsys, ["catalog", "verify", "--load"], payload)
 
 
-_PAIR = jsonio.matched_pair_to_json(
-    MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
-)
-
-
 @_FUZZ
 @given(data=st.data())
 def test_matched_pair_load_fuzzed_payload_never_crashes(tmp_path, capsys, data):
-    payload = mutate(copy.deepcopy(_PAIR), data)
+    cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
+    payload = mutate(jsonio.matched_pair_to_json(cand), data)
     run_mutated(tmp_path, capsys, ["matched-pairs", "find", "--load"], payload)
