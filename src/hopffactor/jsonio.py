@@ -10,6 +10,7 @@ canonically so identical inputs serialize to identical bytes.
 
 import json
 import os
+import tempfile
 
 from hopffactor.hopf import HopfAlgebraData
 from hopffactor.scalar import Scalar
@@ -20,13 +21,28 @@ def dumps(payload):
 
 
 def write_text(path, text):
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: a uniquely named temp file in the target directory,
+    then rename, so concurrent runs into one directory never share a temp
+    file.  The temp file is removed when the write fails."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _umask():
+    # reading the umask means setting it; the CLI runs no other threads
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def write_json(path, payload):
@@ -106,6 +122,9 @@ def algebra_from_json(data):
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ValueError(f"{schema}: 'name' is not a string")
+    # the name becomes an output file stem, so it must not leave --out
+    if "/" in name or "\\" in name or name in (".", ".."):
+        raise ValueError(f"{schema}: 'name' {name!r} is not a plain file name")
     zero = Scalar(0)
     mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in _sparse(data, "mul", 3, dim, schema):

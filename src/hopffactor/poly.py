@@ -37,7 +37,7 @@ def _term_order(mono):
 class Poly:
     """Immutable polynomial; `terms` maps monomials to nonzero scalars."""
 
-    __slots__ = ("terms", "_vars", "_key", "_split_cache")
+    __slots__ = ("terms", "_vars", "_key")
 
     def __init__(self, terms=None, normalized=False):
         if terms is None:
@@ -52,7 +52,6 @@ class Poly:
         self.terms = terms
         self._vars = None
         self._key = None
-        self._split_cache = None
 
     # -- constructors ------------------------------------------------------
 

@@ -260,6 +260,30 @@ def test_matched_pair_load_zero_denominator_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "inner/../../escaped", "a\\b", ".", ".."])
+def test_catalog_load_rejects_a_name_that_leaves_out(tmp_path, capsys, name):
+    payload = jsonio.algebra_to_json(build_H4())
+    payload["name"] = name
+    path = tmp_path / "stored.hopf.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out" / "inner"
+    code = main(["catalog", "verify", "--load", str(path), "--out", str(out)])
+    assert code == EXIT_CHECK_FAILED
+    assert_one_line_error(capsys)
+    written = [os.path.join(d, f) for d, _, files in os.walk(tmp_path) for f in files]
+    assert written == [str(path)]
+
+
+def test_catalog_load_keeps_a_stored_product_name(tmp_path):
+    payload = jsonio.algebra_to_json(build_H4())
+    payload["name"] = "bicrossed"
+    path = tmp_path / "product.hopf.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["catalog", "verify", "--load", str(path), "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["bicrossed.axiom-report.json", "bicrossed.hopf.json"]
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
     | st.text(max_size=4),
