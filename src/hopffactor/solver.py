@@ -277,10 +277,10 @@ class _Ring:
         int_monos = self._int_monos
         terms = {}
         for m, c in p.terms.items():
-            im = int_monos.get(m)
-            if im is None:
-                im = int_monos[m] = self.mono(tuple(self.index[x] for x in m))
-            terms[im] = c
+            zm = int_monos.get(m)
+            if zm is None:
+                zm = int_monos[m] = self.mono(tuple(self.index[x] for x in m))
+            terms[zm] = c
         return self.from_scalars(terms)
 
     def from_scalars(self, terms):
@@ -401,9 +401,6 @@ class _Batch:
             self.targets[v] = tuple((m, (re * f, im * f)) for m, (re, im) in e.terms.items())
         self._products = {}
 
-    def touches(self, p):
-        return not self.keys.isdisjoint(p.variables())
-
     def _product(self, factors):
         """Expanded product of the scaled targets of a sorted unknown tuple,
         cached for the batch."""
@@ -422,7 +419,7 @@ class _Batch:
         return prod
 
     def apply(self, p):
-        if not self.touches(p):
+        if self.keys.isdisjoint(p.variables()):
             return p
         keys, zeros, targets = self.keys, self.zeros, self.targets
         if self.nonzero.isdisjoint(p.variables()):
@@ -711,15 +708,6 @@ def solve(system, split_budget=_DEFAULT_BUDGET, check=True, var_universe=None):
             return SolutionSet([], [])
 
     ring = _Ring(universe)
-    raw_branches, provenance = _search(ring, polys, universe, split_budget)
-    branches = _canonicalize_branches(raw_branches)
-    if check:
-        _check_branches(ring, branches, polys)
-    return SolutionSet(branches, provenance)
-
-
-def _search(ring, polys, universe, split_budget):
-    """Depth-first case splitting; returns (raw branches, provenance)."""
     stack = [_Node(ring, [ring.from_poly(p) for p in polys if not p.is_zero()], {}, 0)]
     provenance = []
     raw_branches = []
@@ -728,7 +716,7 @@ def _search(ring, polys, universe, split_budget):
         node = stack.pop()
         visited += 1
         if visited > split_budget:
-            stack.clear()
+            stack.clear()  # the search ends: free the pending nodes first
             raise node.stall("budget-exhausted")
         split = None
         dead = False
@@ -740,7 +728,7 @@ def _search(ring, polys, universe, split_budget):
                 break
             split = node.find_split()
             if split is None:
-                stack.clear()
+                stack.clear()  # the search ends: free the pending nodes first
                 raise node.stall("no-applicable-rule")
             _, pos, p, kind, var, cases = split
             if len(cases) > 1:
@@ -774,7 +762,10 @@ def _search(ring, polys, universe, split_budget):
                 children.append(child)
         stack.extend(reversed(children))
 
-    return raw_branches, provenance
+    branches = _canonicalize_branches(raw_branches)
+    if check:
+        _check_branches(ring, branches, polys)
+    return SolutionSet(branches, provenance)
 
 
 def _check_branches(ring, branches, polys):
