@@ -5,11 +5,15 @@ The systems are pinned by size and by a sha256 over their sorted
 `Poly.key()`s, so any change to constraint generation that alters a single
 coefficient shows up here, even when the solver would still reach the same
 solutions.  The checker is pinned by the exact `CheckFailure` list (order,
-condition, `at` tuple and witness text) on corrupted tables of both sides.
+condition, `at` tuple and witness text) on corrupted tables of both sides;
+the matched-pair checker by count, per-condition counts and a sha256 of the
+ordered list, on valid module actions that do not pair and on the same
+corrupted tables.
 """
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,12 +22,14 @@ from hopffactor.actions import (
     MatchedPairCandidate,
     RightActionTable,
     antidiagonal_right_table,
+    check_matched_pair,
     check_module_coalgebras,
     g_action_circulant_system,
     left_family_instance,
     left_module_coalgebra_system,
     matched_pair_system,
     right_module_coalgebra_system,
+    trivial_right_table,
     x_action_circulant_system,
 )
 from hopffactor.poly import Poly
@@ -187,3 +193,65 @@ def test_check_failures_pinned_left_units():
     assert got[: len(LEFT_UNITS_HEAD)] == LEFT_UNITS_HEAD
     assert len(got) == LEFT_UNITS_COUNT
     assert _sha256([[c, list(at), w] for c, at, w in got]) == LEFT_UNITS_SHA256
+
+
+# check_matched_pair on six candidates: two valid module actions that do not
+# pair (one failing only the exchange condition, one only the left product
+# rule) and the four corrupted cases above, which between them fail both
+# product rules, unit compatibility and exchange.  Each entry is (count,
+# per-condition counts, sha256 of the ordered [condition, at, witness] list).
+PAIR_CASES = {
+    "trivial-left-antidiagonal": lambda: MatchedPairCandidate(
+        left_family_instance(1, "a"), antidiagonal_right_table()
+    ),
+    "family-2b-trivial-right": lambda: MatchedPairCandidate(
+        left_family_instance(2, "b", ONE, ONE), trivial_right_table()
+    ),
+    "right-entry": lambda: _case("right-entry"),
+    "right-units": lambda: _case("right-units"),
+    "left-entry": lambda: _case("left-entry"),
+    "left-units": lambda: _case("left-units"),
+}
+
+_LP, _RP, _UC, _EX = (
+    "left-product-compatibility",
+    "right-product-compatibility",
+    "unit-compatibility",
+    "exchange-compatibility",
+)
+
+PAIR_FAILURES = {
+    "trivial-left-antidiagonal": (
+        8, {_EX: 8},
+        "7935c6a940903b2e0ee0b9e02ac678a56cf8f9d77766bef9b778b8d1c1fe6952",
+    ),
+    "family-2b-trivial-right": (
+        24, {_LP: 24},
+        "11745a570b1a35d4b83aa3ebe7afbc2800d9fb7fa300d1d4eb5d93fcb88def48",
+    ),
+    "right-entry": (
+        78, {_LP: 26, _RP: 44, _EX: 8},
+        "c8c4094992a1c74c13cfe24581658a9fecaedb596bcca53fd636593b9da41027",
+    ),
+    "right-units": (
+        135, {_UC: 1, _LP: 34, _RP: 89, _EX: 11},
+        "18786bfb9905bde106ab8ee4abb396ba94b66f0c65109397d7322d3ad36e1b91",
+    ),
+    "left-entry": (
+        74, {_LP: 26, _RP: 40, _EX: 8},
+        "cc1f7ef5d6de75fc511820449054118321ff44e45b693af2f28a62a14429ac76",
+    ),
+    "left-units": (
+        84, {_UC: 1, _LP: 35, _RP: 40, _EX: 8},
+        "03ae89f9e73fc68433c5d78c5c4d14a56d14bbf8c0cf3b331e15d3e83baebdb4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FAILURES))
+def test_matched_pair_failures_pinned(name):
+    got = [(f.condition, f.at, f.witness) for f in check_matched_pair(PAIR_CASES[name]())]
+    count, per_condition, digest = PAIR_FAILURES[name]
+    assert len(got) == count
+    assert Counter(c for c, _, _ in got) == per_condition
+    assert _sha256([[c, list(at), w] for c, at, w in got]) == digest
