@@ -23,9 +23,7 @@ from hopffactor.hopf import _acc as _sacc
 from hopffactor.poly import Poly, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
-from hopffactor.solver import solve
-
-_DEFAULT_BUDGET = 100_000
+from hopffactor.solver import _DEFAULT_BUDGET, solve
 
 _P_ZERO = Poly()
 _P_ONE = Poly.const(ONE)
@@ -45,14 +43,17 @@ class _ActionTable:
 
     A right action of H4 on H8 is a left action of H4^op, so the axioms are
     stated once on entries re-keyed as (acting index, acted index) (see
-    `by_acting`); only the order of the product in the module law and the
-    text of the failure witnesses depend on the side."""
+    `by_acting`).  Only the order of the products in the module law and the
+    product rule, the comultiplication legs of the product rule (op-cop) and
+    the text of the failure witnesses depend on the side."""
 
     side = None
     symbol = None
-    # witnesses for the acting unit, the acted unit and the module law
+    # witnesses for the acting unit, the acted unit, the module law and the
+    # product rule of a matched pair
     unit_witnesses = ()
     module_law_witness = ""
+    product_rule_witness = ""
 
     def __init__(self, entries):
         self.h8 = build_H8()
@@ -184,6 +185,7 @@ class LeftActionTable(_ActionTable):
     symbol = "|>"
     unit_witnesses = ("1 |> a != a", "x |> 1 != eps(x) 1")
     module_law_witness = "(xy) |> a != x |> (y |> a)"
+    product_rule_witness = "h |> (ab) != (h1|>a1)((h2<|a2)|>b)"
 
     @classmethod
     def from_generator_images(cls, g_images, h_images, z_images):
@@ -238,6 +240,7 @@ class RightActionTable(_ActionTable):
     symbol = "<|"
     unit_witnesses = ("x <| 1 != x", "1 <| a != eps(a) 1")
     module_law_witness = "x <| (ab) != (x <| a) <| b"
+    product_rule_witness = "(xy) <| a != (x<|(y1|>a1))(y2<|a2)"
 
     @classmethod
     def from_components(cls, grouplike_g_images, grouplike_x_images, a_matrix, b_matrix):
@@ -413,130 +416,80 @@ def _exchange_constraints(L, R, instances):
     h8, h4 = L.h8, L.h4
     sys = []
     for hi, ai in instances:
-        lhs = {}
-        rhs = {}
+        diff = {}
         for c8, h1, h2 in h8.comul[hi]:
             for c4, a1, a2 in h4.comul[ai]:
                 f = c8 * c4
-                r_one = R.entry(h1, a1)
-                l_two = L.entry(h2, a2)
-                r_two = R.entry(h2, a2)
-                l_one = L.entry(h1, a1)
-                for q_idx, qq in enumerate(r_one):
-                    if qq.is_zero():
-                        continue
-                    for p_idx, pp in enumerate(l_two):
-                        if not pp.is_zero():
-                            acc_mul(lhs.setdefault((q_idx, p_idx), {}), qq, pp, f)
-                for q_idx, qq in enumerate(r_two):
-                    if qq.is_zero():
-                        continue
-                    for p_idx, pp in enumerate(l_one):
-                        if not pp.is_zero():
-                            acc_mul(rhs.setdefault((q_idx, p_idx), {}), qq, pp, f)
-        for key in sorted(set(lhs) | set(rhs)):
-            sys.append(from_acc(lhs.get(key, {})) - from_acc(rhs.get(key, {})))
+                for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (-f, (h2, a2), (h1, a1))):
+                    for q_idx, qq in enumerate(R.entries[r_key]):
+                        if qq.is_zero():
+                            continue
+                        for p_idx, pp in enumerate(L.entries[l_key]):
+                            if not pp.is_zero():
+                                acc_mul(diff.setdefault((q_idx, p_idx), {}), qq, pp, sign)
+        sys += [from_acc(diff[key]) for key in sorted(diff)]
     return sys
 
 
-def _left_product_constraints(L, R, instances):
-    """h |> (a b) = (h1 |> a1)((h2 <| a2) |> b), coordinatewise in H4."""
-    h8, h4 = L.h8, L.h4
+def _product_constraints(T, O, instances):
+    """The product rule of T against the other table O on instances
+    (u, w, v), u acting and w, v acted: u |> (wv) = (u1 |> w1)((u2 <| w2) |> v)
+    on the left, (vw) <| u = (v <| (w1 |> u1))(w2 <| u2) on the right,
+    coordinatewise in the acted algebra.  The right rule is the left one for
+    the op-cop pair: the acted product is reversed and the comultiplication
+    legs are swapped."""
+    act, other = T.by_acting(T.entries), O.by_acting(O.entries)
+    acting, acted = T.acting, T.acted
+    left = T.side == "left"
     sys = []
-    for hi, ai, bi in instances:
-        lhs = [dict() for _ in range(h4.dim)]
-        for m, c in h4.mul_sparse[ai][bi]:
-            for k, p in enumerate(L.entry(hi, m)):
+    for u, w, v in instances:
+        lhs = [dict() for _ in range(acted.dim)]
+        for m, c in acted.mul_sparse[w][v] if left else acted.mul_sparse[v][w]:
+            for k, p in enumerate(act[(u, m)]):
                 acc_add(lhs[k], p, c)
-        rhs = [dict() for _ in range(h4.dim)]
-        for c8, h1, h2 in h8.comul[hi]:
-            for c4, a1, a2 in h4.comul[ai]:
-                f = c8 * c4
-                u = L.entry(h1, a1)
-                w = R.entry(h2, a2)
-                # v = (h2 <| a2) |> b as polynomial coordinates
-                v = [dict() for _ in range(h4.dim)]
-                for q_idx, wq in enumerate(w):
-                    if wq.is_zero():
+        rhs = [dict() for _ in range(acted.dim)]
+        for cu, u1, u2 in acting.comul[u]:
+            for cw, w1, w2 in acted.comul[w]:
+                f = cu * cw
+                # one leg acts on w directly, the other passes through O to act on v
+                (ud, wd), (uo, wo) = ((u1, w1), (u2, w2)) if left else ((u2, w2), (u1, w1))
+                through = [dict() for _ in range(acted.dim)]
+                for q, oq in enumerate(other[(wo, uo)]):
+                    if oq.is_zero():
                         continue
-                    for t, lt in enumerate(L.entry(q_idx, bi)):
-                        if not lt.is_zero():
-                            acc_mul(v[t], wq, lt)
-                v = [from_acc(d) for d in v]
-                for s, us in enumerate(u):
-                    if us.is_zero():
+                    for t, pt in enumerate(act[(q, v)]):
+                        if not pt.is_zero():
+                            acc_mul(through[t], oq, pt)
+                through = [from_acc(d) for d in through]
+                direct = act[(ud, wd)]
+                first, second = (direct, through) if left else (through, direct)
+                for s, ps in enumerate(first):
+                    if ps.is_zero():
                         continue
-                    for t, vt in enumerate(v):
-                        if vt.is_zero():
+                    for t, pt in enumerate(second):
+                        if pt.is_zero():
                             continue
-                        for m, cm in h4.mul_sparse[s][t]:
-                            acc_mul(rhs[m], us, vt, f * cm)
-        for k in range(h4.dim):
-            sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
-    return sys
-
-
-def _right_product_constraints(L, R, instances):
-    """(x y) <| a = (x <| (y1 |> a1))(y2 <| a2), coordinatewise in H8."""
-    h8, h4 = L.h8, L.h4
-    sys = []
-    for xi, yi, ai in instances:
-        lhs = [dict() for _ in range(h8.dim)]
-        for m, c in h8.mul_sparse[xi][yi]:
-            for k, p in enumerate(R.entry(m, ai)):
-                acc_add(lhs[k], p, c)
-        rhs = [dict() for _ in range(h8.dim)]
-        for c8, y1, y2 in h8.comul[yi]:
-            for c4, a1, a2 in h4.comul[ai]:
-                f = c8 * c4
-                inner = L.entry(y1, a1)
-                # u = x <| (y1 |> a1) as polynomial coordinates in H8
-                u = [dict() for _ in range(h8.dim)]
-                for k, p in enumerate(inner):
-                    if p.is_zero():
-                        continue
-                    for s, rs in enumerate(R.entry(xi, k)):
-                        if not rs.is_zero():
-                            acc_mul(u[s], p, rs)
-                u = [from_acc(d) for d in u]
-                w = R.entry(y2, a2)
-                for s, us in enumerate(u):
-                    if us.is_zero():
-                        continue
-                    for t, wt in enumerate(w):
-                        if wt.is_zero():
-                            continue
-                        for m, cm in h8.mul_sparse[s][t]:
-                            acc_mul(rhs[m], us, wt, f * cm)
-        for k in range(h8.dim):
+                        for m, cm in acted.mul_sparse[s][t]:
+                            acc_mul(rhs[m], ps, pt, f * cm)
+        for k in range(acted.dim):
             sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
     return sys
 
 
 def matched_pair_system(cand):
-    """The compatibility constraints pairing the two actions: unit actions,
-    the product rules for |> and <|, and the exchange condition, compiled
-    on every basis instance.  Facts like the circulant shape of the
-    G-action matrix are consequences of this system, never inputs."""
+    """The compatibility constraints pairing the two actions: the product
+    rules for |> and <| and the exchange condition, compiled on every basis
+    instance.  Facts like the circulant shape of the G-action matrix are
+    consequences of this system, never inputs."""
     L, R = cand.left, cand.right
-    h8, h4 = L.h8, L.h4
     sys = []
-    for ai in range(h4.dim):
-        for k, p in enumerate(L.entry(0, ai)):
-            sys.append(p - (_P_ONE if k == ai else _P_ZERO))
-    for xi in range(h8.dim):
-        for k, p in enumerate(R.entry(xi, 0)):
-            sys.append(p - (_P_ONE if k == xi else _P_ZERO))
-    sys += _left_product_constraints(
-        L, R,
-        [(hi, ai, bi) for hi in range(h8.dim) for ai in range(h4.dim) for bi in range(h4.dim)],
-    )
-    sys += _right_product_constraints(
-        L, R,
-        [(xi, yi, ai) for xi in range(h8.dim) for yi in range(h8.dim) for ai in range(h4.dim)],
-    )
+    for T, O in ((L, R), (R, L)):
+        n_acting, n_acted = range(T.acting.dim), range(T.acted.dim)
+        sys += _product_constraints(
+            T, O, [(u, w, v) for u in n_acting for w in n_acted for v in n_acted]
+        )
     sys += _exchange_constraints(
-        L, R, [(hi, ai) for hi in range(h8.dim) for ai in range(h4.dim)]
+        L, R, [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)]
     )
     return _canonical_system(sys)
 
@@ -740,6 +693,56 @@ def check_module_coalgebras(cand):
     return check_module_coalgebra(cand.left) + check_module_coalgebra(cand.right)
 
 
+def _check_product_rule(T, O):
+    """Re-evaluate the product rule of T against the other table O on every
+    basis instance with scalar arithmetic.  Instances are visited and named
+    in the written order of the law: (h, a, b) for h |> (ab) and (x, y, a)
+    for (xy) <| a."""
+    acting, acted = T.acting, T.acted
+    left = T.side == "left"
+    act = T.by_acting(T.scalar_entries())
+    other = O.by_acting(O.scalar_entries())
+    n_acting, n_acted = range(acting.dim), range(acted.dim)
+    if left:
+        instances = [(u, w, v) for u in n_acting for w in n_acted for v in n_acted]
+    else:
+        instances = [(u, w, v) for v in n_acted for w in n_acted for u in n_acting]
+    failures = []
+    for u, w, v in instances:
+        lhs = {}
+        for m, c in acted.mul_sparse[w][v] if left else acted.mul_sparse[v][w]:
+            for k, e in enumerate(act[(u, m)]):
+                if not e.is_zero():
+                    _sacc(lhs, k, c * e)
+        rhs = {}
+        for cu, u1, u2 in acting.comul[u]:
+            for cw, w1, w2 in acted.comul[w]:
+                f = cu * cw
+                (ud, wd), (uo, wo) = ((u1, w1), (u2, w2)) if left else ((u2, w2), (u1, w1))
+                through = {}
+                for q, cq in enumerate(other[(wo, uo)]):
+                    if cq.is_zero():
+                        continue
+                    for t, e in enumerate(act[(q, v)]):
+                        if not e.is_zero():
+                            _sacc(through, t, cq * e)
+                direct = {s: c for s, c in enumerate(act[(ud, wd)]) if not c.is_zero()}
+                first, second = (direct, through) if left else (through, direct)
+                for s, cs in first.items():
+                    for t, ct in second.items():
+                        for m, cm in acted.mul_sparse[s][t]:
+                            _sacc(rhs, m, f * cs * ct * cm)
+        if lhs != rhs:
+            spot = (acting.basis[u], acted.basis[w], acted.basis[v])
+            failures.append(
+                CheckFailure(
+                    f"{T.side}-product-compatibility",
+                    spot if left else spot[::-1],
+                    T.product_rule_witness,
+                )
+            )
+    return failures
+
 
 def check_matched_pair(cand):
     """Direct evaluation of the four pairing conditions on every basis
@@ -750,9 +753,8 @@ def check_matched_pair(cand):
     rsc = R.scalar_entries()
     failures = []
     # unit compatibilities
-    unit4 = tuple(ONE if k == 0 else ZERO for k in range(h4.dim))
     for xi in range(h8.dim):
-        expected = tuple(h8.counit[xi] * u for u in unit4)
+        expected = tuple(h8.counit[xi] if k == 0 else ZERO for k in range(h4.dim))
         if lsc[(xi, 0)] != expected:
             failures.append(
                 CheckFailure("unit-compatibility", (h8.basis[xi], "1"), "h |> 1 != eps(h) 1")
@@ -763,106 +765,23 @@ def check_matched_pair(cand):
             failures.append(
                 CheckFailure("unit-compatibility", ("1", h4.basis[ai]), "1 <| a != eps(a) 1")
             )
-    # left product compatibility: h |> (ab)
-    for hi in range(h8.dim):
-        for ai in range(h4.dim):
-            for bi in range(h4.dim):
-                lhs = {}
-                for m, c in h4.mul_sparse[ai][bi]:
-                    for k, e in enumerate(lsc[(hi, m)]):
-                        if not e.is_zero():
-                            _sacc(lhs, k, c * e)
-                rhs = {}
-                for c8, h1, h2 in h8.comul[hi]:
-                    for c4, a1, a2 in h4.comul[ai]:
-                        f = c8 * c4
-                        u = lsc[(h1, a1)]
-                        w = rsc[(h2, a2)]
-                        v = {}
-                        for q_idx, cq in enumerate(w):
-                            if cq.is_zero():
-                                continue
-                            for t, e in enumerate(lsc[(q_idx, bi)]):
-                                if not e.is_zero():
-                                    _sacc(v, t, cq * e)
-                        for s, cs in enumerate(u):
-                            if cs.is_zero():
-                                continue
-                            for t, ct in v.items():
-                                for m, cm in h4.mul_sparse[s][t]:
-                                    _sacc(rhs, m, f * cs * ct * cm)
-                if lhs != rhs:
-                    failures.append(
-                        CheckFailure(
-                            "left-product-compatibility",
-                            (h8.basis[hi], h4.basis[ai], h4.basis[bi]),
-                            "h |> (ab) != (h1|>a1)((h2<|a2)|>b)",
-                        )
-                    )
-    # right product compatibility: (xy) <| a
-    for xi in range(h8.dim):
-        for yi in range(h8.dim):
-            for ai in range(h4.dim):
-                lhs = {}
-                for m, c in h8.mul_sparse[xi][yi]:
-                    for k, e in enumerate(rsc[(m, ai)]):
-                        if not e.is_zero():
-                            _sacc(lhs, k, c * e)
-                rhs = {}
-                for c8, y1, y2 in h8.comul[yi]:
-                    for c4, a1, a2 in h4.comul[ai]:
-                        f = c8 * c4
-                        inner = lsc[(y1, a1)]
-                        u = {}
-                        for k, ck in enumerate(inner):
-                            if ck.is_zero():
-                                continue
-                            for s, e in enumerate(rsc[(xi, k)]):
-                                if not e.is_zero():
-                                    _sacc(u, s, ck * e)
-                        w = rsc[(y2, a2)]
-                        for s, cs in u.items():
-                            for t, ct in enumerate(w):
-                                if ct.is_zero():
-                                    continue
-                                for m, cm in h8.mul_sparse[s][t]:
-                                    _sacc(rhs, m, f * cs * ct * cm)
-                if lhs != rhs:
-                    failures.append(
-                        CheckFailure(
-                            "right-product-compatibility",
-                            (h8.basis[xi], h8.basis[yi], h4.basis[ai]),
-                            "(xy) <| a != (x<|(y1|>a1))(y2<|a2)",
-                        )
-                    )
+    failures += _check_product_rule(L, R)
+    failures += _check_product_rule(R, L)
     # exchange compatibility
     for hi in range(h8.dim):
         for ai in range(h4.dim):
-            lhs = {}
-            rhs = {}
+            diff = {}
             for c8, h1, h2 in h8.comul[hi]:
                 for c4, a1, a2 in h4.comul[ai]:
                     f = c8 * c4
-                    r1 = rsc[(h1, a1)]
-                    l2 = lsc[(h2, a2)]
-                    r2 = rsc[(h2, a2)]
-                    l1 = lsc[(h1, a1)]
-                    for q_idx, cq in enumerate(r1):
-                        if cq.is_zero():
-                            continue
-                        for p_idx, cp in enumerate(l2):
-                            if not cp.is_zero():
-                                _sacc(lhs, (q_idx, p_idx), f * cq * cp)
-                    for q_idx, cq in enumerate(r2):
-                        if cq.is_zero():
-                            continue
-                        for p_idx, cp in enumerate(l1):
-                            if not cp.is_zero():
-                                _sacc(rhs, (q_idx, p_idx), f * cq * cp)
-            if lhs != rhs:
-                diff = dict(lhs)
-                for key, c in rhs.items():
-                    _sacc(diff, key, -c)
+                    for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (-f, (h2, a2), (h1, a1))):
+                        for q_idx, cq in enumerate(rsc[r_key]):
+                            if cq.is_zero():
+                                continue
+                            for p_idx, cp in enumerate(lsc[l_key]):
+                                if not cp.is_zero():
+                                    _sacc(diff, (q_idx, p_idx), sign * cq * cp)
+            if diff:
                 failures.append(
                     CheckFailure(
                         "exchange-compatibility",
@@ -965,7 +884,6 @@ def classify_left_table(L):
     return xf, gx_name, alpha, beta
 
 
-
 def _fixed_grouplike_right_table(a_matrix, b_matrix):
     """g, h, gh fixed by G and killed by X; z-blocks A and B."""
     return RightActionTable.from_components(
@@ -1009,7 +927,7 @@ def _circulant_system(a_entries, b_entries, column):
     L = left_family_instance(1, "a")
     sys = _counit_constraints(R, [(xi, ai) for xi in (4, 5, 6, 7) for ai in range(R.h4.dim)])
     sys += _module_law_constraints(R)
-    sys += _right_product_constraints(L, R, [(4, 4, R.h4.index[column])])
+    sys += _product_constraints(R, L, [(R.h4.index[column], 4, 4)])
     return _canonical_system(sys)
 
 

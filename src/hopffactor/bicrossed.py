@@ -25,8 +25,7 @@ from hopffactor.hopf import (
 from hopffactor.hopf import _acc as _sacc
 from hopffactor.linalg import Mat
 from hopffactor.scalar import I, NEG_I, ONE, ZERO, Scalar
-
-_DEFAULT_BUDGET = 100_000
+from hopffactor.solver import _DEFAULT_BUDGET
 
 
 class BicrossedConstructionError(RuntimeError):
@@ -133,7 +132,7 @@ def build_bicrossed(pair):
     counit = [h4.counit[ai] * h8.counit[xi] for ai in range(d4) for xi in range(d8)]
 
     algebra = HopfAlgebraData(
-        _product_name(pair), basis, mul, unit, comul, counit,
+        "bicrossed", basis, mul, unit, comul, counit,
         [[ZERO] * dim for _ in range(dim)],
     )
 
@@ -164,11 +163,6 @@ def build_bicrossed(pair):
             f"({bad.witnesses[0] if bad.witnesses else 'no witness'})"
         )
     return BicrossedProduct(algebra, pair, report)
-
-
-def _product_name(pair):
-    sig = getattr(pair, "zx_signature", None)
-    return f"bicrossed[{sig}]" if sig else "bicrossed"
 
 
 # -- presentations ---------------------------------------------------------------

@@ -36,14 +36,12 @@ from hopffactor.bicrossed import (
 from hopffactor.hopf import tensor_product, verify_axioms
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import Scalar
-from hopffactor.solver import IrreducibleSystemError
+from hopffactor.solver import _DEFAULT_BUDGET, IrreducibleSystemError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 EXIT_IRREDUCIBLE = 3
-
-_DEFAULT_BUDGET = 100_000
 
 
 @dataclass

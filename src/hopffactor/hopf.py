@@ -19,9 +19,7 @@ from functools import cached_property
 from hopffactor.linalg import Mat
 from hopffactor.poly import Poly
 from hopffactor.scalar import ONE, ZERO, Scalar
-from hopffactor.solver import solve
-
-_DEFAULT_BUDGET = 100_000
+from hopffactor.solver import _DEFAULT_BUDGET, solve
 
 
 class HopfAlgebraData:
@@ -639,12 +637,12 @@ def _enumerate_grouplikes(H, split_budget):
     return tuple(out)
 
 
-def skew_primitives(H, a, b, use_cache=True):
+def skew_primitives(H, a, b):
     """Basis of {x : delta(x) = x (x) a + b (x) x} for group-likes a, b."""
     if not is_grouplike(H, a) or not is_grouplike(H, b):
         raise ValueError("skew-primitive spaces need group-like anchors")
     cache_key = (H.coalgebra_key(), a.coords_key(), b.coords_key())
-    if use_cache and cache_key in _SKEW_CACHE:
+    if cache_key in _SKEW_CACHE:
         return tuple(H.element(c) for c in _SKEW_CACHE[cache_key])
     d = H.dim
     rows = {}

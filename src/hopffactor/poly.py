@@ -250,28 +250,6 @@ class Poly:
 
     # -- solver helpers --------------------------------------------------------
 
-    def isolate_linear(self):
-        """Return (var, value) with self = c*var + rest, c a nonzero scalar
-        and var absent from rest, so that var = value on the zero set; None
-        when no variable is linearly isolated.  Deterministic: smallest
-        qualifying variable name wins."""
-        counts = {}
-        for m in self.terms:
-            for x in set(m):
-                counts[x] = counts.get(x, 0) + 1
-        best = None
-        for m in self.terms:
-            if len(m) == 1:
-                x = m[0]
-                if counts[x] == 1 and (best is None or x < best):
-                    best = x
-        if best is None:
-            return None
-        c = self.terms[_mono((best,))]
-        rest = {m: v for m, v in self.terms.items() if m != _mono((best,))}
-        value = Poly(rest, normalized=True) * (-c.inv())
-        return best, value
-
     def content_var(self):
         """A variable dividing every monomial, or None (constant term kills it)."""
         if not self.terms:

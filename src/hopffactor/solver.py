@@ -20,6 +20,7 @@ offending residual: the solver never guesses.
 
 from math import gcd, isqrt, lcm
 
+from hopffactor._scalar_py import _red
 from hopffactor.poly import Poly
 from hopffactor.scalar import ZERO, Scalar
 
@@ -72,7 +73,7 @@ def gaussian_sqrt(s):
     # x^2 = (rn/rd + r)/2
     x2_n = s.rn * r[1] + r[0] * s.rd
     x2_d = 2 * s.rd * r[1]
-    x = _rat_sqrt(*_reduce(x2_n, x2_d))
+    x = _rat_sqrt(*_red(x2_n, x2_d))
     if x is None or x[0] == 0:
         return None
     # y = im(s)/(2x), purely imaginary contribution
@@ -80,15 +81,6 @@ def gaussian_sqrt(s):
     if t * t == s:
         return t
     return None
-
-
-def _reduce(n, d):
-    from math import gcd
-
-    if d < 0:
-        n, d = -n, -d
-    g = gcd(n, d)
-    return (n // g, d // g) if g > 1 else (n, d)
 
 
 def poly_sqrt(p):
@@ -690,7 +682,7 @@ def _split_options(p, full):
     return tuple(options)
 
 
-def solve(system, split_budget=_DEFAULT_BUDGET, check=True, var_universe=None):
+def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
     """Complete solution set of {p = 0 for p in system} over Q(i).
 
     Raises IrreducibleSystemError when the split budget runs out or some
@@ -763,8 +755,7 @@ def solve(system, split_budget=_DEFAULT_BUDGET, check=True, var_universe=None):
         stack.extend(reversed(children))
 
     branches = _canonicalize_branches(raw_branches)
-    if check:
-        _check_branches(ring, branches, polys)
+    _check_branches(ring, branches, polys)
     return SolutionSet(branches, provenance)
 
 

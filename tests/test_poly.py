@@ -67,17 +67,6 @@ def test_eval():
     assert val == Scalar(9, 2)
 
 
-def test_isolate_linear():
-    p = 2 * x + y * y - 1
-    var, value = p.isolate_linear()
-    assert var == "x"
-    assert value == (Poly.const(Scalar(1)) - y * y) * Scalar(1, 2)
-    # the variable must be absent from every other monomial
-    assert (x * y + y).isolate_linear() is None
-    assert (x * y + x).isolate_linear() is None
-    assert (x + y).isolate_linear() == ("x", -y)
-
-
 def test_content_and_division():
     p = x * x * y + x * y * y
     assert p.content_var() == "x"
