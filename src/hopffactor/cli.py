@@ -88,10 +88,7 @@ def cmd_catalog_verify(args):
     targets = []
     if args.load:
         try:
-            import json
-
-            with open(args.load, encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = jsonio.read_json(args.load)
         except OSError as exc:
             print(f"error: cannot read {args.load}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -218,10 +215,7 @@ def _family_label(pair):
 def _replay_matched_pair(path, config):
     """Re-verify a stored matched-pair/v1 file and refresh its digest."""
     try:
-        import json
-
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = jsonio.read_json(path)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_IO

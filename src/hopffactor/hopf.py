@@ -15,6 +15,7 @@ memoized on its canonical key.
 """
 
 from functools import cached_property
+from math import lcm
 
 from hopffactor.linalg import Mat
 from hopffactor.poly import Poly
@@ -337,35 +338,104 @@ class AxiomReport:
 
 def verify_axioms(H):
     """Check every Hopf axiom exactly on all basis tuples of H."""
+    T = _IntTables(H)
     checks = [
-        AxiomCheck("associativity", _check_associativity(H)),
-        AxiomCheck("unit", _check_unit(H)),
-        AxiomCheck("coassociativity", _check_coassociativity(H)),
-        AxiomCheck("counit", _check_counit(H)),
-        AxiomCheck("comultiplication-multiplicative", _check_comul_mult(H)),
-        AxiomCheck("counit-multiplicative", _check_counit_mult(H)),
-        AxiomCheck("antipode", _check_antipode(H)),
+        AxiomCheck("associativity", _check_associativity(H, T)),
+        AxiomCheck("unit", _check_unit(H, T)),
+        AxiomCheck("coassociativity", _check_coassociativity(H, T)),
+        AxiomCheck("counit", _check_counit(H, T)),
+        AxiomCheck("comultiplication-multiplicative", _check_comul_mult(H, T)),
+        AxiomCheck("counit-multiplicative", _check_counit_mult(H, T)),
+        AxiomCheck("antipode", _check_antipode(H, T)),
     ]
     return AxiomReport(H.name, H.dim, checks)
 
 
-def _check_associativity(H):
+# The battery runs on an integer view of the structure constants: each table
+# holds Gaussian-integer numerators (re, im) over one common denominator (the
+# lcm of its entries' denominators), so no Scalar is made per instance.  Both
+# sides of a law are brought to the same power of these denominators and
+# compared as dicts of numerators, zero entries ignored, which is exact
+# rational equality.
+
+
+class _IntTables:
+    """The integer view of one algebra's tables, built per verify_axioms
+    call.  mul[i][j]: (k, re, im) over dm; unit: (i, re, im) over du;
+    comul[i]: (j, k, re, im) over dc; counit[i]: (re, im) over de;
+    antipode[i]: (j, re, im) over ds."""
+
+    __slots__ = ("mul", "dm", "unit", "du", "comul", "dc", "counit", "de", "antipode", "ds")
+
+    def __init__(self, H):
+        self.dm = dm = _common_den(c for block in H.mul_sparse for row in block for _, c in row)
+        self.mul = tuple(
+            tuple(tuple((k, *_num(c, dm)) for k, c in row) for row in block)
+            for block in H.mul_sparse
+        )
+        self.du = du = _common_den(c for _, c in H.unit_sparse)
+        self.unit = tuple((i, *_num(c, du)) for i, c in H.unit_sparse)
+        self.dc = dc = _common_den(c for triples in H.comul for c, _, _ in triples)
+        self.comul = tuple(
+            tuple((j, k, *_num(c, dc)) for c, j, k in triples) for triples in H.comul
+        )
+        self.de = de = _common_den(H.counit)
+        self.counit = tuple(_num(c, de) for c in H.counit)
+        self.ds = ds = _common_den(c for row in H.antipode_sparse for _, c in row)
+        self.antipode = tuple(
+            tuple((j, *_num(c, ds)) for j, c in row) for row in H.antipode_sparse
+        )
+
+
+def _common_den(scalars):
+    return lcm(1, *(d for c in scalars for d in (c.rd, c.imd)))
+
+
+def _num(c, den):
+    return c.rn * (den // c.rd), c.imn * (den // c.imd)
+
+
+def _gacc(acc, key, re, im):
+    """acc[key] += re + im*i; entries may sum to zero, which `_same` ignores."""
+    cur = acc.get(key)
+    acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+
+
+def _same(x, sx, y, sy):
+    """Whether x * sx == y * sy, for dicts of (re, im) numerators and
+    positive integer scales, zero entries ignored."""
+    if sx == sy and x == y:
+        return True
+    return _scaled(x, sx) == _scaled(y, sy)
+
+
+def _scaled(acc, s):
+    return {k: (re * s, im * s) for k, (re, im) in acc.items() if re or im}
+
+
+def _check_associativity(H, T):
+    # both sides over dm^2; the accumulation is `_gacc` inlined, this being
+    # the battery's longest loop
     witnesses = []
-    sparse = H.mul_sparse
+    mul = T.mul
     d = H.dim
     for i in range(d):
         for j in range(d):
-            row = sparse[i][j]
+            row = mul[i][j]
             for k in range(d):
                 lhs = {}
-                for l, c in row:
-                    for m, e in sparse[l][k]:
-                        _acc(lhs, m, c * e)
+                for l, a, b in row:
+                    for m, c, e in mul[l][k]:
+                        re, im = a * c - b * e, a * e + b * c
+                        cur = lhs.get(m)
+                        lhs[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
                 rhs = {}
-                for l, c in sparse[j][k]:
-                    for m, e in sparse[i][l]:
-                        _acc(rhs, m, c * e)
-                if lhs != rhs:
+                for l, a, b in mul[j][k]:
+                    for m, c, e in mul[i][l]:
+                        re, im = a * c - b * e, a * e + b * c
+                        cur = rhs.get(m)
+                        rhs[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+                if not _same(lhs, 1, rhs, 1):
                     witnesses.append(
                         f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) "
                         f"[{H.basis[i]}, {H.basis[j]}, {H.basis[k]}]"
@@ -373,144 +443,154 @@ def _check_associativity(H):
     return witnesses
 
 
-def _check_unit(H):
+def _check_unit(H, T):
+    # both products over du*dm
     witnesses = []
-    sparse = H.mul_sparse
+    mul = T.mul
+    expected = (T.du * T.dm, 0)
     for i in range(H.dim):
         left = {}
-        for j, u in H.unit_sparse:
-            for k, c in sparse[j][i]:
-                _acc(left, k, u * c)
         right = {}
-        for j, u in H.unit_sparse:
-            for k, c in sparse[i][j]:
-                _acc(right, k, u * c)
-        expected = {i: ONE}
-        if left != expected:
+        for j, ur, ui in T.unit:
+            for k, c, e in mul[j][i]:
+                _gacc(left, k, ur * c - ui * e, ur * e + ui * c)
+            for k, c, e in mul[i][j]:
+                _gacc(right, k, ur * c - ui * e, ur * e + ui * c)
+        if not _same(left, 1, {i: expected}, 1):
             witnesses.append(f"1*{H.basis[i]} != {H.basis[i]}")
-        if right != expected:
+        if not _same(right, 1, {i: expected}, 1):
             witnesses.append(f"{H.basis[i]}*1 != {H.basis[i]}")
     return witnesses
 
 
-def _check_coassociativity(H):
+def _check_coassociativity(H, T):
+    # both sides over dc^2
     witnesses = []
+    comul = T.comul
     for i in range(H.dim):
         lhs = {}
-        for c, j, k in H.comul[i]:
-            for c2, a, b in H.comul[j]:
-                _acc(lhs, (a, b, k), c * c2)
         rhs = {}
-        for c, j, k in H.comul[i]:
-            for c2, a, b in H.comul[k]:
-                _acc(rhs, (j, a, b), c * c2)
-        if lhs != rhs:
+        for j, k, a, b in comul[i]:
+            for p, q, c, e in comul[j]:
+                _gacc(lhs, (p, q, k), a * c - b * e, a * e + b * c)
+            for p, q, c, e in comul[k]:
+                _gacc(rhs, (j, p, q), a * c - b * e, a * e + b * c)
+        if not _same(lhs, 1, rhs, 1):
             witnesses.append(f"coassociativity fails on {H.basis[i]}")
     return witnesses
 
 
-def _check_counit(H):
+def _check_counit(H, T):
+    # both sides over dc*de
     witnesses = []
-    eps = H.counit
+    eps = T.counit
+    expected = (T.dc * T.de, 0)
     for i in range(H.dim):
         left = {}
         right = {}
-        for c, j, k in H.comul[i]:
-            if not eps[j].is_zero():
-                _acc(left, k, c * eps[j])
-            if not eps[k].is_zero():
-                _acc(right, j, c * eps[k])
-        expected = {i: ONE}
-        if left != expected:
+        for j, k, a, b in T.comul[i]:
+            c, e = eps[j]
+            _gacc(left, k, a * c - b * e, a * e + b * c)
+            c, e = eps[k]
+            _gacc(right, j, a * c - b * e, a * e + b * c)
+        if not _same(left, 1, {i: expected}, 1):
             witnesses.append(f"(eps (x) id) delta fails on {H.basis[i]}")
-        if right != expected:
+        if not _same(right, 1, {i: expected}, 1):
             witnesses.append(f"(id (x) eps) delta fails on {H.basis[i]}")
     return witnesses
 
 
-def _tensor_mul(H, t1, t2):
-    sparse = H.mul_sparse
-    acc = {}
-    for (a, b), c in t1.items():
-        for (p, q), e in t2.items():
-            f = c * e
-            for m, cm in sparse[a][p]:
-                for n, cn in sparse[b][q]:
-                    _acc(acc, (m, n), f * cm * cn)
-    return acc
-
-
-def _check_comul_mult(H):
+def _check_comul_mult(H, T):
     witnesses = []
-    # delta(1) = 1 (x) 1
+    mul, comul = T.mul, T.comul
+    # delta(1) over du*dc against 1 (x) 1 over du^2
     delta_unit = {}
-    for i, u in H.unit_sparse:
-        for c, j, k in H.comul[i]:
-            _acc(delta_unit, (j, k), u * c)
     unit_tensor = {}
-    for i, u in H.unit_sparse:
-        for j, v in H.unit_sparse:
-            _acc(unit_tensor, (i, j), u * v)
-    if delta_unit != unit_tensor:
+    for i, ur, ui in T.unit:
+        for j, k, c, e in comul[i]:
+            _gacc(delta_unit, (j, k), ur * c - ui * e, ur * e + ui * c)
+        for j, c, e in T.unit:
+            _gacc(unit_tensor, (i, j), ur * c - ui * e, ur * e + ui * c)
+    if not _same(delta_unit, T.du, unit_tensor, T.dc):
         witnesses.append("delta(1) != 1 (x) 1")
+    # delta(e_i e_j) over dm*dc against delta(e_i)delta(e_j) over dm^2*dc^2
+    scale = T.dm * T.dc
     for i in range(H.dim):
-        di = {(j, k): c for c, j, k in H.comul[i]}
         for j in range(H.dim):
-            dj = {(a, b): c for c, a, b in H.comul[j]}
-            rhs = _tensor_mul(H, di, dj)
             lhs = {}
-            for k, c in H.mul_sparse[i][j]:
-                for c2, a, b in H.comul[k]:
-                    _acc(lhs, (a, b), c * c2)
-            if lhs != rhs:
+            for k, a, b in mul[i][j]:
+                for p, q, c, e in comul[k]:
+                    _gacc(lhs, (p, q), a * c - b * e, a * e + b * c)
+            rhs = {}  # `_gacc` inlined in the battery's costliest loop
+            for a, b, ar, ai in comul[i]:
+                for p, q, pr, pi in comul[j]:
+                    fr, fi = ar * pr - ai * pi, ar * pi + ai * pr
+                    right = mul[b][q]
+                    for m, c, e in mul[a][p]:
+                        gr, gi = fr * c - fi * e, fr * e + fi * c
+                        for n, c2, e2 in right:
+                            re, im = gr * c2 - gi * e2, gr * e2 + gi * c2
+                            cur = rhs.get((m, n))
+                            rhs[m, n] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            if not _same(lhs, scale, rhs, 1):
                 witnesses.append(
                     f"delta({H.basis[i]}*{H.basis[j]}) != delta({H.basis[i]})*delta({H.basis[j]})"
                 )
     return witnesses
 
 
-def _check_counit_mult(H):
+def _check_counit_mult(H, T):
     witnesses = []
-    eps = H.counit
-    eps_unit = ZERO
-    for i, u in H.unit_sparse:
-        eps_unit = eps_unit + u * eps[i]
-    if eps_unit != ONE:
+    eps = T.counit
+    de = T.de
+    # eps(1) over du*de
+    re = im = 0
+    for i, ur, ui in T.unit:
+        c, e = eps[i]
+        re += ur * c - ui * e
+        im += ur * e + ui * c
+    if (re, im) != (T.du * de, 0):
         witnesses.append("eps(1) != 1")
+    # eps(e_i e_j) over dm*de against eps(e_i)eps(e_j) over de^2
     for i in range(H.dim):
+        a, b = eps[i]
         for j in range(H.dim):
-            acc = ZERO
-            for k, c in H.mul_sparse[i][j]:
-                if not eps[k].is_zero():
-                    acc = acc + c * eps[k]
-            if acc != eps[i] * eps[j]:
+            c, e = eps[j]
+            re = im = 0
+            for k, mr, mi in T.mul[i][j]:
+                f, g = eps[k]
+                re += mr * f - mi * g
+                im += mr * g + mi * f
+            if (re * de, im * de) != ((a * c - b * e) * T.dm, (a * e + b * c) * T.dm):
                 witnesses.append(f"eps({H.basis[i]}*{H.basis[j]}) != eps*eps")
     return witnesses
 
 
-def _check_antipode(H):
+def _check_antipode(H, T):
+    # both convolutions over dc*ds*dm, against eps(e_i)1 over de*du
     witnesses = []
-    sparse = H.mul_sparse
-    anti = H.antipode_sparse
+    mul, anti = T.mul, T.antipode
+    scale = T.de * T.du
+    conv = T.dc * T.ds * T.dm
     for i in range(H.dim):
         left = {}
         right = {}
-        for c, j, k in H.comul[i]:
+        for j, k, a, b in T.comul[i]:
             # S(x1) x2
-            for a, ca in anti[j]:
-                for m, cm in sparse[a][k]:
-                    _acc(left, m, c * ca * cm)
+            for s, c, e in anti[j]:
+                fr, fi = a * c - b * e, a * e + b * c
+                for m, c2, e2 in mul[s][k]:
+                    _gacc(left, m, fr * c2 - fi * e2, fr * e2 + fi * c2)
             # x1 S(x2)
-            for b, cb in anti[k]:
-                for m, cm in sparse[j][b]:
-                    _acc(right, m, c * cb * cm)
-        expected = {}
-        if not H.counit[i].is_zero():
-            for j, u in H.unit_sparse:
-                expected[j] = H.counit[i] * u
-        if left != expected:
+            for s, c, e in anti[k]:
+                fr, fi = a * c - b * e, a * e + b * c
+                for m, c2, e2 in mul[j][s]:
+                    _gacc(right, m, fr * c2 - fi * e2, fr * e2 + fi * c2)
+        a, b = T.counit[i]
+        expected = {j: (a * c - b * e, a * e + b * c) for j, c, e in T.unit}
+        if not _same(left, scale, expected, conv):
             witnesses.append(f"m(S (x) id) delta != eps*1 on {H.basis[i]}")
-        if right != expected:
+        if not _same(right, scale, expected, conv):
             witnesses.append(f"m(id (x) S) delta != eps*1 on {H.basis[i]}")
     return witnesses
 

@@ -49,6 +49,17 @@ def write_json(path, payload):
     write_text(path, dumps(payload))
 
 
+def read_json(path):
+    """The JSON payload of a file.  Raises OSError when the file cannot be
+    read and ValueError when it is not JSON, including nesting too deep for
+    the decoder."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 # -- hopf-algebra/v1 -----------------------------------------------------------
 
 

@@ -260,6 +260,19 @@ def test_matched_pair_load_zero_denominator_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["catalog", "verify", "--load"], ["matched-pairs", "find", "--load"]],
+    ids=("catalog-verify", "matched-pairs-find"),
+)
+def test_load_deeply_nested_json_fails_cleanly(tmp_path, capsys, argv):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code = main(argv + [str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHECK_FAILED
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", ["../escaped", "inner/../../escaped", "a\\b", ".", ".."])
 def test_catalog_load_rejects_a_name_that_leaves_out(tmp_path, capsys, name):
     payload = jsonio.algebra_to_json(build_H4())

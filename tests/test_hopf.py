@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopffactor.hopf import (
     HopfAlgebraData,
@@ -12,8 +14,9 @@ from hopffactor.hopf import (
     tensor_product,
     verify_axioms,
 )
+from hopffactor import jsonio
 from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import HALF, ONE, ZERO
+from hopffactor.scalar import HALF, I, NEG_I, ONE, ZERO, Scalar
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +133,89 @@ def test_mutations_break_axioms(H8):
         report = verify_axioms(mutated)
         assert not report.all_passed, f"mutation at ({i},{j},{k}) went undetected"
         assert any(c.witnesses for c in report.failing())
+
+
+MUL_DELTAS = (ONE, -ONE, I, NEG_I, HALF, I * Scalar(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.sampled_from(MUL_DELTAS)
+)
+def test_mutation_witnesses_match_element_arithmetic(i, j, k, delta):
+    """The associativity and delta-multiplicativity witnesses of a mutated H8
+    are exactly the instances where Element arithmetic, or H.comultiply with
+    H.multiply leg by leg, finds the two sides different."""
+    M = _mutate(build_H8(), i, j, k, delta)
+    report = {c.name: c.witnesses for c in verify_axioms(M).checks}
+    e, b = [M.basis_element(n) for n in range(M.dim)], M.basis
+    assoc = [
+        f"(e{p}*e{q})*e{r} != e{p}*(e{q}*e{r}) [{b[p]}, {b[q]}, {b[r]}]"
+        for p in range(M.dim)
+        for q in range(M.dim)
+        for r in range(M.dim)
+        if (e[p] * e[q]) * e[r] != e[p] * (e[q] * e[r])
+    ]
+    assert report["associativity"] == tuple(assoc)
+    comul = [
+        f"delta({b[p]}*{b[q]}) != delta({b[p]})*delta({b[q]})"
+        for p in range(M.dim)
+        for q in range(M.dim)
+        if M.comultiply_dict(e[p] * e[q]) != _delta_product(M, e[p], e[q])
+    ]
+    assert report["comultiplication-multiplicative"] == tuple(comul)
+
+
+def _delta_product(H, x, y):
+    """delta(x)delta(y) as {(m, n): coefficient}, each leg multiplied with
+    H.multiply."""
+    out = {}
+    for c, a, b in H.comultiply(x):
+        for c2, p, q in H.comultiply(y):
+            left = H.multiply(H.basis_element(a), H.basis_element(p))
+            right = H.multiply(H.basis_element(b), H.basis_element(q))
+            for m, cm in enumerate(left.coords):
+                for n, cn in enumerate(right.coords):
+                    out[(m, n)] = out.get((m, n), ZERO) + c * c2 * cm * cn
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _rescaled(H, lam):
+    """H on the basis f_i = lam[i] * e_i: the same Hopf algebra, with
+    non-real fractions in every table."""
+    d = H.dim
+    mul = [
+        [[lam[i] * lam[j] * H.mul[i][j][k] / lam[k] for k in range(d)] for j in range(d)]
+        for i in range(d)
+    ]
+    unit = [H.unit[i] / lam[i] for i in range(d)]
+    comul = [[(c * lam[i] / (lam[j] * lam[k]), j, k) for c, j, k in H.comul[i]] for i in range(d)]
+    counit = [H.counit[i] * lam[i] for i in range(d)]
+    antipode = [[lam[i] * H.antipode[i][j] / lam[j] for j in range(d)] for i in range(d)]
+    return HopfAlgebraData(f"{H.name}-rescaled", H.basis, mul, unit, comul, counit, antipode)
+
+
+SCALES = (
+    Scalar(3), I * Scalar(1, 3), Scalar(2), Scalar(1, 2, 1, 2), Scalar(-1, 5), ONE, NEG_I,
+    Scalar(5, 2, -1, 3),
+)
+
+
+@pytest.mark.parametrize("which", ["H8", "H8⊗H4"])
+def test_rescaled_basis_passes(H8, T, which):
+    H = {"H8": H8, "H8⊗H4": T}[which]
+    lam = [SCALES[i % len(SCALES)] for i in range(H.dim)]
+    assert verify_axioms(_rescaled(H, lam)).all_passed
+
+
+def test_split_and_zero_coproduct_terms_pass():
+    # delta(X) = X (x) G + 1 (x) X with X (x) G stored as two halves, and a
+    # stored zero term: the same Hopf algebra, so every axiom still holds
+    payload = jsonio.algebra_to_json(build_H4())
+    x, g = payload["basis"].index("X"), payload["basis"].index("G")
+    payload["comul"] = [t for t in payload["comul"] if t[:3] != [x, x, g]]
+    payload["comul"] += [[x, x, g, [1, 2, 0, 1]], [x, x, g, [1, 2, 0, 1]], [g, x, g, [0, 1, 0, 1]]]
+    assert verify_axioms(jsonio.algebra_from_json(payload)).all_passed
 
 
 # -- group-likes -------------------------------------------------------------------
