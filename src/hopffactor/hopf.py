@@ -354,9 +354,10 @@ def verify_axioms(H):
 # The battery runs on an integer view of the structure constants: each table
 # holds Gaussian-integer numerators (re, im) over one common denominator (the
 # lcm of its entries' denominators), so no Scalar is made per instance.  Both
-# sides of a law are brought to the same power of these denominators and
-# compared as dicts of numerators, zero entries ignored, which is exact
-# rational equality.
+# sides of a law are accumulated at the same power of these denominators
+# (one side's factor scaled up front where their powers differ) and compared
+# as dicts of numerators, zero entries ignored, which is exact rational
+# equality.
 
 
 class _IntTables:
@@ -401,16 +402,14 @@ def _gacc(acc, key, re, im):
     acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
 
-def _same(x, sx, y, sy):
-    """Whether x * sx == y * sy, for dicts of (re, im) numerators and
-    positive integer scales, zero entries ignored."""
-    if sx == sy and x == y:
-        return True
-    return _scaled(x, sx) == _scaled(y, sy)
+def _same(x, y):
+    """Whether two dicts of (re, im) numerators are equal, zero entries
+    ignored."""
+    return x == y or _nonzero(x) == _nonzero(y)
 
 
-def _scaled(acc, s):
-    return {k: (re * s, im * s) for k, (re, im) in acc.items() if re or im}
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
 def _check_associativity(H, T):
@@ -435,7 +434,7 @@ def _check_associativity(H, T):
                         re, im = a * c - b * e, a * e + b * c
                         cur = rhs.get(m)
                         rhs[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-                if not _same(lhs, 1, rhs, 1):
+                if not _same(lhs, rhs):
                     witnesses.append(
                         f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) "
                         f"[{H.basis[i]}, {H.basis[j]}, {H.basis[k]}]"
@@ -456,9 +455,9 @@ def _check_unit(H, T):
                 _gacc(left, k, ur * c - ui * e, ur * e + ui * c)
             for k, c, e in mul[i][j]:
                 _gacc(right, k, ur * c - ui * e, ur * e + ui * c)
-        if not _same(left, 1, {i: expected}, 1):
+        if not _same(left, {i: expected}):
             witnesses.append(f"1*{H.basis[i]} != {H.basis[i]}")
-        if not _same(right, 1, {i: expected}, 1):
+        if not _same(right, {i: expected}):
             witnesses.append(f"{H.basis[i]}*1 != {H.basis[i]}")
     return witnesses
 
@@ -475,7 +474,7 @@ def _check_coassociativity(H, T):
                 _gacc(lhs, (p, q, k), a * c - b * e, a * e + b * c)
             for p, q, c, e in comul[k]:
                 _gacc(rhs, (j, p, q), a * c - b * e, a * e + b * c)
-        if not _same(lhs, 1, rhs, 1):
+        if not _same(lhs, rhs):
             witnesses.append(f"coassociativity fails on {H.basis[i]}")
     return witnesses
 
@@ -493,9 +492,9 @@ def _check_counit(H, T):
             _gacc(left, k, a * c - b * e, a * e + b * c)
             c, e = eps[k]
             _gacc(right, j, a * c - b * e, a * e + b * c)
-        if not _same(left, 1, {i: expected}, 1):
+        if not _same(left, {i: expected}):
             witnesses.append(f"(eps (x) id) delta fails on {H.basis[i]}")
-        if not _same(right, 1, {i: expected}, 1):
+        if not _same(right, {i: expected}):
             witnesses.append(f"(id (x) eps) delta fails on {H.basis[i]}")
     return witnesses
 
@@ -503,22 +502,24 @@ def _check_counit(H, T):
 def _check_comul_mult(H, T):
     witnesses = []
     mul, comul = T.mul, T.comul
-    # delta(1) over du*dc against 1 (x) 1 over du^2
+    # delta(1) over du*dc and 1 (x) 1 over du^2, both lifted to du^2*dc
     delta_unit = {}
     unit_tensor = {}
     for i, ur, ui in T.unit:
         for j, k, c, e in comul[i]:
-            _gacc(delta_unit, (j, k), ur * c - ui * e, ur * e + ui * c)
+            _gacc(delta_unit, (j, k), (ur * c - ui * e) * T.du, (ur * e + ui * c) * T.du)
         for j, c, e in T.unit:
-            _gacc(unit_tensor, (i, j), ur * c - ui * e, ur * e + ui * c)
-    if not _same(delta_unit, T.du, unit_tensor, T.dc):
+            _gacc(unit_tensor, (i, j), (ur * c - ui * e) * T.dc, (ur * e + ui * c) * T.dc)
+    if not _same(delta_unit, unit_tensor):
         witnesses.append("delta(1) != 1 (x) 1")
-    # delta(e_i e_j) over dm*dc against delta(e_i)delta(e_j) over dm^2*dc^2
+    # delta(e_i e_j) over dm*dc, lifted to dm^2*dc^2, against
+    # delta(e_i)delta(e_j) over dm^2*dc^2
     scale = T.dm * T.dc
     for i in range(H.dim):
         for j in range(H.dim):
             lhs = {}
             for k, a, b in mul[i][j]:
+                a, b = a * scale, b * scale
                 for p, q, c, e in comul[k]:
                     _gacc(lhs, (p, q), a * c - b * e, a * e + b * c)
             rhs = {}  # `_gacc` inlined in the battery's costliest loop
@@ -532,7 +533,7 @@ def _check_comul_mult(H, T):
                             re, im = gr * c2 - gi * e2, gr * e2 + gi * c2
                             cur = rhs.get((m, n))
                             rhs[m, n] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-            if not _same(lhs, scale, rhs, 1):
+            if not _same(lhs, rhs):
                 witnesses.append(
                     f"delta({H.basis[i]}*{H.basis[j]}) != delta({H.basis[i]})*delta({H.basis[j]})"
                 )
@@ -567,7 +568,8 @@ def _check_counit_mult(H, T):
 
 
 def _check_antipode(H, T):
-    # both convolutions over dc*ds*dm, against eps(e_i)1 over de*du
+    # both convolutions over dc*ds*dm and eps(e_i)1 over de*du, all lifted
+    # to dc*ds*dm*de*du
     witnesses = []
     mul, anti = T.mul, T.antipode
     scale = T.de * T.du
@@ -576,6 +578,7 @@ def _check_antipode(H, T):
         left = {}
         right = {}
         for j, k, a, b in T.comul[i]:
+            a, b = a * scale, b * scale
             # S(x1) x2
             for s, c, e in anti[j]:
                 fr, fi = a * c - b * e, a * e + b * c
@@ -586,11 +589,11 @@ def _check_antipode(H, T):
                 fr, fi = a * c - b * e, a * e + b * c
                 for m, c2, e2 in mul[j][s]:
                     _gacc(right, m, fr * c2 - fi * e2, fr * e2 + fi * c2)
-        a, b = T.counit[i]
+        a, b = T.counit[i][0] * conv, T.counit[i][1] * conv
         expected = {j: (a * c - b * e, a * e + b * c) for j, c, e in T.unit}
-        if not _same(left, scale, expected, conv):
+        if not _same(left, expected):
             witnesses.append(f"m(S (x) id) delta != eps*1 on {H.basis[i]}")
-        if not _same(right, scale, expected, conv):
+        if not _same(right, expected):
             witnesses.append(f"m(id (x) S) delta != eps*1 on {H.basis[i]}")
     return witnesses
 
