@@ -4,11 +4,12 @@ failure lists.
 The systems are pinned by size and by a sha256 over their sorted
 `Poly.key()`s, so any change to constraint generation that alters a single
 coefficient shows up here, even when the solver would still reach the same
-solutions.  The checker is pinned by the exact `CheckFailure` list (order,
-condition, `at` tuple and witness text) on corrupted tables of both sides;
-the matched-pair checker by count, per-condition counts and a sha256 of the
-ordered list, on valid module actions that do not pair and on the same
-corrupted tables.
+solutions.  The union system the matched-pair search solves is also pinned
+in its canonical order, by its rendered text and its keys.  The checker is
+pinned by the exact `CheckFailure` list (order, condition, `at` tuple and
+witness text) on corrupted tables of both sides; the matched-pair checker
+by count, per-condition counts and a sha256 of the ordered list, on valid
+module actions that do not pair and on the same corrupted tables.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from hopffactor.actions import (
     LeftActionTable,
     MatchedPairCandidate,
     RightActionTable,
+    _canonical_system,
     antidiagonal_right_table,
     check_matched_pair,
     check_module_coalgebras,
@@ -28,6 +30,7 @@ from hopffactor.actions import (
     left_family_instance,
     left_module_coalgebra_system,
     matched_pair_system,
+    module_coalgebra_system,
     right_module_coalgebra_system,
     trivial_right_table,
     x_action_circulant_system,
@@ -78,6 +81,26 @@ def test_compiled_system_keys_pinned(name):
     system = build()
     assert len(system) == size
     assert _sha256(sorted(p.key() for p in system)) == digest
+
+
+# The union system that the matched-pair search solves, pinned in its
+# canonical order: the rendered constraints and their keys both feed the
+# solver's provenance, so neither may change.
+UNION_SIZE = 4998
+UNION_RENDER_SHA256 = "81662f45be8555bed4410caa30adca1055ecb183352343ea63cf2dbd6ed35729"
+UNION_KEY_SHA256 = "efbc00a7e2b449b7cb6cf7a24fd44b0f653c7c8ef0c0233a6a266aa8fdbd4d86"
+
+
+def test_union_system_order_render_and_keys_pinned():
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    system = _canonical_system(
+        module_coalgebra_system(L)
+        + module_coalgebra_system(R)
+        + matched_pair_system(MatchedPairCandidate(L, R))
+    )
+    assert len(system) == UNION_SIZE
+    assert _sha256([p.render() for p in system]) == UNION_RENDER_SHA256
+    assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
 
 
 def _corrupt(table, *spots):
