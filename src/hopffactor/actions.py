@@ -18,9 +18,10 @@ search: they must emerge from the solver, and the tests pin that they do.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from hopffactor.hopf import _acc as _sacc
-from hopffactor.poly import Poly, acc_add, acc_mul, from_acc
+from hopffactor.poly import Poly, _num, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
 from hopffactor.solver import _DEFAULT_BUDGET, solve
@@ -252,7 +253,7 @@ class RightActionTable(_ActionTable):
         table = cls({})
         h8, h4, entries = table.h8, table.h4, table.entries
 
-        def to_poly(v):
+        def as_poly(v):
             return v if isinstance(v, Poly) else _pc(v)
 
         zblock = [4, 5, 6, 7]
@@ -267,15 +268,15 @@ class RightActionTable(_ActionTable):
                 _P_ONE if k == target else _P_ZERO for k in range(h8.dim)
             )
             entries[(row, xcol)] = tuple(
-                to_poly(c) for c in grouplike_x_images[label]
+                as_poly(c) for c in grouplike_x_images[label]
             )
         for col, xi in enumerate(zblock):
             entries[(xi, gi)] = tuple(
-                to_poly(a_matrix[k - 4][col]) if k in zblock else _P_ZERO
+                as_poly(a_matrix[k - 4][col]) if k in zblock else _P_ZERO
                 for k in range(h8.dim)
             )
             entries[(xi, xcol)] = tuple(
-                to_poly(b_matrix[k - 4][col]) if k in zblock else _P_ZERO
+                as_poly(b_matrix[k - 4][col]) if k in zblock else _P_ZERO
                 for k in range(h8.dim)
             )
         for xi in range(1, h8.dim):
@@ -307,6 +308,37 @@ class RightActionTable(_ActionTable):
 
 
 # -- constraint generation -------------------------------------------------------
+#
+# The generators accumulate each law's lhs minus its rhs in one accumulator
+# of Gaussian-integer numerators (see `poly.acc_add`), reading the structure
+# constants as (re, im, den) factors.
+
+
+class _Factors:
+    """The structure constants of one algebra as accumulator factors:
+    mul[u][v] lists (k, f), comul[u] lists (f, j, k) and counit[u] is f."""
+
+    __slots__ = ("mul", "comul", "counit")
+
+    def __init__(self, H):
+        self.mul = tuple(
+            tuple(tuple((k, _num(c)) for k, c in row) for row in block) for block in H.mul_sparse
+        )
+        self.comul = tuple(tuple((_num(c), j, k) for c, j, k in t) for t in H.comul)
+        self.counit = tuple(_num(c) for c in H.counit)
+
+
+_factors = lru_cache(maxsize=None)(_Factors)
+
+
+def _fmul(f, g, sign=1):
+    """The factor sign*f*g."""
+    a, b, d = f
+    e, h, k = g
+    return sign * (a * e - b * h), sign * (a * h + b * e), d * k
+
+
+_MINUS = (-1, 0, 1)
 
 
 def _canonical_system(polys):
@@ -327,42 +359,38 @@ def _unit_constraints(T):
 
 def _counit_constraints(T, keys):
     """eps(x . a) = eps(x) eps(a) on the given (H8, H4) index pairs."""
-    h8, h4, acted = T.h8, T.h4, T.acted
+    h8, h4, counit = _factors(T.h8), _factors(T.h4), _factors(T.acted).counit
     sys = []
     for xi, ai in keys:
         acc = {}
         for k, p in enumerate(T.entry(xi, ai)):
-            acc_add(acc, p, acted.counit[k])
-        sys.append(from_acc(acc) - _pc(h8.counit[xi] * h4.counit[ai]))
+            acc_add(acc, p, counit[k])
+        acc_add(acc, _P_ONE, _fmul(h8.counit[xi], h4.counit[ai], -1))
+        sys.append(from_acc(acc))
     return sys
 
 
 def _comultiplication_constraints(T):
     """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on every basis pair."""
-    h8, h4, acted = T.h8, T.h4, T.acted
+    h8, h4, acted = _factors(T.h8), _factors(T.h4), _factors(T.acted)
     sys = []
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            lhs = {}
+    for xi in range(T.h8.dim):
+        for ai in range(T.h4.dim):
+            diff = {}
             for k, p in enumerate(T.entry(xi, ai)):
                 for c, jj, kk in acted.comul[k]:
-                    acc_add(lhs.setdefault((jj, kk), {}), p, c)
-            rhs = {}
+                    acc_add(diff.setdefault((jj, kk), {}), p, c)
             for c8, x1, x2 in h8.comul[xi]:
                 for c4, a1, a2 in h4.comul[ai]:
-                    f = c8 * c4
-                    left_row = T.entry(x1, a1)
+                    f = _fmul(c8, c4, -1)
                     right_row = T.entry(x2, a2)
-                    for p_idx, pp in enumerate(left_row):
+                    for p_idx, pp in enumerate(T.entry(x1, a1)):
                         if pp.is_zero():
                             continue
                         for q_idx, qq in enumerate(right_row):
-                            if qq.is_zero():
-                                continue
-                            cur = rhs.setdefault((p_idx, q_idx), {})
-                            acc_mul(cur, pp, qq, f)
-            for key in sorted(set(lhs) | set(rhs)):
-                sys.append(from_acc(lhs.get(key, {})) - from_acc(rhs.get(key, {})))
+                            if not qq.is_zero():
+                                acc_mul(diff.setdefault((p_idx, q_idx), {}), pp, qq, f)
+            sys += [from_acc(diff[key]) for key in sorted(diff)]
     return sys
 
 
@@ -370,26 +398,23 @@ def _module_law_constraints(T):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
     right, for every acting pair (u, v) and acted w."""
     act = T.by_acting(T.entries)
-    acting, acted = T.acting, T.acted
+    mul, n_acting, n_acted = _factors(T.acting).mul, range(T.acting.dim), range(T.acted.dim)
     sys = []
-    for u in range(acting.dim):
-        for v in range(acting.dim):
-            prod_row = acting.mul_sparse[u][v]
+    for u in n_acting:
+        for v in n_acting:
             first, second = (v, u) if T.side == "left" else (u, v)
-            for w in range(acted.dim):
-                lhs = [dict() for _ in range(acted.dim)]
-                for m, c in prod_row:
+            for w in n_acted:
+                diff = [dict() for _ in n_acted]
+                for m, c in mul[u][v]:
                     for k, p in enumerate(act[(m, w)]):
-                        acc_add(lhs[k], p, c)
-                rhs = [dict() for _ in range(acted.dim)]
+                        acc_add(diff[k], p, c)
                 for k, p in enumerate(act[(first, w)]):
                     if p.is_zero():
                         continue
                     for m, q in enumerate(act[(second, k)]):
                         if not q.is_zero():
-                            acc_mul(rhs[m], p, q)
-                for k in range(acted.dim):
-                    sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
+                            acc_mul(diff[m], p, q, _MINUS)
+                sys += [from_acc(d) for d in diff]
     return sys
 
 
@@ -413,14 +438,14 @@ left_module_coalgebra_system = right_module_coalgebra_system = module_coalgebra_
 def _exchange_constraints(L, R, instances):
     """h1 <| a1 (x) h2 |> a2 = h2 <| a2 (x) h1 |> a1, coordinatewise in
     H8 (x) H4."""
-    h8, h4 = L.h8, L.h4
+    h8, h4 = _factors(L.h8), _factors(L.h4)
     sys = []
     for hi, ai in instances:
         diff = {}
         for c8, h1, h2 in h8.comul[hi]:
             for c4, a1, a2 in h4.comul[ai]:
-                f = c8 * c4
-                for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (-f, (h2, a2), (h1, a1))):
+                f, g = _fmul(c8, c4), _fmul(c8, c4, -1)
+                for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (g, (h2, a2), (h1, a1))):
                     for q_idx, qq in enumerate(R.entries[r_key]):
                         if qq.is_zero():
                             continue
@@ -439,28 +464,30 @@ def _product_constraints(T, O, instances):
     the op-cop pair: the acted product is reversed and the comultiplication
     legs are swapped."""
     act, other = T.by_acting(T.entries), O.by_acting(O.entries)
-    acting, acted = T.acting, T.acted
+    acting, acted, n_acted = _factors(T.acting), _factors(T.acted), range(T.acted.dim)
     left = T.side == "left"
+    passed = {}  # (uo, wo, v) -> coordinates of (uo . wo) . v, the leg through O
     sys = []
     for u, w, v in instances:
-        lhs = [dict() for _ in range(acted.dim)]
-        for m, c in acted.mul_sparse[w][v] if left else acted.mul_sparse[v][w]:
+        diff = [dict() for _ in n_acted]
+        for m, c in acted.mul[w][v] if left else acted.mul[v][w]:
             for k, p in enumerate(act[(u, m)]):
-                acc_add(lhs[k], p, c)
-        rhs = [dict() for _ in range(acted.dim)]
+                acc_add(diff[k], p, c)
         for cu, u1, u2 in acting.comul[u]:
             for cw, w1, w2 in acted.comul[w]:
-                f = cu * cw
+                f = _fmul(cu, cw, -1)
                 # one leg acts on w directly, the other passes through O to act on v
                 (ud, wd), (uo, wo) = ((u1, w1), (u2, w2)) if left else ((u2, w2), (u1, w1))
-                through = [dict() for _ in range(acted.dim)]
-                for q, oq in enumerate(other[(wo, uo)]):
-                    if oq.is_zero():
-                        continue
-                    for t, pt in enumerate(act[(q, v)]):
-                        if not pt.is_zero():
-                            acc_mul(through[t], oq, pt)
-                through = [from_acc(d) for d in through]
+                through = passed.get((uo, wo, v))
+                if through is None:
+                    through = [dict() for _ in n_acted]
+                    for q, oq in enumerate(other[(wo, uo)]):
+                        if oq.is_zero():
+                            continue
+                        for t, pt in enumerate(act[(q, v)]):
+                            if not pt.is_zero():
+                                acc_mul(through[t], oq, pt)
+                    through = passed[(uo, wo, v)] = [from_acc(d) for d in through]
                 direct = act[(ud, wd)]
                 first, second = (direct, through) if left else (through, direct)
                 for s, ps in enumerate(first):
@@ -469,10 +496,9 @@ def _product_constraints(T, O, instances):
                     for t, pt in enumerate(second):
                         if pt.is_zero():
                             continue
-                        for m, cm in acted.mul_sparse[s][t]:
-                            acc_mul(rhs[m], ps, pt, f * cm)
-        for k in range(acted.dim):
-            sys.append(from_acc(lhs[k]) - from_acc(rhs[k]))
+                        for m, cm in acted.mul[s][t]:
+                            acc_mul(diff[m], ps, pt, _fmul(f, cm))
+        sys += [from_acc(d) for d in diff]
     return sys
 
 

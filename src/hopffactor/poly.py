@@ -1,70 +1,98 @@
 """Sparse multivariate polynomials over Q(i) in named unknowns.
 
 A monomial is a sorted tuple of variable names with repetition (so x^2*y
-is ("x", "x", "y")); a polynomial maps monomials to nonzero Scalar
-coefficients.  The canonical term order is graded lexicographic, highest
-degree first, which makes rendering and `key()` deterministic and lets
-whole solution sets be compared structurally.
+is ("x", "x", "y")).  A polynomial holds Gaussian-integer numerators over
+one denominator: `terms` maps monomials to nonzero (re, im) int pairs and
+`den` is a positive int sharing no factor with all of them, so the
+coefficient of m is (re + im*i)/den.  Zero is {} over 1.  That form is
+canonical, so polynomials compare structurally, and arithmetic makes no
+Scalar objects: it multiplies and adds ints and reduces once per result.
+Scalars appear only at the boundary (`const`, `coeff`, `const_value`,
+`coefficients`, `eval`, `*` by a Scalar).
 
-Degrees here never exceed three (linear action coefficients multiplied
-across at most two coproduct legs), so the flat-tuple monomial encoding is
-both the simplest and the fastest choice.
+The canonical term order is graded lexicographic, highest degree first,
+which makes rendering and `key()` deterministic and lets whole solution
+sets be compared structurally.  Degrees here never exceed three (linear
+action coefficients multiplied across at most two coproduct legs), so the
+flat-tuple monomial encoding is both the simplest and the fastest choice.
 """
 
-from hopffactor.scalar import ONE, ZERO, Scalar
+from math import gcd, lcm
 
-Mono = tuple
-
-_MONO_CACHE = {}
-
-
-def _mono(parts):
-    t = tuple(sorted(parts))
-    cached = _MONO_CACHE.get(t)
-    if cached is None:
-        _MONO_CACHE[t] = t
-        cached = t
-    return cached
+from hopffactor._scalarfmt import render_gaussian
+from hopffactor.scalar import ZERO, Scalar
 
 
-_EMPTY = _mono(())
+def _grlex(monos):
+    """Monomials in the canonical term order: higher degree first, then
+    lexicographic (the stable descending sort keeps the name order)."""
+    return sorted(sorted(monos), key=len, reverse=True)
 
 
-def _term_order(mono):
-    return (-len(mono), mono)
+def _mono_mul(m1, m2):
+    """The sorted product of two sorted monomials."""
+    if not m1 or not m2 or m1[-1] <= m2[0]:
+        return m1 + m2
+    if m2[-1] <= m1[0]:
+        return m2 + m1
+    # a single unknown strictly inside a pair, the usual cubic case
+    if len(m1) == 2 and len(m2) == 1:
+        return (m1[0], m2[0], m1[1])
+    if len(m1) == 1 and len(m2) == 2:
+        return (m2[0], m1[0], m2[1])
+    return tuple(sorted(m1 + m2))
+
+
+def _num(c):
+    """(re, im, den) of a Scalar or int over the lcm of its denominators."""
+    if isinstance(c, int):
+        return c, 0, 1
+    den = lcm(c.rd, c.imd)
+    return c.rn * (den // c.rd), c.imn * (den // c.imd), den
+
+
+def _parts(re, im, den):
+    """The reduced (rn, rd, imn, imd) of (re + im*i)/den."""
+    g, h = gcd(re, den), gcd(im, den)
+    return re // g, den // g, im // h, den // h
 
 
 class Poly:
-    """Immutable polynomial; `terms` maps monomials to nonzero scalars."""
+    """Immutable polynomial: `terms` maps monomials to nonzero (re, im)
+    numerators over the shared denominator `den`.
 
-    __slots__ = ("terms", "_vars", "_key")
+    `Poly({monomial: Scalar or int})` builds one from coefficients; with
+    `den` given, `terms` must already be in the canonical numerator form.
+    Degree, unknowns and key are cached; `_splits` holds the solver's split
+    analyses of this polynomial."""
 
-    def __init__(self, terms=None, normalized=False):
-        if terms is None:
-            terms = {}
-        if not normalized:
-            clean = {}
-            for m, c in terms.items():
-                c = c if isinstance(c, Scalar) else Scalar(c)
-                if not c.is_zero():
-                    clean[_mono(m)] = c
-            terms = clean
+    __slots__ = ("terms", "den", "_vars", "_degree", "_key", "_splits")
+
+    def __init__(self, terms=None, den=None):
+        if den is None:
+            acc = {}
+            for m, c in (terms or {}).items():
+                _acc_term(acc, tuple(sorted(m)), *_num(c))
+            terms, den = _settle(acc)
         self.terms = terms
+        self.den = den
         self._vars = None
+        self._degree = None
         self._key = None
+        self._splits = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c):
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if c.is_zero():
-            return cls({}, normalized=True)
-        return cls({_EMPTY: c}, normalized=True)
+        re, im, den = _num(c)
+        if not (re or im):
+            return cls({}, 1)
+        return cls({(): (re, im)}, den)
 
     @classmethod
     def var(cls, name):
-        return cls({_mono((name,)): ONE}, normalized=True)
+        return cls({(name,): (1, 0)}, 1)
 
     # -- structure -----------------------------------------------------------
 
@@ -72,44 +100,49 @@ class Poly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def const_value(self):
         if not self.terms:
             return ZERO
-        if len(self.terms) == 1 and _EMPTY in self.terms:
-            return self.terms[_EMPTY]
+        if len(self.terms) == 1 and () in self.terms:
+            re, im = self.terms[()]
+            return Scalar(re, self.den, im, self.den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def variables(self):
         if self._vars is None:
-            vs = set()
-            for m in self.terms:
-                vs.update(m)
-            self._vars = frozenset(vs)
+            self._vars = frozenset().union(*self.terms)
         return self._vars
 
     def degree(self):
-        return max((len(m) for m in self.terms), default=0)
+        if self._degree is None:
+            self._degree = max(map(len, self.terms), default=0)
+        return self._degree
 
     def degree_in(self, var):
         return max((m.count(var) for m in self.terms), default=0)
 
     def coeff(self, mono_parts):
-        return self.terms.get(_mono(mono_parts), ZERO)
+        c = self.terms.get(tuple(sorted(mono_parts)))
+        return ZERO if c is None else Scalar(c[0], self.den, c[1], self.den)
+
+    def coefficients(self):
+        """(monomial, Scalar coefficient) pairs in the canonical term order."""
+        return [(m, Scalar(*parts)) for m, parts in self.key()]
 
     def key(self):
         if self._key is None:
-            self._key = tuple(
-                (m, c.sort_key())
-                for m, c in sorted(self.terms.items(), key=lambda kv: _term_order(kv[0]))
-            )
+            terms, den = self.terms, self.den
+            parts = {c: _parts(*c, den) for c in set(terms.values())}
+            order = _grlex(terms)
+            self._key = tuple(zip(order, map(parts.__getitem__, map(terms.__getitem__, order))))
         return self._key
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         return hash(self.key())
@@ -120,72 +153,58 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
-        return Poly(out, normalized=True)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()}, normalized=True)
+        return Poly({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
+
+    def _plus(self, other, sign):
+        """self + sign*other."""
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign == 1 else -other
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den * sign
+        out = {m: (re * f, im * f) for m, (re, im) in self.terms.items()}
+        for m, (re, im) in other.terms.items():
+            cur = out.get(m)
+            out[m] = (re * g, im * g) if cur is None else (cur[0] + re * g, cur[1] + im * g)
+        return _build(out, den)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = other if isinstance(other, Scalar) else Scalar(other)
-            if c.is_zero():
-                return Poly({}, normalized=True)
-            return Poly({m: c * v for m, v in self.terms.items()}, normalized=True)
-        if not isinstance(other, Poly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Poly({}, normalized=True)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono(m1 + m2)
-                c = c1 * c2
+        for m1, (a, b) in self.terms.items():
+            for m2, (e, f) in other.terms.items():
+                m = _mono_mul(m1, m2)
                 cur = out.get(m)
-                if cur is None:
-                    out[m] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Poly(out, normalized=True)
+                re, im = a * e - b * f, a * f + b * e
+                out[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+        return _build(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Poly.const(ONE)
+        out = Poly.const(1)
         for _ in range(k):
             out = out * self
         return out
@@ -194,55 +213,20 @@ class Poly:
 
     def subst_var(self, var, value):
         """Substitute one variable by a Poly (or Scalar) and renormalize."""
-        if var not in self.variables():
-            return self
-        if isinstance(value, (Scalar, int)):
-            value = Poly.const(value)
-        out = {}
-        powers = {0: Poly.const(ONE)}
-        for m, c in self.terms.items():
-            k = m.count(var)
-            if k == 0:
-                _acc(out, m, c)
-                continue
-            rest = _mono(tuple(x for x in m if x != var))
-            if k not in powers:
-                powers[k] = value ** k
-            for m2, c2 in powers[k].terms.items():
-                _acc(out, _mono(rest + m2), c * c2)
-        return Poly(out, normalized=True)
+        return self.subst_many({var: value if isinstance(value, Poly) else Poly.const(value)})
 
     def subst_many(self, mapping):
         """Substitute several variables (var -> Poly) in one rebuild."""
         relevant = self.variables() & mapping.keys()
         if not relevant:
             return self
-        out = {}
-        for m, c in self.terms.items():
-            kept = []
-            factors = []
-            for x in m:
-                target = mapping.get(x)
-                if target is None:
-                    kept.append(x)
-                else:
-                    factors.append(target)
-            if not factors:
-                _acc(out, m, c)
-                continue
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = prod * f
-            base = tuple(kept)
-            for m2, c2 in prod.terms.items():
-                _acc(out, _mono(base + m2), c * c2)
-        return Poly(out, normalized=True)
+        return _Batch({v: mapping[v] for v in relevant}).apply(self)
 
     def eval(self, assignment):
         """Evaluate at a full Scalar assignment of every variable."""
         acc = ZERO
-        for m, c in self.terms.items():
-            v = c
+        for m, (re, im) in self.terms.items():
+            v = Scalar(re, self.den, im, self.den)
             for x in m:
                 v = v * assignment[x]
             acc = acc + v
@@ -268,39 +252,27 @@ class Poly:
         for m, c in self.terms.items():
             parts = list(m)
             parts.remove(var)
-            out[_mono(tuple(parts))] = c
-        return Poly(out, normalized=True)
+            out[tuple(parts)] = c
+        return Poly(out, self.den)
 
     def as_quadratic_in(self, var):
         """Split self = A*var^2 + B*var + C; A is a Poly (callers usually
         need it constant), B and C are Polys free of var.  None if the
         degree in var exceeds 2."""
-        a, b, c = {}, {}, {}
-        for m, coef in self.terms.items():
+        parts = ({}, {}, {})
+        for m, c in self.terms.items():
             k = m.count(var)
-            rest = _mono(tuple(x for x in m if x != var))
-            if k == 0:
-                c[rest] = coef
-            elif k == 1:
-                b[rest] = coef
-            elif k == 2:
-                a[rest] = coef
-            else:
+            if k > 2:
                 return None
-        return (
-            Poly(a, normalized=True),
-            Poly(b, normalized=True),
-            Poly(c, normalized=True),
-        )
+            parts[2 - k][tuple(x for x in m if x != var)] = c
+        return tuple(Poly(*_reduce(p, self.den)) for p in parts)
 
     # -- rendering -----------------------------------------------------------
 
     def render(self):
         if not self.terms:
             return "0"
-        pieces = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: _term_order(kv[0])):
-            pieces.append(_render_term(m, c))
+        pieces = [_render_term(m, parts) for m, parts in self.key()]
         out = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-"):
@@ -316,16 +288,31 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _acc(out, m, c):
-    cur = out.get(m)
-    if cur is None:
-        out[m] = c
-    else:
-        s = cur + c
-        if s.is_zero():
-            del out[m]
-        else:
-            out[m] = s
+def _reduce(terms, den):
+    """(terms, den) of nonzero numerators over den > 0, divided by their
+    common factor with den."""
+    if not terms:
+        return terms, 1
+    g = den
+    for re, im in terms.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return terms, den
+    return {m: (re // g, im // g) for m, (re, im) in terms.items()}, den // g
+
+
+def _build(raw, den, intern=None):
+    """The Poly of {monomial: (re, im)} sums over den, zero sums dropped and
+    the denominator reduced once.  With `intern` given, the numerator pairs
+    are shared through that dict."""
+    if intern is None:
+        terms = {m: c for m, c in raw.items() if c[0] or c[1]}
+        return Poly(*_reduce(terms, den))
+    terms = {m: intern.setdefault(c, c) for m, c in raw.items() if c[0] or c[1]}
+    terms, den2 = _reduce(terms, den)
+    if den2 != den:
+        terms = {m: intern.setdefault(c, c) for m, c in terms.items()}
+    return Poly(terms, den2)
 
 
 def _as_poly(x):
@@ -351,16 +338,15 @@ def _render_mono(m):
     return "*".join(parts)
 
 
-def _render_term(m, c):
+def _render_term(m, parts):
     mono = _render_mono(m)
+    s = render_gaussian(*parts)
     if not mono:
-        s = str(c)
         return s if _is_simple(s) else f"({s})"
-    if c.is_one():
+    if parts == (1, 1, 0, 1):
         return mono
-    if c == -1:
+    if parts == (-1, 1, 0, 1):
         return f"-{mono}"
-    s = str(c)
     if _is_simple(s):
         return f"{s}*{mono}"
     return f"({s})*{mono}"
@@ -371,28 +357,175 @@ def _is_simple(rendered):
     return not any(ch in "+-" for ch in rendered[1:])
 
 
+# -- substitution -------------------------------------------------------------
+
+
+class _Batch:
+    """A substitution {unknown: Poly}, applied in one rebuild per
+    polynomial.  A term containing an unknown mapped to 0 is dropped before
+    any arithmetic; the other targets are brought to one common
+    denominator, so a term with k substituted factors is scaled by the rest
+    of that denominator's power up to the polynomial's degree.  Products of
+    targets are cached for the batch.  Monomials and numerator pairs of the
+    results are shared through `intern`, which a caller applying many
+    batches (the solver) keeps for all of them."""
+
+    __slots__ = ("keys", "zeros", "nonzero", "targets", "scale", "intern", "_products")
+
+    def __init__(self, mapping, intern=None):
+        self.keys = frozenset(mapping)
+        self.zeros = frozenset(v for v, e in mapping.items() if not e.terms)
+        nonzero = {v: e for v, e in mapping.items() if e.terms}
+        self.nonzero = frozenset(nonzero)
+        self.scale = lcm(*(e.den for e in nonzero.values()))
+        self.targets = {}  # unknown -> ((monomial, numerators over scale), ...)
+        for v, e in nonzero.items():
+            f = self.scale // e.den
+            self.targets[v] = tuple((m, (re * f, im * f)) for m, (re, im) in e.terms.items())
+        self.intern = {} if intern is None else intern
+        self._products = {}
+
+    def _product(self, factors):
+        """Expanded product of the scaled targets of a sorted unknown tuple."""
+        intern = self.intern.setdefault
+        prod = self.targets[factors[0]]
+        for v in factors[1:]:
+            acc = {}
+            for m1, (a, b) in prod:
+                for m2, (e, f) in self.targets[v]:
+                    m = _mono_mul(m1, m2)
+                    m = intern(m, m)
+                    c = (a * e - b * f, a * f + b * e)
+                    cur = acc.get(m)
+                    acc[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
+            prod = tuple((m, c) for m, c in acc.items() if c[0] or c[1])
+        self._products[factors] = prod
+        return prod
+
+    def apply(self, p):
+        if self.keys.isdisjoint(p.variables()):
+            return p
+        keys, zeros, targets = self.keys, self.zeros, self.targets
+        if self.nonzero.isdisjoint(p.variables()):
+            kept = {m: c for m, c in p.terms.items() if zeros.isdisjoint(m)}
+            return _build(kept, p.den, self.intern)
+        intern = self.intern.setdefault
+        products = self._products
+        top = p.degree()
+        powers = [self.scale**k for k in range(top + 1)]
+        s = powers[top]
+        out = {}
+        get = out.get
+        for m, c in p.terms.items():
+            if keys.isdisjoint(m):
+                if s != 1:
+                    c = (c[0] * s, c[1] * s)
+                cur = get(m)
+                out[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
+                continue
+            if zeros and not zeros.isdisjoint(m):
+                continue
+            re, im = c
+            factors = tuple([x for x in m if x in targets])
+            k = powers[top - len(factors)]
+            if k != 1:
+                re *= k
+                im *= k
+            prod = products.get(factors) or self._product(factors)
+            if len(factors) == len(m):
+                kept = None
+            else:
+                kept = tuple([x for x in m if x not in targets])
+            for m2, (e, f) in prod:
+                if kept:
+                    m2 = _mono_mul(kept, m2)
+                    m2 = intern(m2, m2)
+                if im:
+                    c = (re * e - im * f, re * f + im * e)
+                else:
+                    c = (re * e, re * f)
+                cur = get(m2)
+                out[m2] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
+        return _build(out, p.den * s, self.intern)
+
+
 # -- bulk accumulation (constraint generation avoids intermediate Poly objects)
+#
+# An accumulator is a plain dict of {monomial: (re, im)} numerators over one
+# scale, which it keeps under the key None (absent means 1).  The scale is
+# lifted to the lcm only when a term over a new denominator arrives.  A
+# factor f is a Scalar, an int, or an (re, im, den) triple of numerators
+# over den, the form constraint generators convert their tables to once.
+
+
+def _acc_term(acc, m, re, im, d):
+    """acc[m] += (re + im*i)/d."""
+    k = _scale(acc, d)
+    cur = acc.get(m)
+    acc[m] = (re * k, im * k) if cur is None else (cur[0] + re * k, cur[1] + im * k)
+
+
+def _scale(acc, d):
+    """The factor that puts numerators over d at the accumulator's scale,
+    lifting the scale first when d does not divide it."""
+    scale = acc.get(None, 1)
+    if scale % d:
+        new = lcm(scale, d)
+        f = new // scale
+        acc.pop(None, None)
+        for m, (re, im) in acc.items():
+            acc[m] = (re * f, im * f)
+        acc[None] = scale = new
+    return scale // d
+
+
+def _factor(f):
+    if f is None:
+        return 1, 0, 1
+    return f if type(f) is tuple else _num(f)
 
 
 def acc_add(acc, p, f=None):
-    """acc += f*p, where acc is a raw monomial->Scalar dict."""
-    if f is not None and f.is_zero():
+    """acc += f*p."""
+    fe, ff, fd = _factor(f)
+    if not (fe or ff) or not p.terms:
         return
-    for m, c in p.terms.items():
-        _acc(acc, m, c if f is None else f * c)
+    d = p.den * fd
+    scale = acc.get(None, 1)
+    k = scale // d if scale % d == 0 else _scale(acc, d)
+    fe, ff = fe * k, ff * k
+    get = acc.get
+    for m, (a, b) in p.terms.items():
+        re, im = a * fe - b * ff, a * ff + b * fe
+        cur = get(m)
+        acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
 
 def acc_mul(acc, p, q, f=None):
-    """acc += f*p*q into a raw monomial->Scalar dict."""
-    if f is not None and f.is_zero():
+    """acc += f*p*q."""
+    fe, ff, fd = _factor(f)
+    if not (fe or ff) or not p.terms or not q.terms:
         return
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            c = c1 * c2
-            if f is not None:
-                c = f * c
-            _acc(acc, _mono(m1 + m2), c)
+    d = p.den * q.den * fd
+    scale = acc.get(None, 1)
+    k = scale // d if scale % d == 0 else _scale(acc, d)
+    fe, ff = fe * k, ff * k
+    get = acc.get
+    qterms = q.terms.items()
+    for m1, (a, b) in p.terms.items():
+        a, b = a * fe - b * ff, a * ff + b * fe
+        for m2, (e, f) in qterms:
+            m = _mono_mul(m1, m2)
+            re, im = a * e - b * f, a * f + b * e
+            cur = get(m)
+            acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+
+
+def _settle(acc):
+    """The reduced (terms, den) of an accumulator, zero sums dropped."""
+    terms = {m: c for m, c in acc.items() if m is not None and (c[0] or c[1])}
+    return _reduce(terms, acc.get(None, 1))
 
 
 def from_acc(acc):
-    return Poly(dict(acc), normalized=True)
+    return Poly(*_settle(acc))

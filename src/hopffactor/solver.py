@@ -18,10 +18,10 @@ three moves cannot reduce raises IrreducibleSystemError carrying the
 offending residual: the solver never guesses.
 """
 
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from hopffactor._scalar_py import _red
-from hopffactor.poly import Poly
+from hopffactor.poly import Poly, _Batch
 from hopffactor.scalar import ZERO, Scalar
 
 
@@ -235,226 +235,31 @@ class SolutionSet:
         }
 
 
-# -- integer core ------------------------------------------------------------
-#
-# Inside solve() the constraints are _ZPolys rather than Polys: unknowns are
-# interned as ints and coefficients are Gaussian-integer numerators over one
-# denominator per polynomial, so substitution makes no Scalar objects and runs
-# no per-operation gcds.  A _ZPoly denotes exactly the rational Poly it stands
-# for, at the same scale, so converting back gives the same keys, renders and
-# provenance as a Poly-only solve.
+# -- split analyses -----------------------------------------------------------
 
 
-class _Ring:
-    """The unknowns of one solve, interned as ints in sorted-name order (so
-    int monomials sort exactly like name monomials), the intern tables of
-    its monomials and coefficient pairs, and the conversions between Poly
-    and _ZPoly.  It lives as long as the solve."""
-
-    __slots__ = ("names", "index", "monos", "_coeffs", "_int_monos", "_scalars")
-
-    def __init__(self, universe):
-        self.names = tuple(sorted(universe))
-        self.index = {v: i for i, v in enumerate(self.names)}
-        self.monos = {}
-        self._coeffs = {}
-        self._int_monos = {}  # name monomial -> int monomial
-        self._scalars = {}  # (re, im, den) -> Scalar
-
-    def mono(self, parts):
-        """The interned copy of a sorted int monomial."""
-        return self.monos.setdefault(parts, parts)
-
-    def from_poly(self, p):
-        int_monos = self._int_monos
-        terms = {}
-        for m, c in p.terms.items():
-            zm = int_monos.get(m)
-            if zm is None:
-                zm = int_monos[m] = self.mono(tuple(self.index[x] for x in m))
-            terms[zm] = c
-        return self.from_scalars(terms)
-
-    def from_scalars(self, terms):
-        """The _ZPoly of {int monomial: nonzero Scalar}."""
-        den = 1
-        for c in terms.values():
-            den = lcm(den, c.rd, c.imd)
-        coeffs = self._coeffs
-        out = {}
-        for m, c in terms.items():
-            pair = (c.rn * (den // c.rd), c.imn * (den // c.imd))
-            out[m] = coeffs.setdefault(pair, pair)
-        return _ZPoly(out, den)
-
-    def build(self, raw, den):
-        """The _ZPoly of raw {int monomial: (re, im)} sums over den."""
-        coeffs = self._coeffs
-        terms = {m: coeffs.setdefault(c, c) for m, c in raw.items() if c[0] or c[1]}
-        return self.reduced(terms, den)
-
-    def reduced(self, terms, den):
-        """The _ZPoly of {int monomial: nonzero interned pair} over den, with
-        the denominator reduced once."""
-        if not terms:
-            return _ZPoly(terms, 1)
-        g = den
-        for re, im in terms.values():
-            g = gcd(g, re, im)
-            if g == 1:
-                return _ZPoly(terms, den)
-        coeffs = self._coeffs
-        out = {}
-        for m, (re, im) in terms.items():
-            c = (re // g, im // g)
-            out[m] = coeffs.setdefault(c, c)
-        return _ZPoly(out, den // g)
-
-    def to_poly(self, z):
-        names, den, scalars = self.names, z.den, self._scalars
-        terms = {}
-        for m, (re, im) in z.terms.items():
-            c = scalars.get((re, im, den))
-            if c is None:
-                c = scalars[re, im, den] = Scalar(re, den, im, den)
-            terms[tuple(names[i] for i in m)] = c
-        return Poly(terms)
+def _cached_split_options(p, full):
+    """`_split_options` of p, cached on p per tier.  The analysis is skipped
+    when no split can apply: no tier-relevant squared unknown and no
+    unknown common to every monomial."""
+    cache = p._splits
+    if cache is None:
+        cache = p._splits = {}
+    if full not in cache:
+        cache[full] = _split_options(p, full) if _may_split(p, full) else ()
+    return cache[full]
 
 
-class _ZPoly:
-    """{int monomial: (re, im)} numerators over a positive denominator `den`
-    that shares no factor with all of them; zero is {} over 1.  Immutable,
-    with degree, unknowns and split options cached."""
-
-    __slots__ = ("terms", "den", "_vars", "_degree", "_splits")
-
-    def __init__(self, terms, den):
-        self.terms = terms
-        self.den = den
-        self._vars = None
-        self._degree = None
-        self._splits = None
-
-    def variables(self):
-        if self._vars is None:
-            self._vars = tuple(set().union(*self.terms))
-        return self._vars
-
-    def degree(self):
-        if self._degree is None:
-            self._degree = max(map(len, self.terms), default=0)
-        return self._degree
-
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def split_options(self, ring, full):
-        """`_split_options` of the Poly this stands for, cached per tier.
-        The conversion is skipped when no split can apply: no tier-relevant
-        squared unknown and no unknown common to every monomial."""
-        cache = self._splits
-        if cache is None:
-            cache = self._splits = {}
-        if full not in cache:
-            cache[full] = _split_options(ring.to_poly(self), full) if self._may_split(full) else ()
-        return cache[full]
-
-    def _may_split(self, full):
-        if full or len(self.variables()) == 1:
-            if any(len(set(m)) < len(m) for m in self.terms):
-                return True
-        common = None
-        for m in self.terms:
-            common = set(m) if common is None else common.intersection(m)
-            if not common:
-                return False
-        return True
-
-
-class _Batch:
-    """A triangular substitution {unknown: _ZPoly}, applied in one rebuild
-    per polynomial.  A term containing an unknown mapped to 0 is dropped
-    before any arithmetic; the other targets are brought to one common
-    denominator, so a term with k substituted factors is scaled by the
-    rest of that denominator's power up to the polynomial's degree."""
-
-    __slots__ = ("ring", "keys", "zeros", "nonzero", "targets", "scale", "_products")
-
-    def __init__(self, ring, mapping):
-        self.ring = ring
-        self.keys = frozenset(mapping)
-        self.zeros = frozenset(v for v, e in mapping.items() if not e.terms)
-        nonzero = {v: e for v, e in mapping.items() if e.terms}
-        self.nonzero = frozenset(nonzero)
-        self.scale = lcm(*(e.den for e in nonzero.values()))
-        self.targets = {}  # unknown -> ((monomial, numerators over scale), ...)
-        for v, e in nonzero.items():
-            f = self.scale // e.den
-            self.targets[v] = tuple((m, (re * f, im * f)) for m, (re, im) in e.terms.items())
-        self._products = {}
-
-    def _product(self, factors):
-        """Expanded product of the scaled targets of a sorted unknown tuple,
-        cached for the batch."""
-        mono = self.ring.mono
-        prod = self.targets[factors[0]]
-        for v in factors[1:]:
-            acc = {}
-            for m1, (a, b) in prod:
-                for m2, (e, f) in self.targets[v]:
-                    m = mono(tuple(sorted(m1 + m2)))
-                    c = (a * e - b * f, a * f + b * e)
-                    cur = acc.get(m)
-                    acc[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
-            prod = tuple((m, c) for m, c in acc.items() if c[0] or c[1])
-        self._products[factors] = prod
-        return prod
-
-    def apply(self, p):
-        if self.keys.isdisjoint(p.variables()):
-            return p
-        keys, zeros, targets = self.keys, self.zeros, self.targets
-        if self.nonzero.isdisjoint(p.variables()):
-            kept = {m: c for m, c in p.terms.items() if zeros.isdisjoint(m)}
-            return self.ring.reduced(kept, p.den)
-        intern = self.ring.monos.setdefault
-        products = self._products
-        top = p.degree()
-        powers = [self.scale**k for k in range(top + 1)]
-        s = powers[top]
-        out = {}
-        get = out.get
-        for m, c in p.terms.items():
-            if keys.isdisjoint(m):
-                if s != 1:
-                    c = (c[0] * s, c[1] * s)
-                cur = get(m)
-                out[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
-                continue
-            if zeros and not zeros.isdisjoint(m):
-                continue
-            re, im = c
-            factors = tuple([x for x in m if x in targets])
-            k = powers[top - len(factors)]
-            if k != 1:
-                re *= k
-                im *= k
-            prod = products.get(factors) or self._product(factors)
-            if len(factors) == len(m):
-                kept = None
-            else:
-                kept = tuple([x for x in m if x not in targets])
-            for m2, (e, f) in prod:
-                if kept:
-                    m2 = tuple(sorted(kept + m2))
-                    m2 = intern(m2, m2)
-                if im:
-                    c = (re * e - im * f, re * f + im * e)
-                else:
-                    c = (re * e, re * f)
-                cur = get(m2)
-                out[m2] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
-        return self.ring.build(out, p.den * powers[top])
+def _may_split(p, full):
+    if full or len(p.variables()) == 1:
+        if any(len(set(m)) < len(m) for m in p.terms):
+            return True
+    common = None
+    for m in p.terms:
+        common = set(m) if common is None else common.intersection(m)
+        if not common:
+            return False
+    return True
 
 
 # -- solver ------------------------------------------------------------------
@@ -462,9 +267,9 @@ class _Batch:
 _DEFAULT_BUDGET = 100_000
 
 
-def _solve_linear(ring, linear):
+def _solve_linear(linear):
     """Simultaneous rule (i): reduced row echelon form of the fully linear
-    constraints.  Returns {pivot var: affine _ZPoly over free vars}, or None
+    constraints.  Returns {pivot var: affine Poly over free vars}, or None
     when the rows are inconsistent.  Fully deterministic: columns in sorted
     variable order, rows in list order."""
     rows = []
@@ -523,27 +328,27 @@ def _solve_linear(ring, linear):
             terms[()] = -const
         for v, c in row.items():
             if v != var:
-                terms[ring.mono((v,))] = -c
-        mapping[var] = ring.from_scalars(terms)
+                terms[(v,)] = -c
+        mapping[var] = Poly(terms)
     return mapping
 
 
 class _Node:
-    __slots__ = ("ring", "constraints", "subst", "depth")
+    __slots__ = ("intern", "constraints", "subst", "depth")
 
-    def __init__(self, ring, constraints, subst, depth):
-        self.ring = ring
-        self.constraints = constraints  # list of nonzero _ZPolys, stable order
-        self.subst = subst  # {int unknown: _ZPoly}
+    def __init__(self, intern, constraints, subst, depth):
+        self.intern = intern  # the monomials and numerator pairs of the solve
+        self.constraints = constraints  # list of nonzero Polys, stable order
+        self.subst = subst  # {unknown: Poly}
         self.depth = depth
 
     def clone(self):
-        return _Node(self.ring, list(self.constraints), dict(self.subst), self.depth + 1)
+        return _Node(self.intern, list(self.constraints), dict(self.subst), self.depth + 1)
 
     def apply_batch(self, mapping):
         """Substitute a triangular batch everywhere; False when a nonzero
         constant constraint appears (dead branch)."""
-        batch = _Batch(self.ring, mapping)
+        batch = _Batch(mapping, self.intern)
         for v, e in list(self.subst.items()):
             self.subst[v] = batch.apply(e)
         self.subst.update(mapping)
@@ -559,11 +364,10 @@ class _Node:
         return True
 
     def apply_case(self, case):
-        """Resolve one case of a split (its values are Polys in names)."""
+        """Resolve one case of a split."""
         if case[0] == "assign":
-            ring = self.ring
-            return self.apply_batch({ring.index[case[1]]: ring.from_poly(case[2])})
-        self.constraints.append(self.ring.from_poly(case[2]))
+            return self.apply_batch({case[1]: case[2]})
+        self.constraints.append(case[2])
         return True
 
     def propagate(self):
@@ -579,7 +383,7 @@ class _Node:
                 (linear if d == 1 else rest).append(p)
             if not linear:
                 return True
-            mapping = _solve_linear(self.ring, linear)
+            mapping = _solve_linear(linear)
             if mapping is None:
                 return False
             self.constraints = rest
@@ -588,19 +392,11 @@ class _Node:
 
     def stall(self, reason):
         """The IrreducibleSystemError for this node's residual, in canonical
-        order.  The search ends here, so each constraint is dropped as soon
-        as it is converted and the two copies never coexist."""
-        core, self.constraints = self.constraints, []
-        residual = []
-        while core:
-            residual.append(self.ring.to_poly(core.pop()))
-        residual.sort(key=Poly.key)
-        return IrreducibleSystemError(reason, residual)
+        order."""
+        return IrreducibleSystemError(reason, sorted(self.constraints, key=Poly.key))
 
     def branch(self, universe):
-        names = self.ring.names
-        subst = {names[v]: self.ring.to_poly(e) for v, e in self.subst.items()}
-        return Branch(subst, universe - set(subst))
+        return Branch(self.subst, universe - set(self.subst))
 
     def find_split(self):
         """The best applicable split, or None.  Ranked: forced single root,
@@ -622,7 +418,7 @@ class _Node:
         for full in (False, True):
             for pos in order:
                 p = self.constraints[pos]
-                for prio, kind, var, cases in p.split_options(self.ring, full):
+                for prio, kind, var, cases in _cached_split_options(p, full):
                     if best is None or prio < best[0][0]:
                         best = ((prio, pos, var), pos, p, kind, var, cases)
                 if best is not None and best[0][0] == 0:
@@ -699,8 +495,7 @@ def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
         if p.is_const() and not p.is_zero():
             return SolutionSet([], [])
 
-    ring = _Ring(universe)
-    stack = [_Node(ring, [ring.from_poly(p) for p in polys if not p.is_zero()], {}, 0)]
+    stack = [_Node({}, [p for p in polys if not p.is_zero()], {}, 0)]
     provenance = []
     raw_branches = []
     visited = 0
@@ -741,7 +536,7 @@ def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
             {
                 "depth": node.depth,
                 "rule": kind,
-                "constraint": ring.to_poly(p).render(),
+                "constraint": p.render(),
                 "variable": var,
                 "cases": [_case_label(case) for case in cases],
             }
@@ -755,22 +550,17 @@ def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
         stack.extend(reversed(children))
 
     branches = _canonicalize_branches(raw_branches)
-    _check_branches(ring, branches, polys)
+    _check_branches(branches, polys)
     return SolutionSet(branches, provenance)
 
 
-def _check_branches(ring, branches, polys):
+def _check_branches(branches, polys):
     """Soundness pass: every branch substituted into every input constraint
-    leaves zero.  Each constraint is converted once and dropped after its
-    check, so no second core copy of the system stays alive."""
-    batches = [
-        _Batch(ring, {ring.index[v]: ring.from_poly(e) for v, e in b.subst.items()})
-        for b in branches
-    ]
+    leaves zero."""
+    batches = [_Batch(b.subst) for b in branches]
     for p in polys:
-        z = ring.from_poly(p)
         for b, batch in zip(branches, batches):
-            if batch.apply(z).terms:
+            if batch.apply(p).terms:
                 raise AssertionError(f"unsound branch {b!r} leaves residue on {p.render()}")
 
 

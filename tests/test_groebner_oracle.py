@@ -51,7 +51,7 @@ def _solver_matches_groebner(polys):
     syms = sympy.symbols(names)
     by_name = dict(zip(names, syms))
     eqs = [
-        sum(_number(c) * sympy.Mul(*(by_name[v] for v in m)) for m, c in p.terms.items())
+        sum(_number(c) * sympy.Mul(*(by_name[v] for v in m)) for m, c in p.coefficients())
         for p in polys
     ]
     expected = _oracle_points(eqs, syms)
