@@ -124,6 +124,8 @@ class _ActionTable:
                 and len(row[2]) == width
             ):
                 raise ValueError(f"bad {cls.side} action entry {row!r}")
+            if (row[0], row[1]) in table.entries:
+                raise ValueError(f"{cls.side} action/v1 payload repeats the basis pair {row[:2]}")
             table.entries[(row[0], row[1])] = tuple(
                 _pc(Scalar.from_json(c)) for c in row[2]
             )

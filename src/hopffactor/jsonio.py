@@ -136,22 +136,23 @@ def algebra_from_json(data):
     # the name becomes an output file stem, so it must not leave --out
     if "/" in name or "\\" in name or name in (".", ".."):
         raise ValueError(f"{schema}: 'name' {name!r} is not a plain file name")
+    # an entry listed more than once is summed, in every table
     zero = Scalar(0)
     mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in _sparse(data, "mul", 3, dim, schema):
-        mul[i][j][k] = c
-    comul = [[] for _ in range(dim)]
+        mul[i][j][k] = mul[i][j][k] + c
+    comul = [{} for _ in range(dim)]
     for i, j, k, c in _sparse(data, "comul", 3, dim, schema):
-        comul[i].append((c, j, k))
+        comul[i][(j, k)] = comul[i].get((j, k), zero) + c
     antipode = [[zero] * dim for _ in range(dim)]
     for i, j, c in _sparse(data, "antipode", 2, dim, schema):
-        antipode[i][j] = c
+        antipode[i][j] = antipode[i][j] + c
     return HopfAlgebraData(
         name,
         basis,
         mul,
         _vector(data, "unit", dim, schema),
-        comul,
+        [[(c, j, k) for (j, k), c in terms.items() if not c.is_zero()] for terms in comul],
         _vector(data, "counit", dim, schema),
         antipode,
     )

@@ -260,6 +260,21 @@ def test_matched_pair_load_zero_denominator_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_matched_pair_load_repeated_basis_pair_fails_cleanly(tmp_path, capsys, side):
+    # row 5 again with row 6's values: every pair is present, one of them twice
+    cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
+    payload = jsonio.matched_pair_to_json(cand)
+    entries = payload[side]["entries"]
+    entries.append(entries[5][:2] + entries[6][2:])
+    path = tmp_path / "repeated-pair.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["matched-pairs", "find", "--load", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHECK_FAILED
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv", [["catalog", "verify", "--load"], ["matched-pairs", "find", "--load"]],
     ids=("catalog-verify", "matched-pairs-find"),
