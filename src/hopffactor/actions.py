@@ -18,7 +18,6 @@ search: they must emerge from the solver, and the tests pin that they do.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from hopffactor.hopf import _acc as _sacc
 from hopffactor.poly import Poly, _num, acc_add, acc_mul, from_acc
@@ -330,9 +329,6 @@ class _Factors:
         self.counit = tuple(_num(c) for c in H.counit)
 
 
-_factors = lru_cache(maxsize=None)(_Factors)
-
-
 def _fmul(f, g, sign=1):
     """The factor sign*f*g."""
     a, b, d = f
@@ -361,7 +357,7 @@ def _unit_constraints(T):
 
 def _counit_constraints(T, keys):
     """eps(x . a) = eps(x) eps(a) on the given (H8, H4) index pairs."""
-    h8, h4, counit = _factors(T.h8), _factors(T.h4), _factors(T.acted).counit
+    h8, h4, counit = _Factors(T.h8), _Factors(T.h4), _Factors(T.acted).counit
     sys = []
     for xi, ai in keys:
         acc = {}
@@ -374,7 +370,7 @@ def _counit_constraints(T, keys):
 
 def _comultiplication_constraints(T):
     """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on every basis pair."""
-    h8, h4, acted = _factors(T.h8), _factors(T.h4), _factors(T.acted)
+    h8, h4, acted = _Factors(T.h8), _Factors(T.h4), _Factors(T.acted)
     sys = []
     for xi in range(T.h8.dim):
         for ai in range(T.h4.dim):
@@ -400,7 +396,7 @@ def _module_law_constraints(T):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
     right, for every acting pair (u, v) and acted w."""
     act = T.by_acting(T.entries)
-    mul, n_acting, n_acted = _factors(T.acting).mul, range(T.acting.dim), range(T.acted.dim)
+    mul, n_acting, n_acted = _Factors(T.acting).mul, range(T.acting.dim), range(T.acted.dim)
     sys = []
     for u in n_acting:
         for v in n_acting:
@@ -440,7 +436,7 @@ left_module_coalgebra_system = right_module_coalgebra_system = module_coalgebra_
 def _exchange_constraints(L, R, instances):
     """h1 <| a1 (x) h2 |> a2 = h2 <| a2 (x) h1 |> a1, coordinatewise in
     H8 (x) H4."""
-    h8, h4 = _factors(L.h8), _factors(L.h4)
+    h8, h4 = _Factors(L.h8), _Factors(L.h4)
     sys = []
     for hi, ai in instances:
         diff = {}
@@ -466,7 +462,7 @@ def _product_constraints(T, O, instances):
     the op-cop pair: the acted product is reversed and the comultiplication
     legs are swapped."""
     act, other = T.by_acting(T.entries), O.by_acting(O.entries)
-    acting, acted, n_acted = _factors(T.acting), _factors(T.acted), range(T.acted.dim)
+    acting, acted, n_acted = _Factors(T.acting), _Factors(T.acted), range(T.acted.dim)
     left = T.side == "left"
     passed = {}  # (uo, wo, v) -> coordinates of (uo . wo) . v, the leg through O
     sys = []
