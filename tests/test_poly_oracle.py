@@ -5,7 +5,8 @@ These properties recompute every result on {monomial: Scalar} dicts with
 Scalar operations only, which shares no code with the integer arithmetic,
 and compare values at random Scalar points as well as the exact canonical
 form: `key()` must be the Scalar dict's (monomial, sort_key) list in grlex
-order, and `render()` that of a Poly built from the same Scalar dict.
+order, and the numerators, denominator and `render()` those of a Poly
+built from the same Scalar dict.
 """
 
 from math import lcm
@@ -93,6 +94,9 @@ def ref_key(x):
 
 def assert_same(got, ref, point):
     assert got.key() == ref_key(ref)
+    # a Poly built from Scalars has the least denominator, so structural
+    # equality also checks that `got` is reduced
+    assert got == Poly(ref)
     assert got.render() == Poly(ref).render()
     assert got.eval(point) == ref_eval(ref, point)
 
