@@ -9,7 +9,10 @@ in its canonical order, by its rendered text and its keys.  The checker is
 pinned by the exact `CheckFailure` list (order, condition, `at` tuple and
 witness text) on corrupted tables of both sides; the matched-pair checker
 by count, per-condition counts and a sha256 of the ordered list, on valid
-module actions that do not pair and on the same corrupted tables.
+module actions that do not pair and on the same corrupted tables.  The
+skew-primitive bases of H4 (x) H8, whose coalgebra all four bicrossed
+products share, are pinned by their group-likes and a sha256 over every
+basis vector.
 """
 
 import hashlib
@@ -35,7 +38,9 @@ from hopffactor.actions import (
     trivial_right_table,
     x_action_circulant_system,
 )
+from hopffactor.hopf import grouplikes, skew_primitives, tensor_product
 from hopffactor.poly import Poly
+from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import HALF, ONE, ZERO
 
 
@@ -101,6 +106,31 @@ def test_union_system_order_render_and_keys_pinned():
     assert len(system) == UNION_SIZE
     assert _sha256([p.render() for p in system]) == UNION_RENDER_SHA256
     assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
+
+
+# The skew-primitive bases between every ordered pair of group-likes of
+# H4 (x) H8.  The invariant reports print only their dimensions, so the
+# vectors themselves (and so the elimination behind `Mat.kernel`) are
+# pinned here: one line "i j vector" per basis vector, in order.
+TENSOR_GROUPLIKES = [
+    "G⊗gh", "G⊗h", "G⊗g", "G⊗1", "1⊗gh", "1⊗h", "1⊗g", "1⊗1",
+]
+TENSOR_SKEW_COUNT = 64
+TENSOR_SKEW_SHA256 = "653f50a42c5679cb2cbdc413f90239e02affdb65b09004b6acf94634366a385b"
+
+
+def test_tensor_skew_primitive_bases_pinned():
+    T = tensor_product(build_H4(), build_H8())
+    gls = grouplikes(T)
+    assert [repr(g) for g in gls] == TENSOR_GROUPLIKES
+    lines = [
+        f"{i} {j} {v!r}"
+        for i, a in enumerate(gls)
+        for j, b in enumerate(gls)
+        for v in skew_primitives(T, a, b)
+    ]
+    assert len(lines) == TENSOR_SKEW_COUNT
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == TENSOR_SKEW_SHA256
 
 
 def _corrupt(table, *spots):
