@@ -1,13 +1,49 @@
-"""Dense exact linear algebra over Q(i): rank, kernel and invertibility.
+"""Exact linear algebra over Q(i): one Gauss-Jordan elimination.
 
-Matrices are immutable row-major rectangles of Scalars.  Gaussian
-elimination is exact, so it never pivots on a numerically "small" entry
-because there is no rounding to protect against.  Matrix sizes in this
-engine top out at the 32x32 maps of the bicrossed products, so no sparse
-machinery is needed.
+`rref` reduces sparse rows {column: Scalar} and serves both the dense
+matrices here (rank, kernel, invertibility) and the solver's linear
+batches.  Elimination is exact, so it never pivots on a numerically
+"small" entry because there is no rounding to protect against.  The
+reduced row echelon form is unique for a fixed column order, so the result
+does not depend on which row supplies a pivot.
 """
 
 from hopffactor.scalar import ONE, ZERO
+
+
+def rref(rows, columns):
+    """Gauss-Jordan elimination of sparse rows {column: nonzero Scalar}.
+
+    Columns are eliminated in the order of `columns`, which must cover
+    every column the rows use.  Returns the pivot rows in pivot order as
+    (pivot column, row) pairs: each row is 1 at its own pivot and absent
+    from every other pivot column.  The rows that took no pivot reduce to
+    zero and are left out.  The input rows are not modified.
+    """
+    rows = [dict(row) for row in rows if row]
+    pivots = []
+    for col in columns:
+        k = next((k for k, row in enumerate(rows) if col in row), None)
+        if k is None:
+            continue
+        prow = rows.pop(k)
+        inv = prow[col].inv()
+        prow = {c: inv * e for c, e in prow.items()}
+        for row in [row for _, row in pivots] + rows:
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for c, p in prow.items():
+                if c == col:
+                    continue
+                s = row[c] - f * p if c in row else -(f * p)
+                if s.is_zero():
+                    del row[c]
+                else:
+                    row[c] = s
+        rows = [row for row in rows if row]
+        pivots.append((col, prow))
+    return pivots
 
 
 class Mat:
@@ -28,30 +64,14 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
-        rows = [list(row) for row in self.rows]
-        m, n = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(n):
-            pivot_row = None
-            for i in range(r, m):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c].inv()
-            rows[r] = [inv * e for e in rows[r]]
-            for i in range(m):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Mat(rows), pivots
+        n = self.ncols
+        pivots = rref(
+            ({c: e for c, e in enumerate(row) if not e.is_zero()} for row in self.rows),
+            range(n),
+        )
+        rows = [tuple(row.get(c, ZERO) for c in range(n)) for _, row in pivots]
+        rows += [(ZERO,) * n] * (self.nrows - len(rows))
+        return Mat(rows), [c for c, _ in pivots]
 
     def rank(self):
         return len(self.rref()[1])

@@ -19,8 +19,7 @@ flat-tuple monomial encoding is both the simplest and the fastest choice.
 
 from math import gcd, lcm
 
-from hopffactor._scalarfmt import render_gaussian
-from hopffactor.scalar import ZERO, Scalar
+from hopffactor.scalar import ZERO, Scalar, _red, render_gaussian
 
 
 def _grlex(monos):
@@ -49,12 +48,6 @@ def _num(c):
         return c, 0, 1
     den = lcm(c.rd, c.imd)
     return c.rn * (den // c.rd), c.imn * (den // c.imd), den
-
-
-def _parts(re, im, den):
-    """The reduced (rn, rd, imn, imd) of (re + im*i)/den."""
-    g, h = gcd(re, den), gcd(im, den)
-    return re // g, den // g, im // h, den // h
 
 
 class Poly:
@@ -134,7 +127,8 @@ class Poly:
     def key(self):
         if self._key is None:
             terms, den = self.terms, self.den
-            parts = {c: _parts(*c, den) for c in set(terms.values())}
+            # the reduced (rn, rd, imn, imd) of each distinct (re + im*i)/den
+            parts = {c: _red(c[0], den) + _red(c[1], den) for c in set(terms.values())}
             order = _grlex(terms)
             self._key = tuple(zip(order, map(parts.__getitem__, map(terms.__getitem__, order))))
         return self._key

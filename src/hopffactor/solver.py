@@ -20,9 +20,9 @@ offending residual: the solver never guesses.
 
 from math import isqrt
 
-from hopffactor._scalar_py import _red
+from hopffactor.linalg import rref
 from hopffactor.poly import Poly, _Batch
-from hopffactor.scalar import ZERO, Scalar
+from hopffactor.scalar import Scalar, _red
 
 
 class IrreducibleSystemError(Exception):
@@ -271,65 +271,17 @@ def _solve_linear(linear):
     """Simultaneous rule (i): reduced row echelon form of the fully linear
     constraints.  Returns {pivot var: affine Poly over free vars}, or None
     when the rows are inconsistent.  Fully deterministic: columns in sorted
-    variable order, rows in list order."""
-    rows = []
-    for p in linear:
-        row = {}
-        const = ZERO
-        for m, (re, im) in p.terms.items():
-            c = Scalar(re, p.den, im, p.den)
-            if m:
-                row[m[0]] = c
-            else:
-                const = c
-        rows.append([row, const])
-    columns = sorted({v for row, _ in rows for v in row})
-    pivots = []
-    used = [False] * len(rows)
-    for var in columns:
-        pivot_idx = None
-        for i, (row, _) in enumerate(rows):
-            if not used[i] and var in row:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        used[pivot_idx] = True
-        prow, pconst = rows[pivot_idx]
-        inv = prow[var].inv()
-        prow = {v: inv * c for v, c in prow.items()}
-        pconst = inv * pconst
-        rows[pivot_idx] = [prow, pconst]
-        for i, (row, const) in enumerate(rows):
-            if i == pivot_idx:
-                continue
-            f = row.get(var)
-            if f is None:
-                continue
-            for v, c in prow.items():
-                cur = row.get(v)
-                s = (cur - f * c) if cur is not None else -(f * c)
-                if s.is_zero():
-                    row.pop(v, None)
-                else:
-                    row[v] = s
-            rows[i][1] = const - f * pconst
-        pivots.append((var, pivot_idx))
-    for i, (row, const) in enumerate(rows):
-        if not used[i] and not row and not const.is_zero():
-            return None
-        if not used[i] and row:
-            raise AssertionError("linear elimination left an unused nonzero row")
+    variable order, then the constant."""
+    rows = [
+        {m: Scalar(re, p.den, im, p.den) for m, (re, im) in p.terms.items()}
+        for p in linear
+    ]
+    columns = sorted({m for row in rows for m in row if m}) + [()]
     mapping = {}
-    for var, i in pivots:
-        row, const = rows[i]
-        terms = {}
-        if not const.is_zero():
-            terms[()] = -const
-        for v, c in row.items():
-            if v != var:
-                terms[(v,)] = -c
-        mapping[var] = Poly(terms)
+    for m, row in rref(rows, columns):
+        if not m:
+            return None  # a pivot in the constant column reads 1 = 0
+        mapping[m[0]] = Poly({c: -e for c, e in row.items() if c != m})
     return mapping
 
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra: elimination, kernels, rank and invertibility."""
+"""Exact linear algebra: elimination, kernels, rank and invertibility, and
+the solver's linear batches, which run on the same elimination."""
 
 import random
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopffactor.linalg import Mat
+from hopffactor.poly import Poly
 from hopffactor.scalar import Scalar
+from hopffactor.solver import _solve_linear
 
 ZERO, ONE = Scalar(0), Scalar(1)
 
@@ -118,3 +121,82 @@ def test_is_invertible():
     assert identity(3).is_invertible()
     assert not Mat([[ONE, ONE], [ONE, ONE]]).is_invertible()
     assert not Mat([[ONE, ZERO]]).is_invertible()
+
+
+# -- properties of the shared elimination -------------------------------------
+
+# zero-heavy, so that rows are often dependent and columns often empty
+scalars = st.sampled_from(
+    [ZERO] * 4 + [ONE, Scalar(-1), Scalar(0, 1, 1, 1), Scalar(1, 2), Scalar(2, 1, -1, 3)]
+)
+
+
+@st.composite
+def matrices(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+    return Mat([[draw(scalars) for _ in range(n)] for _ in range(m)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_rref_ignores_row_order(m, data):
+    # the reduced row echelon form is unique, so it cannot depend on which
+    # row supplies a pivot
+    red, pivots = m.rref()
+    red2, pivots2 = Mat(data.draw(st.permutations(m.rows))).rref()
+    assert (red2.rows, pivots2) == (red.rows, pivots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_rref_ignores_duplicated_rows(m, data):
+    extra = data.draw(st.lists(st.sampled_from(m.rows), min_size=1, max_size=4))
+    where = data.draw(st.integers(min_value=0, max_value=m.nrows))
+    red, pivots = m.rref()
+    red2, pivots2 = Mat(m.rows[:where] + tuple(extra) + m.rows[where:]).rref()
+    assert pivots2 == pivots
+    assert red2.rows[: len(pivots)] == red.rows[: len(pivots)]
+    assert all(e.is_zero() for row in red2.rows[len(pivots):] for e in row)
+
+
+def _planted_system(data):
+    """Random linear rows in x0..x{n-1} that all vanish at a random point."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    names = [f"x{k}" for k in range(n)]
+    point = {v: data.draw(scalars) for v in names}
+    rows = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        coeffs = {v: data.draw(scalars) for v in names}
+        coeffs[data.draw(st.sampled_from(names))] = ONE  # at least one unknown
+        terms = {(v,): c for v, c in coeffs.items() if not c.is_zero()}
+        terms[()] = -sum((c * point[v] for v, c in coeffs.items()), ZERO)
+        rows.append(Poly(terms))
+    return names, point, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_linear_recovers_planted_point(data):
+    names, point, rows = _planted_system(data)
+    mapping = _solve_linear(rows)
+    assert mapping is not None
+    free = set(names) - mapping.keys()
+    for v, e in mapping.items():
+        assert e.variables() <= free  # solved over the free unknowns only
+        assert e.eval(point) == point[v]
+    for p in rows:
+        assert p.subst_many(mapping).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_linear_rejects_inconsistent_row(data):
+    names, point, rows = _planted_system(data)
+    # a combination of the rows, shifted by a nonzero constant, is nonzero
+    # at every solution of the rows
+    bad = Poly.const(data.draw(scalars.filter(lambda c: not c.is_zero())))
+    for p in rows:
+        bad = bad + p * data.draw(scalars)
+    where = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    assert _solve_linear(rows[:where] + [bad] + rows[where:]) is None
