@@ -23,8 +23,9 @@ from hopffactor.hopf import (
     verify_axioms,
 )
 from hopffactor.hopf import _acc as _sacc
+from hopffactor.hopf import _tensor_coalgebra
 from hopffactor.linalg import Mat
-from hopffactor.scalar import I, NEG_I, ONE, ZERO, Scalar
+from hopffactor.scalar import I, NEG_I, ZERO, Scalar
 from hopffactor.solver import _DEFAULT_BUDGET
 
 
@@ -82,7 +83,7 @@ def build_bicrossed(pair):
     def idx(ai, xi):
         return ai * d8 + xi
 
-    basis = tuple(f"{a}⊗{x}" for a in h4.basis for x in h8.basis)
+    basis, unit, comul, counit = _tensor_coalgebra(h4, h8)
 
     mul = [[None] * dim for _ in range(dim)]
     for ai in range(d4):
@@ -116,20 +117,6 @@ def build_bicrossed(pair):
                     for k, c in acc.items():
                         row[k] = c
                     mul[idx(ai, xi)][idx(bi, yi)] = tuple(row)
-
-    unit = [ZERO] * dim
-    unit[idx(0, 0)] = ONE
-
-    comul = []
-    for ai in range(d4):
-        for xi in range(d8):
-            triples = []
-            for c4, a1, a2 in h4.comul[ai]:
-                for c8, x1, x2 in h8.comul[xi]:
-                    triples.append((c4 * c8, idx(a1, x1), idx(a2, x2)))
-            comul.append(tuple(triples))
-
-    counit = [h4.counit[ai] * h8.counit[xi] for ai in range(d4) for xi in range(d8)]
 
     algebra = HopfAlgebraData(
         "bicrossed", basis, mul, unit, comul, counit,

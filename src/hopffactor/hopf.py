@@ -601,11 +601,37 @@ def _check_antipode(H, T):
 # -- tensor product --------------------------------------------------------------
 
 
+def _tensor_coalgebra(H1, H2):
+    """Basis, unit, comultiplication and counit of H1 (x) H2 on the basis
+    a (x) b, H1 index first (index i1 * dim2 + i2): the structure that the
+    tensor product and the bicrossed products share."""
+    d1, d2 = H1.dim, H2.dim
+
+    def idx(i1, i2):
+        return i1 * d2 + i2
+
+    basis = tuple(f"{a}⊗{b}" for a in H1.basis for b in H2.basis)
+    unit = [ZERO] * (d1 * d2)
+    for i1, u1 in H1.unit_sparse:
+        for i2, u2 in H2.unit_sparse:
+            unit[idx(i1, i2)] = u1 * u2
+    comul = []
+    for i1 in range(d1):
+        for i2 in range(d2):
+            triples = []
+            for c1, j1, k1 in H1.comul[i1]:
+                for c2, j2, k2 in H2.comul[i2]:
+                    triples.append((c1 * c2, idx(j1, j2), idx(k1, k2)))
+            comul.append(tuple(triples))
+    counit = [H1.counit[i1] * H2.counit[i2] for i1 in range(d1) for i2 in range(d2)]
+    return basis, unit, comul, counit
+
+
 def tensor_product(H1, H2):
     """Componentwise Hopf structure on the tensor basis, antipode S1 (x) S2."""
     d1, d2 = H1.dim, H2.dim
     dim = d1 * d2
-    basis = tuple(f"{a}⊗{b}" for a in H1.basis for b in H2.basis)
+    basis, unit, comul, counit = _tensor_coalgebra(H1, H2)
 
     def idx(i1, i2):
         return i1 * d2 + i2
@@ -620,22 +646,6 @@ def tensor_product(H1, H2):
                         for k2, c2 in H2.mul_sparse[i2][j2]:
                             row[idx(k1, k2)] = c1 * c2
                     mul[idx(i1, i2)][idx(j1, j2)] = tuple(row)
-
-    unit = [ZERO] * dim
-    for i1, u1 in H1.unit_sparse:
-        for i2, u2 in H2.unit_sparse:
-            unit[idx(i1, i2)] = u1 * u2
-
-    comul = []
-    for i1 in range(d1):
-        for i2 in range(d2):
-            triples = []
-            for c1, j1, k1 in H1.comul[i1]:
-                for c2, j2, k2 in H2.comul[i2]:
-                    triples.append((c1 * c2, idx(j1, j2), idx(k1, k2)))
-            comul.append(tuple(triples))
-
-    counit = [H1.counit[i1] * H2.counit[i2] for i1 in range(d1) for i2 in range(d2)]
 
     antipode = [[ZERO] * dim for _ in range(dim)]
     for i1 in range(d1):
