@@ -20,10 +20,10 @@ from hopffactor.hopf import (
     grouplikes,
     is_grouplike,
     skew_primitives,
+    _tensor_coalgebra,
     verify_axioms,
 )
 from hopffactor.hopf import _acc as _sacc
-from hopffactor.hopf import _tensor_coalgebra
 from hopffactor.linalg import Mat
 from hopffactor.scalar import I, NEG_I, ZERO, Scalar
 from hopffactor.solver import _DEFAULT_BUDGET
