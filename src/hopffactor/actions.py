@@ -20,7 +20,7 @@ search: they must emerge from the solver, and the tests pin that they do.
 from dataclasses import dataclass
 
 from hopffactor.hopf import _acc as _sacc
-from hopffactor.poly import Poly, _num, acc_add, acc_mul, from_acc
+from hopffactor.poly import Poly, _Batch, _num, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
 from hopffactor.solver import _DEFAULT_BUDGET, solve
@@ -147,8 +147,11 @@ class _ActionTable:
         return all(p.is_const() for row in self.entries.values() for p in row)
 
     def substitute(self, branch):
+        """The table with the branch substituted, through one batch for all
+        entries."""
+        batch = _Batch(branch.subst)
         new = {
-            key: tuple(branch.apply(p) for p in row)
+            key: tuple(batch.apply(p) for p in row)
             for key, row in self.entries.items()
         }
         return type(self)(new)
@@ -312,7 +315,12 @@ class RightActionTable(_ActionTable):
 #
 # The generators accumulate each law's lhs minus its rhs in one accumulator
 # of Gaussian-integer numerators (see `poly.acc_add`), reading the structure
-# constants as (re, im, den) factors.
+# constants as (re, im, den) factors.  The builders take the `intern` dict
+# of the system they contribute to, and `from_acc` shares the monomials and
+# numerator pairs of the constraints through it: the search's union of
+# ~180k terms then holds one tuple per distinct pair (six) and per distinct
+# monomial, not one per term.  The builders return raw lists;
+# `_canonical_system` makes the system the solver sees.
 
 
 class _Factors:
@@ -340,22 +348,27 @@ _MINUS = (-1, 0, 1)
 
 
 def _canonical_system(polys):
+    """The nonzero constraints, one per key, ordered by degree, unknown
+    count and key.  Each key is computed once and dropped on return."""
     seen = {}
     for p in polys:
         if p.is_zero():
             continue
         seen.setdefault(p.key(), p)
-    return sorted(seen.values(), key=lambda p: (p.degree(), len(p.variables()), p.key()))
+    order = sorted(seen.items(), key=lambda kp: (kp[1].degree(), len(kp[1].variables()), kp[0]))
+    return [p for _, p in order]
 
 
 def _unit_constraints(T):
-    """1 . w = w for the acting unit and u . 1 = eps(u) 1 for the acted one."""
+    """1 . w = w for the acting unit and u . 1 = eps(u) 1 for the acted one.
+    All zero on symbolic tables, whose unit entries are structural, so
+    they take no sharing dict."""
     act = T.by_acting(T.entries)
     keys = [(0, w) for w in range(T.acted.dim)] + [(u, 0) for u in range(T.acting.dim)]
     return [p - q for key in keys for p, q in zip(act[key], T.unit_row(*key))]
 
 
-def _counit_constraints(T, keys):
+def _counit_constraints(T, keys, intern):
     """eps(x . a) = eps(x) eps(a) on the given (H8, H4) index pairs."""
     h8, h4, counit = _Factors(T.h8), _Factors(T.h4), _Factors(T.acted).counit
     sys = []
@@ -364,11 +377,11 @@ def _counit_constraints(T, keys):
         for k, p in enumerate(T.entry(xi, ai)):
             acc_add(acc, p, counit[k])
         acc_add(acc, _P_ONE, _fmul(h8.counit[xi], h4.counit[ai], -1))
-        sys.append(from_acc(acc))
+        sys.append(from_acc(acc, intern))
     return sys
 
 
-def _comultiplication_constraints(T):
+def _comultiplication_constraints(T, intern):
     """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on every basis pair."""
     h8, h4, acted = _Factors(T.h8), _Factors(T.h4), _Factors(T.acted)
     sys = []
@@ -388,11 +401,11 @@ def _comultiplication_constraints(T):
                         for q_idx, qq in enumerate(right_row):
                             if not qq.is_zero():
                                 acc_mul(diff.setdefault((p_idx, q_idx), {}), pp, qq, f)
-            sys += [from_acc(diff[key]) for key in sorted(diff)]
+            sys += [from_acc(diff[key], intern) for key in sorted(diff)]
     return sys
 
 
-def _module_law_constraints(T):
+def _module_law_constraints(T, intern):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
     right, for every acting pair (u, v) and acted w."""
     act = T.by_acting(T.entries)
@@ -412,28 +425,32 @@ def _module_law_constraints(T):
                     for m, q in enumerate(act[(second, k)]):
                         if not q.is_zero():
                             acc_mul(diff[m], p, q, _MINUS)
-                sys += [from_acc(d) for d in diff]
+                sys += [from_acc(d, intern) for d in diff]
     return sys
+
+
+def _module_coalgebra_constraints(T, intern):
+    keys = [(xi, ai) for xi in range(T.h8.dim) for ai in range(T.h4.dim)]
+    return (
+        _unit_constraints(T)
+        + _counit_constraints(T, keys, intern)
+        + _comultiplication_constraints(T, intern)
+        + _module_law_constraints(T, intern)
+    )
 
 
 def module_coalgebra_system(T):
     """Constraints making T a module-coalgebra action on its side: unit
     actions, compatibility with eps and delta, and the module law on every
     basis instance."""
-    keys = [(xi, ai) for xi in range(T.h8.dim) for ai in range(T.h4.dim)]
-    return _canonical_system(
-        _unit_constraints(T)
-        + _counit_constraints(T, keys)
-        + _comultiplication_constraints(T)
-        + _module_law_constraints(T)
-    )
+    return _canonical_system(_module_coalgebra_constraints(T, {}))
 
 
 # one generator serves both sides; the side-named entry points stay bound
 left_module_coalgebra_system = right_module_coalgebra_system = module_coalgebra_system
 
 
-def _exchange_constraints(L, R, instances):
+def _exchange_constraints(L, R, instances, intern):
     """h1 <| a1 (x) h2 |> a2 = h2 <| a2 (x) h1 |> a1, coordinatewise in
     H8 (x) H4."""
     h8, h4 = _Factors(L.h8), _Factors(L.h4)
@@ -450,11 +467,11 @@ def _exchange_constraints(L, R, instances):
                         for p_idx, pp in enumerate(L.entries[l_key]):
                             if not pp.is_zero():
                                 acc_mul(diff.setdefault((q_idx, p_idx), {}), qq, pp, sign)
-        sys += [from_acc(diff[key]) for key in sorted(diff)]
+        sys += [from_acc(diff[key], intern) for key in sorted(diff)]
     return sys
 
 
-def _product_constraints(T, O, instances):
+def _product_constraints(T, O, instances, intern):
     """The product rule of T against the other table O on instances
     (u, w, v), u acting and w, v acted: u |> (wv) = (u1 |> w1)((u2 <| w2) |> v)
     on the left, (vw) <| u = (v <| (w1 |> u1))(w2 <| u2) on the right,
@@ -496,7 +513,20 @@ def _product_constraints(T, O, instances):
                             continue
                         for m, cm in acted.mul[s][t]:
                             acc_mul(diff[m], ps, pt, _fmul(f, cm))
-        sys += [from_acc(d) for d in diff]
+        sys += [from_acc(d, intern) for d in diff]
+    return sys
+
+
+def _matched_pair_constraints(L, R, intern):
+    sys = []
+    for T, O in ((L, R), (R, L)):
+        n_acting, n_acted = range(T.acting.dim), range(T.acted.dim)
+        sys += _product_constraints(
+            T, O, [(u, w, v) for u in n_acting for w in n_acted for v in n_acted], intern
+        )
+    sys += _exchange_constraints(
+        L, R, [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)], intern
+    )
     return sys
 
 
@@ -505,17 +535,7 @@ def matched_pair_system(cand):
     rules for |> and <| and the exchange condition, compiled on every basis
     instance.  Facts like the circulant shape of the G-action matrix are
     consequences of this system, never inputs."""
-    L, R = cand.left, cand.right
-    sys = []
-    for T, O in ((L, R), (R, L)):
-        n_acting, n_acted = range(T.acting.dim), range(T.acted.dim)
-        sys += _product_constraints(
-            T, O, [(u, w, v) for u in n_acting for w in n_acted for v in n_acted]
-        )
-    sys += _exchange_constraints(
-        L, R, [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)]
-    )
-    return _canonical_system(sys)
+    return _canonical_system(_matched_pair_constraints(cand.left, cand.right, {}))
 
 
 # -- candidates, enumeration & search ---------------------------------------------
@@ -562,15 +582,21 @@ def matched_pair_search(split_budget=_DEFAULT_BUDGET):
     return pairs, sol
 
 
+def _search_system(L, R):
+    """The union of both module-coalgebra systems and the pairing system,
+    canonicalised once, with one `intern` dict for all three."""
+    intern = {}
+    return _canonical_system(
+        _module_coalgebra_constraints(L, intern)
+        + _module_coalgebra_constraints(R, intern)
+        + _matched_pair_constraints(L, R, intern)
+    )
+
+
 def _matched_pair_search_uncached(split_budget):
     L = LeftActionTable.symbolic()
     R = RightActionTable.symbolic()
-    cand = MatchedPairCandidate(L, R)
-    system = _canonical_system(
-        module_coalgebra_system(L)
-        + module_coalgebra_system(R)
-        + matched_pair_system(cand)
-    )
+    system = _search_system(L, R)
     universe = L.variables() + R.variables()
     sol = solve(system, split_budget=split_budget, var_universe=universe)
     pairs = []
@@ -949,9 +975,12 @@ def _circulant_system(a_entries, b_entries, column):
     action, for circulant z-blocks (entries Poly or Scalar)."""
     R = _fixed_grouplike_right_table(_circulant(a_entries), _circulant(b_entries))
     L = left_family_instance(1, "a")
-    sys = _counit_constraints(R, [(xi, ai) for xi in (4, 5, 6, 7) for ai in range(R.h4.dim)])
-    sys += _module_law_constraints(R)
-    sys += _product_constraints(R, L, [(R.h4.index[column], 4, 4)])
+    intern = {}
+    sys = _counit_constraints(
+        R, [(xi, ai) for xi in (4, 5, 6, 7) for ai in range(R.h4.dim)], intern
+    )
+    sys += _module_law_constraints(R, intern)
+    sys += _product_constraints(R, L, [(R.h4.index[column], 4, 4)], intern)
     return _canonical_system(sys)
 
 

@@ -17,7 +17,7 @@ memoized on its canonical key.
 from functools import cached_property
 from math import lcm
 
-from hopffactor.linalg import Mat
+from hopffactor.linalg import kernel
 from hopffactor.poly import Poly
 from hopffactor.scalar import ONE, ZERO, Scalar
 from hopffactor.solver import _DEFAULT_BUDGET, solve
@@ -754,20 +754,6 @@ def skew_primitives(H, a, b):
             if not bk.is_zero():
                 rows.setdefault((k, j), {})
                 _acc(rows[(k, j)], j, -bk)
-    dense_rows = []
-    seen = set()
-    for key in sorted(rows):
-        entries = rows[key]
-        if not entries:
-            continue
-        row = tuple(entries.get(i, ZERO) for i in range(d))
-        marker = tuple(c.sort_key() for c in row)
-        if marker not in seen:
-            seen.add(marker)
-            dense_rows.append(row)
-    if not dense_rows:
-        basis = [tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)]
-    else:
-        basis = Mat(dense_rows).kernel()
+    basis = kernel(rows.values(), d)
     _SKEW_CACHE[cache_key] = tuple(basis)
     return tuple(H.element(v) for v in basis)

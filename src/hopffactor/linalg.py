@@ -1,11 +1,12 @@
 """Exact linear algebra over Q(i): one Gauss-Jordan elimination.
 
-`rref` reduces sparse rows {column: Scalar} and serves both the dense
-matrices here (rank, kernel, invertibility) and the solver's linear
-batches.  Elimination is exact, so it never pivots on a numerically
-"small" entry because there is no rounding to protect against.  The
-reduced row echelon form is unique for a fixed column order, so the result
-does not depend on which row supplies a pivot.
+`rref` reduces sparse rows {column: Scalar} and serves the dense matrices
+here (rank, kernel, invertibility), the sparse null spaces of `kernel`
+(skew-primitive spaces) and the solver's linear batches.  Elimination is
+exact, so it never pivots on a numerically "small" entry because there is
+no rounding to protect against.  The reduced row echelon form is unique
+for a fixed column order, so the result does not depend on which row
+supplies a pivot.
 """
 
 from hopffactor.scalar import ONE, ZERO
@@ -46,6 +47,28 @@ def rref(rows, columns):
     return pivots
 
 
+def kernel(rows, ncols):
+    """Basis of the right null space of sparse rows {column: nonzero
+    Scalar} over columns 0..ncols-1: one vector per free column, in column
+    order, 1 at that column and minus its pivot rows' entries at their
+    pivots.  Repeated rows reduce to zero in `rref`, so callers need not
+    deduplicate them."""
+    pivots = rref(rows, range(ncols))
+    pivot_cols = {c for c, _ in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for pc, row in pivots:
+            e = row.get(fc)
+            if e is not None:
+                v[pc] = -e
+        basis.append(tuple(v))
+    return basis
+
+
 class Mat:
     """Immutable exact matrix."""
 
@@ -62,13 +85,13 @@ class Mat:
         self.nrows = len(rows)
         self.ncols = width
 
+    def _sparse_rows(self):
+        return ({c: e for c, e in enumerate(row) if not e.is_zero()} for row in self.rows)
+
     def rref(self):
         """Reduced row echelon form; returns (Mat, pivot column list)."""
         n = self.ncols
-        pivots = rref(
-            ({c: e for c, e in enumerate(row) if not e.is_zero()} for row in self.rows),
-            range(n),
-        )
+        pivots = rref(self._sparse_rows(), range(n))
         rows = [tuple(row.get(c, ZERO) for c in range(n)) for _, row in pivots]
         rows += [(ZERO,) * n] * (self.nrows - len(rows))
         return Mat(rows), [c for c, _ in pivots]
@@ -78,17 +101,7 @@ class Mat:
 
     def kernel(self):
         """Basis of the right null space, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.ncols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return kernel(self._sparse_rows(), self.ncols)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows

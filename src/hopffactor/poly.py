@@ -56,10 +56,13 @@ class Poly:
 
     `Poly({monomial: Scalar or int})` builds one from coefficients; with
     `den` given, `terms` must already be in the canonical numerator form.
-    Degree, unknowns and key are cached; `_splits` holds the solver's split
-    analyses of this polynomial."""
+    Many polynomials may share one monomial or numerator-pair tuple (see
+    `from_acc` and `_build`).  Degree and unknowns are cached; `key()` is
+    not, since a system of thousands of constraints would keep every key
+    alive for the whole solve.  `_splits` holds the solver's split analyses
+    of this polynomial."""
 
-    __slots__ = ("terms", "den", "_vars", "_degree", "_key", "_splits")
+    __slots__ = ("terms", "den", "_vars", "_degree", "_splits")
 
     def __init__(self, terms=None, den=None):
         if den is None:
@@ -71,7 +74,6 @@ class Poly:
         self.den = den
         self._vars = None
         self._degree = None
-        self._key = None
         self._splits = None
 
     # -- constructors ------------------------------------------------------
@@ -125,13 +127,13 @@ class Poly:
         return [(m, Scalar(*parts)) for m, parts in self.key()]
 
     def key(self):
-        if self._key is None:
-            terms, den = self.terms, self.den
-            # the reduced (rn, rd, imn, imd) of each distinct (re + im*i)/den
-            parts = {c: _red(c[0], den) + _red(c[1], den) for c in set(terms.values())}
-            order = _grlex(terms)
-            self._key = tuple(zip(order, map(parts.__getitem__, map(terms.__getitem__, order))))
-        return self._key
+        """((monomial, (rn, rd, imn, imd)), ...) in the canonical term
+        order, built anew on each call."""
+        terms, den = self.terms, self.den
+        # the reduced (rn, rd, imn, imd) of each distinct (re + im*i)/den
+        parts = {c: _red(c[0], den) + _red(c[1], den) for c in set(terms.values())}
+        order = _grlex(terms)
+        return tuple(zip(order, map(parts.__getitem__, map(terms.__getitem__, order))))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -521,5 +523,12 @@ def _settle(acc):
     return _reduce(terms, acc.get(None, 1))
 
 
-def from_acc(acc):
-    return Poly(*_settle(acc))
+def from_acc(acc, intern=None):
+    """The Poly of an accumulator.  With `intern` given, its monomials and
+    numerator pairs are shared through that dict, which a generator keeps
+    for every constraint of one system."""
+    terms, den = _settle(acc)
+    if intern is not None:
+        share = intern.setdefault
+        terms = {share(m, m): share(c, c) for m, c in terms.items()}
+    return Poly(terms, den)

@@ -284,6 +284,30 @@ def test_matched_branch_points_are_concrete(search_result):
         assert br.is_point()
 
 
+def _substituted_entrywise(table, branch):
+    return {key: tuple(p.subst_many(branch.subst) for p in row) for key, row in table.entries.items()}
+
+
+@pytest.mark.parametrize("table_cls", [LeftActionTable, RightActionTable])
+def test_substitute_matches_entrywise_on_matched_pair_branches(search_result, table_cls):
+    # `substitute` applies one batch to the whole table
+    branches = search_result[1].branches
+    assert len(branches) == 4
+    table = table_cls.symbolic()
+    for branch in branches:
+        got = table.substitute(branch)
+        assert got.is_concrete()
+        assert got.entries == _substituted_entrywise(table, branch)
+
+
+def test_substitute_matches_entrywise_on_left_families(left_solutions):
+    # partial branches: the substituted tables keep free unknowns
+    table = LeftActionTable.symbolic()
+    assert any(branch.free for branch in left_solutions.branches)
+    for branch in left_solutions.branches:
+        assert table.substitute(branch).entries == _substituted_entrywise(table, branch)
+
+
 def test_matched_pair_system_trivial_candidate_is_satisfied():
     cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
     residual = [p for p in matched_pair_system(cand) if not p.is_zero()]

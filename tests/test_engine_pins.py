@@ -5,7 +5,10 @@ The systems are pinned by size and by a sha256 over their sorted
 `Poly.key()`s, so any change to constraint generation that alters a single
 coefficient shows up here, even when the solver would still reach the same
 solutions.  The union system the matched-pair search solves is also pinned
-in its canonical order, by its rendered text and its keys.  The checker is
+in its canonical order, by its rendered text and its keys, both as the
+union of the public systems and as the search builds it; the latter must
+also share its monomials and numerator pairs and stay under a traced-memory
+ceiling.  The checker is
 pinned by the exact `CheckFailure` list (order, condition, `at` tuple and
 witness text) on corrupted tables of both sides; the matched-pair checker
 by count, per-condition counts and a sha256 of the ordered list, on valid
@@ -17,6 +20,7 @@ basis vector.
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,6 +30,7 @@ from hopffactor.actions import (
     MatchedPairCandidate,
     RightActionTable,
     _canonical_system,
+    _search_system,
     antidiagonal_right_table,
     check_matched_pair,
     check_module_coalgebras,
@@ -106,6 +111,52 @@ def test_union_system_order_render_and_keys_pinned():
     assert len(system) == UNION_SIZE
     assert _sha256([p.render() for p in system]) == UNION_RENDER_SHA256
     assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
+
+
+# The search builds the same union from the raw generators with one sharing
+# dict: 45.7 MB traced with a pair tuple per term and a cached key per
+# constraint, about 19 MB with shared monomials and pairs.
+UNION_TRACED_CEILING = 30_000_000
+
+
+@pytest.fixture(scope="module")
+def search_union():
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system = _search_system(L, R)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return system, size
+
+
+def test_search_system_is_the_pinned_union(search_union):
+    system, _ = search_union
+    assert len(system) == UNION_SIZE
+    assert _sha256([p.render() for p in system]) == UNION_RENDER_SHA256
+    assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
+
+
+def test_search_system_shares_pairs_and_monomials(search_union):
+    system, _ = search_union
+    pairs = [c for p in system for c in p.terms.values()]
+    assert len({id(c) for c in pairs}) == len(set(pairs)) == 6
+    monos = [m for p in system for m in p.terms]
+    assert len({id(m) for m in monos}) == len(set(monos))
+
+
+def test_search_system_traced_size_under_ceiling(search_union):
+    assert search_union[1] < UNION_TRACED_CEILING
+
+
+def test_poly_key_is_recomputed_not_cached():
+    p = Poly.var("x") * Poly.var("y") - Poly.var("x") * 3 + 1
+    assert "_key" not in Poly.__slots__
+    first, second = p.key(), p.key()
+    assert first == second
+    assert first is not second
 
 
 # The skew-primitive bases between every ordered pair of group-likes of
