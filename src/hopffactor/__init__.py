@@ -3,87 +3,66 @@ Hopf algebras H4 (Sweedler) and H8 (Kac-Paljutkin).
 
 Everything is computed over Q(i) with reduced big-integer fractions, so
 every check in the pipeline is exact: no tolerances anywhere.
+
+The public names below load their module on first use (PEP 562), so
+`import hopffactor` loads no engine layer and a command pays only for the
+layers it runs.
 """
 
-from hopffactor.actions import (
-    LeftActionTable,
-    MatchedPairCandidate,
-    RightActionTable,
-    check_matched_pair,
-    enumerate_left_actions,
-    enumerate_right_actions,
-    find_matched_pairs,
-    left_module_coalgebra_system,
-    matched_pair_search,
-    matched_pair_system,
-    right_module_coalgebra_system,
-)
-from hopffactor.bicrossed import (
-    BicrossedProduct,
-    build_bicrossed,
-    invariant_report,
-    verify_presentation,
-    zx_signature,
-)
-from hopffactor.hopf import (
-    AxiomReport,
-    Element,
-    HopfAlgebraData,
-    grouplikes,
-    is_grouplike,
-    skew_primitives,
-    tensor_product,
-    verify_axioms,
-)
-from hopffactor.linalg import Mat
-from hopffactor.poly import Poly
-from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import BACKEND, Scalar
-from hopffactor.solver import (
-    Branch,
-    IrreducibleSystemError,
-    SolutionSet,
-    gaussian_sqrt,
-    solve,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "BACKEND",
-    "BicrossedProduct",
-    "Branch",
-    "Element",
-    "HopfAlgebraData",
-    "IrreducibleSystemError",
-    "LeftActionTable",
-    "Mat",
-    "MatchedPairCandidate",
-    "Poly",
-    "RightActionTable",
-    "Scalar",
-    "SolutionSet",
-    "build_H4",
-    "build_H8",
-    "build_bicrossed",
-    "check_matched_pair",
-    "enumerate_left_actions",
-    "enumerate_right_actions",
-    "find_matched_pairs",
-    "gaussian_sqrt",
-    "grouplikes",
-    "invariant_report",
-    "is_grouplike",
-    "left_module_coalgebra_system",
-    "matched_pair_search",
-    "matched_pair_system",
-    "right_module_coalgebra_system",
-    "skew_primitives",
-    "solve",
-    "tensor_product",
-    "verify_axioms",
-    "verify_presentation",
-    "zx_signature",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    "LeftActionTable": "actions",
+    "MatchedPairCandidate": "actions",
+    "RightActionTable": "actions",
+    "check_matched_pair": "actions",
+    "enumerate_left_actions": "actions",
+    "enumerate_right_actions": "actions",
+    "find_matched_pairs": "actions",
+    "left_module_coalgebra_system": "actions",
+    "matched_pair_search": "actions",
+    "matched_pair_system": "actions",
+    "right_module_coalgebra_system": "actions",
+    "BicrossedProduct": "bicrossed",
+    "build_bicrossed": "bicrossed",
+    "invariant_report": "bicrossed",
+    "verify_presentation": "bicrossed",
+    "zx_signature": "bicrossed",
+    "AxiomReport": "hopf",
+    "Element": "hopf",
+    "HopfAlgebraData": "hopf",
+    "grouplikes": "hopf",
+    "is_grouplike": "hopf",
+    "skew_primitives": "hopf",
+    "tensor_product": "hopf",
+    "verify_axioms": "hopf",
+    "Mat": "linalg",
+    "Poly": "poly",
+    "build_H4": "presentations",
+    "build_H8": "presentations",
+    "BACKEND": "scalar",
+    "Scalar": "scalar",
+    "Branch": "solver",
+    "IrreducibleSystemError": "solver",
+    "SolutionSet": "solver",
+    "gaussian_sqrt": "solver",
+    "solve": "solver",
+}
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -14,25 +14,11 @@ The HOPF_BUDGET environment variable overrides --budget.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
+# only what `catalog verify` runs is imported here (solver comes with hopf);
+# the subcommands that solve or build products import actions and bicrossed
+# when they run
 from hopffactor import jsonio
-from hopffactor.actions import (
-    classify_left_table,
-    enumerate_left_actions,
-    enumerate_right_actions,
-    check_matched_pair,
-    check_module_coalgebras,
-    matched_pair_search,
-)
-from hopffactor.bicrossed import (
-    build_bicrossed,
-    check_embeddings,
-    invariant_report,
-    presentation_for,
-    verify_presentation,
-    zx_signature,
-)
 from hopffactor.hopf import tensor_product, verify_axioms
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import Scalar
@@ -44,11 +30,13 @@ EXIT_IO = 2
 EXIT_IRREDUCIBLE = 3
 
 
-@dataclass
 class RunConfig:
-    out_dir: str
-    budget: int
-    fmt: str
+    __slots__ = ("out_dir", "budget", "fmt")
+
+    def __init__(self, out_dir, budget, fmt):
+        self.out_dir = out_dir
+        self.budget = budget
+        self.fmt = fmt
 
     def path(self, name):
         return os.path.join(self.out_dir, name)
@@ -127,6 +115,8 @@ def cmd_catalog_verify(args):
 
 
 def cmd_actions_enumerate(args):
+    from hopffactor.actions import enumerate_left_actions, enumerate_right_actions
+
     config = _config(args)
     side = args.side
     try:
@@ -165,6 +155,8 @@ def cmd_actions_enumerate(args):
 
 def _pair_rows(pairs):
     """Pairs decorated with products, ordered by presentation name."""
+    from hopffactor.bicrossed import build_bicrossed, presentation_for, zx_signature
+
     rows = []
     for pair in pairs:
         product = build_bicrossed(pair)
@@ -176,6 +168,8 @@ def _pair_rows(pairs):
 
 
 def cmd_matched_pairs_find(args):
+    from hopffactor.actions import check_matched_pair, matched_pair_search
+
     config = _config(args)
     if args.load:
         return _replay_matched_pair(args.load, config)
@@ -205,6 +199,8 @@ def cmd_matched_pairs_find(args):
 
 
 def _family_label(pair):
+    from hopffactor.actions import classify_left_table
+
     cls = classify_left_table(pair.left)
     if cls is None:
         return "unrecognized"
@@ -214,6 +210,8 @@ def _family_label(pair):
 
 def _replay_matched_pair(path, config):
     """Re-verify a stored matched-pair/v1 file and refresh its digest."""
+    from hopffactor.actions import check_matched_pair, check_module_coalgebras
+
     try:
         data = jsonio.read_json(path)
     except OSError as exc:
@@ -242,6 +240,9 @@ def _replay_matched_pair(path, config):
 
 
 def cmd_product_build(args):
+    from hopffactor.actions import matched_pair_search
+    from hopffactor.bicrossed import verify_presentation
+
     config = _config(args)
     try:
         pairs, _sol = matched_pair_search(split_budget=config.budget)
@@ -267,6 +268,9 @@ def cmd_product_build(args):
 
 
 def cmd_theorem_check(args):
+    from hopffactor.actions import check_matched_pair, check_module_coalgebras, matched_pair_search
+    from hopffactor.bicrossed import check_embeddings, invariant_report, verify_presentation
+
     config = _config(args)
     try:
         pairs, _sol = matched_pair_search(split_budget=config.budget)

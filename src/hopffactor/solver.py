@@ -195,9 +195,9 @@ class Branch:
 
     def contains(self, other):
         """Variety containment: other is a subvariety of self."""
+        batch = _Batch(other.subst)
         for v, e in self.subst.items():
-            q = Poly.var(v) - e
-            if not other.apply(q).is_zero():
+            if not batch.apply(Poly.var(v) - e).is_zero():
                 return False
         return True
 
