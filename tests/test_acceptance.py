@@ -235,6 +235,26 @@ THEOREM_ARTIFACT_SHA256 = {
     "theorem-report.json": "41f279b6be86e2c941bfc2df0e357b9b5b0576578f1784915fb1ca98acb15a98",
 }
 
+# sha256 of every `catalog verify --algebra all` artifact (the benchmark's
+# catalog-all pins); h8xh4.hopf.json is the tensor product
+CATALOG_ARTIFACT_SHA256 = {
+    "h4.axiom-report.json": "02afbdfd4b78772d56cf51d40794a4376decfaf64a32cb45b1dda3e3b3187820",
+    "h4.hopf.json": "40efd1634d6336d847c85428177c25813c017c2cdc599068d5a6d5a30ad3160a",
+    "h8.axiom-report.json": "b89e50e8554de144ced84d6713dddb9db48570b4f45f9ea0e6c401df49e1c29a",
+    "h8.hopf.json": "30a62e111b44e0e9bccf995ad74119f8d25c3828b9296506832e8b0ceb1a3bd9",
+    "h8xh4.axiom-report.json": "80994489ec79158617a30b70f63935a6ed9534c9398477fc0ec9a2e74068fc19",
+    "h8xh4.hopf.json": "0bcf4c37a1df26d2bd0a5e3569d937e323fbe33f212931fb6280963e5af03f0f",
+}
+
+
+def test_catalog_artifacts_pinned(tmp_path):
+    assert main(["catalog", "verify", "--algebra", "all", "--out", str(tmp_path)]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in os.listdir(tmp_path)
+    }
+    assert digests == CATALOG_ARTIFACT_SHA256
+
 
 def test_criterion_9_determinism(tmp_path):
     with criterion(9, "two theorem-check runs emit byte-identical, pinned artifacts"):
