@@ -6,10 +6,12 @@ action directions |> : H8 (x) H4 -> H4 and <| : H8 (x) H4 -> H8) with
 
     (a (x) x)(b (x) y) = sum  a (x1 |> b1)  (x)  (x2 <| b2) y,
 
-the tensor coalgebra structure, and S(a (x) x) = (1 (x) S(x))(S(a) (x) 1)
-computed inside the product.  The antipode formula is validated by the
-convolution axioms rather than trusted: construction fails hard when any
-axiom breaks, because a genuine matched pair must yield a Hopf algebra.
+the tensor coalgebra structure, and S(a (x) x) = R(S(x) (x) S(a)), where
+R(x (x) b) = sum (x1 |> b1) (x) (x2 <| b2) is the twist that
+`hopf._twisted_product` applies (the same element as (1 (x) S(x))(S(a) (x) 1)
+in the product).  The antipode formula is validated by the convolution
+axioms rather than trusted: construction fails hard when any axiom breaks,
+because a genuine matched pair must yield a Hopf algebra.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from hopffactor.hopf import (
     grouplikes,
     is_grouplike,
     skew_primitives,
-    _tensor_coalgebra,
+    _twisted_product,
     verify_axioms,
 )
 from hopffactor.hopf import _acc as _sacc
@@ -73,75 +75,27 @@ class BicrossedProduct:
 def build_bicrossed(pair):
     """The 32-dimensional product of a matched pair, fully axiom-checked;
     the axiom report is kept on the product."""
-    left, right = pair.left, pair.right
-    h8, h4 = left.h8, left.h4
-    lsc = left.scalar_entries()
-    rsc = right.scalar_entries()
-    d4, d8 = h4.dim, h8.dim
-    dim = d4 * d8
+    h8, h4 = pair.left.h8, pair.left.h4
+    lsc = pair.left.scalar_entries()  # x |> b in H4
+    rsc = pair.right.scalar_entries()  # x <| b in H8
 
-    def idx(ai, xi):
-        return ai * d8 + xi
-
-    basis, unit, comul, counit = _tensor_coalgebra(h4, h8)
-
-    mul = [[None] * dim for _ in range(dim)]
-    for ai in range(d4):
-        for xi in range(d8):
-            for bi in range(d4):
-                for yi in range(d8):
-                    acc = {}
-                    for c8, x1, x2 in h8.comul[xi]:
-                        for c4, b1, b2 in h4.comul[bi]:
-                            f = c8 * c4
-                            u = lsc[(x1, b1)]  # x1 |> b1 in H4
-                            w = rsc[(x2, b2)]  # x2 <| b2 in H8
-                            # a * u in H4
-                            left_part = {}
-                            for s, cs in enumerate(u):
-                                if cs.is_zero():
-                                    continue
-                                for m, cm in h4.mul_sparse[ai][s]:
-                                    _sacc(left_part, m, cs * cm)
-                            # w * y in H8
-                            right_part = {}
-                            for t, ct in enumerate(w):
-                                if ct.is_zero():
-                                    continue
-                                for n, cn in h8.mul_sparse[t][yi]:
-                                    _sacc(right_part, n, ct * cn)
-                            for m, cm in left_part.items():
-                                for n, cn in right_part.items():
-                                    _sacc(acc, idx(m, n), f * cm * cn)
-                    row = [ZERO] * dim
-                    for k, c in acc.items():
-                        row[k] = c
-                    mul[idx(ai, xi)][idx(bi, yi)] = tuple(row)
-
-    algebra = HopfAlgebraData(
-        "bicrossed", basis, mul, unit, comul, counit,
-        [[ZERO] * dim for _ in range(dim)],
-    )
-
-    # S(a (x) x) = (1 (x) S(x)) * (S(a) (x) 1), multiplied inside the product
-    antipode = []
-    for ai in range(d4):
-        sa = h4.antipode_sparse[ai]
-        for xi in range(d8):
-            sx = h8.antipode_sparse[xi]
+    # R(x (x) b) = sum (x1 |> b1) (x) (x2 <| b2), zero sums dropped
+    twist = {}
+    for x in range(h8.dim):
+        for b in range(h4.dim):
             acc = {}
-            for n, cn in sx:
-                for m, cm in sa:
-                    f = cn * cm
-                    row = algebra.mul[idx(0, n)][idx(m, 0)]
-                    for k, c in enumerate(row):
-                        if not c.is_zero():
-                            _sacc(acc, k, f * c)
-            antipode.append(tuple(acc.get(k, ZERO) for k in range(dim)))
+            for c8, x1, x2 in h8.comul[x]:
+                for c4, b1, b2 in h4.comul[b]:
+                    f = c8 * c4
+                    for s, cs in enumerate(lsc[(x1, b1)]):
+                        if cs.is_zero():
+                            continue
+                        for t, ct in enumerate(rsc[(x2, b2)]):
+                            if not ct.is_zero():
+                                _sacc(acc, (s, t), f * cs * ct)
+            twist[(x, b)] = tuple((c, s, t) for (s, t), c in acc.items())
 
-    algebra = HopfAlgebraData(
-        algebra.name, basis, mul, unit, comul, counit, antipode
-    )
+    algebra = _twisted_product(h4, h8, twist, "bicrossed")
     report = verify_axioms(algebra)
     if not report.all_passed:
         bad = report.failing()[0]

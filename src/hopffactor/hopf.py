@@ -598,65 +598,68 @@ def _check_antipode(H, T):
     return witnesses
 
 
-# -- tensor product --------------------------------------------------------------
+# -- twisted tensor products ------------------------------------------------------
+#
+# Every product here lives on A (x) H (basis a (x) x, A index first: index
+# a * dim H + x) with the tensor coalgebra and a multiplication twisted by a
+# map R : H (x) A -> A (x) H.  The flip R(x (x) b) = b (x) x gives the tensor
+# product; a matched pair gives R(x (x) b) = sum (x1 |> b1) (x) (x2 <| b2),
+# the bicrossed product.
 
 
-def _tensor_coalgebra(H1, H2):
-    """Basis, unit, comultiplication and counit of H1 (x) H2 on the basis
-    a (x) b, H1 index first (index i1 * dim2 + i2): the structure that the
-    tensor product and the bicrossed products share."""
-    d1, d2 = H1.dim, H2.dim
+def _twisted_product(A, H, twist, name):
+    """The Hopf algebra A (x) H twisted by R, where twist[(x, b)] lists
+    (c, b2, x2) with R(x (x) b) = sum c * b2 (x) x2:
 
-    def idx(i1, i2):
-        return i1 * d2 + i2
+        (a (x) x)(b (x) y) = sum c * (a b2) (x) (x2 y),
+        S(a (x) x) = R(S(x) (x) S(a)).
 
-    basis = tuple(f"{a}⊗{b}" for a in H1.basis for b in H2.basis)
-    unit = [ZERO] * (d1 * d2)
-    for i1, u1 in H1.unit_sparse:
-        for i2, u2 in H2.unit_sparse:
-            unit[idx(i1, i2)] = u1 * u2
-    comul = []
-    for i1 in range(d1):
-        for i2 in range(d2):
-            triples = []
-            for c1, j1, k1 in H1.comul[i1]:
-                for c2, j2, k2 in H2.comul[i2]:
-                    triples.append((c1 * c2, idx(j1, j2), idx(k1, k2)))
-            comul.append(tuple(triples))
-    counit = [H1.counit[i1] * H2.counit[i2] for i1 in range(d1) for i2 in range(d2)]
-    return basis, unit, comul, counit
+    Nothing is checked here: the caller runs the axiom battery."""
+    dA, dH = A.dim, H.dim
+    dim = dA * dH
+    basis = tuple(f"{a}⊗{x}" for a in A.basis for x in H.basis)
+    unit = [ZERO] * dim
+    for a, ua in A.unit_sparse:
+        for x, ux in H.unit_sparse:
+            unit[a * dH + x] = ua * ux
+    comul = [
+        [(ca * cx, a1 * dH + x1, a2 * dH + x2)
+         for ca, a1, a2 in A.comul[a] for cx, x1, x2 in H.comul[x]]
+        for a in range(dA) for x in range(dH)
+    ]
+    counit = [ea * ex for ea in A.counit for ex in H.counit]
+
+    mul = []
+    for a in range(dA):
+        for x in range(dH):
+            block = []
+            for b in range(dA):
+                for y in range(dH):
+                    acc = {}
+                    for c, b2, x2 in twist[(x, b)]:
+                        for m, cm in A.mul_sparse[a][b2]:
+                            for n, cn in H.mul_sparse[x2][y]:
+                                _acc(acc, m * dH + n, c * cm * cn)
+                    block.append(_dense(acc, dim))
+            mul.append(block)
+
+    antipode = []
+    for a in range(dA):
+        for x in range(dH):
+            acc = {}
+            for n, cn in H.antipode_sparse[x]:
+                for m, cm in A.antipode_sparse[a]:
+                    for c, b2, x2 in twist[(n, m)]:
+                        _acc(acc, b2 * dH + x2, cn * cm * c)
+            antipode.append(_dense(acc, dim))
+
+    return HopfAlgebraData(name, basis, mul, unit, comul, counit, antipode)
 
 
 def tensor_product(H1, H2):
     """Componentwise Hopf structure on the tensor basis, antipode S1 (x) S2."""
-    d1, d2 = H1.dim, H2.dim
-    dim = d1 * d2
-    basis, unit, comul, counit = _tensor_coalgebra(H1, H2)
-
-    def idx(i1, i2):
-        return i1 * d2 + i2
-
-    mul = [[None] * dim for _ in range(dim)]
-    for i1 in range(d1):
-        for i2 in range(d2):
-            for j1 in range(d1):
-                for j2 in range(d2):
-                    row = [ZERO] * dim
-                    for k1, c1 in H1.mul_sparse[i1][j1]:
-                        for k2, c2 in H2.mul_sparse[i2][j2]:
-                            row[idx(k1, k2)] = c1 * c2
-                    mul[idx(i1, i2)][idx(j1, j2)] = tuple(row)
-
-    antipode = [[ZERO] * dim for _ in range(dim)]
-    for i1 in range(d1):
-        for i2 in range(d2):
-            for j1, c1 in H1.antipode_sparse[i1]:
-                for j2, c2 in H2.antipode_sparse[i2]:
-                    antipode[idx(i1, i2)][idx(j1, j2)] = c1 * c2
-
-    return HopfAlgebraData(
-        f"{H1.name}⊗{H2.name}", basis, mul, unit, comul, counit, antipode
-    )
+    flip = {(x, b): ((ONE, b, x),) for x in range(H2.dim) for b in range(H1.dim)}
+    return _twisted_product(H1, H2, flip, f"{H1.name}⊗{H2.name}")
 
 
 # -- group-likes and skew-primitives -----------------------------------------------

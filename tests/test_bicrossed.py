@@ -143,9 +143,22 @@ def test_invariant_report_json(products):
 
 
 def test_antipode_formula_on_generators(products):
-    # S(a (x) x) = (1 (x) S(x))(S(a) (x) 1): spot-check S(X (x) z)
-    E = products["zX=Xz"]
+    # S(a (x) x) = (1 (x) S(x))(S(a) (x) 1) on every basis element of every
+    # product, the right side multiplied inside the product
     h4, h8 = build_H4(), build_H8()
-    target = E.algebra.antipode_of(E.embed_h4(h4.el("X")) * E.embed_h8(h8.el("z")))
-    manual = E.embed_h8(h8.antipode_of(h8.el("z"))) * E.embed_h4(h4.antipode_of(h4.el("X")))
-    assert target == manual
+    for E in products.values():
+        for a in range(h4.dim):
+            for x in range(h8.dim):
+                target = E.algebra.antipode_of(E.algebra.el(a * h8.dim + x))
+                manual = E.embed_h8(h8.antipode_of(h8.el(x))) * E.embed_h4(
+                    h4.antipode_of(h4.el(a))
+                )
+                assert target == manual, E.algebra.basis[a * h8.dim + x]
+    # and S(a (x) x) = S(a) (x) S(x) in the tensor product
+    T = tensor_product(h4, h8)
+    for a in range(h4.dim):
+        sa = h4.antipode_of(h4.el(a)).coords
+        for x in range(h8.dim):
+            sx = h8.antipode_of(h8.el(x)).coords
+            expected = T.element([ca * cx for ca in sa for cx in sx])
+            assert T.antipode_of(T.el(a * h8.dim + x)) == expected, T.basis[a * h8.dim + x]
