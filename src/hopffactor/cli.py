@@ -8,6 +8,9 @@ right module-coalgebra enumeration), `matched-pairs find`, `product build`
 
 Exit codes depend on mathematical outcomes only: 0 success, 1 failed
 check or count mismatch, 2 I/O error, 3 irreducible constraint system.
+`main` reports an I/O error (2), an irreducible system (3) or a bad
+input value (1) as one `error:` line on stderr; only `actions enumerate`
+handles an irreducible system itself, to write the residual.
 The HOPF_BUDGET environment variable overrides --budget.
 """
 
@@ -75,12 +78,7 @@ def cmd_catalog_verify(args):
     config = _config(args)
     targets = []
     if args.load:
-        try:
-            data = jsonio.read_json(args.load)
-        except OSError as exc:
-            print(f"error: cannot read {args.load}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        H = jsonio.algebra_from_json(data)
+        H = jsonio.algebra_from_json(jsonio.read_json(args.load))
         targets.append((H.name or "loaded", H))
     else:
         wanted = args.algebra
@@ -91,26 +89,22 @@ def cmd_catalog_verify(args):
         if wanted == "all":
             targets.append(("h8xh4", tensor_product(build_H8(), build_H4())))
     all_ok = True
-    try:
-        for name, H in targets:
-            report = verify_axioms(H)
-            extra = _structural_checks(name, H)
-            ok = report.all_passed and all(p for _, p in extra)
-            all_ok = all_ok and ok
-            jsonio.write_json(config.path(f"{name}.hopf.json"), jsonio.algebra_to_json(H))
-            payload = jsonio.axiom_report_to_json(report, extra)
-            if config.fmt == "markdown":
-                jsonio.write_text(
-                    config.path(f"{name}.axiom-report.md"),
-                    jsonio.axiom_report_to_markdown(report, extra),
-                )
-            else:
-                jsonio.write_json(config.path(f"{name}.axiom-report.json"), payload)
-            verdict = "ok" if ok else "FAILED"
-            print(f"{name}: dim {H.dim}, axiom checks {verdict}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for name, H in targets:
+        report = verify_axioms(H)
+        extra = _structural_checks(name, H)
+        ok = report.all_passed and all(p for _, p in extra)
+        all_ok = all_ok and ok
+        jsonio.write_json(config.path(f"{name}.hopf.json"), jsonio.algebra_to_json(H))
+        payload = jsonio.axiom_report_to_json(report, extra)
+        if config.fmt == "markdown":
+            jsonio.write_text(
+                config.path(f"{name}.axiom-report.md"),
+                jsonio.axiom_report_to_markdown(report, extra),
+            )
+        else:
+            jsonio.write_json(config.path(f"{name}.axiom-report.json"), payload)
+        verdict = "ok" if ok else "FAILED"
+        print(f"{name}: dim {H.dim}, axiom checks {verdict}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -133,22 +127,14 @@ def cmd_actions_enumerate(args):
             "residual": [p.render() for p in exc.residual[:40]],
             "residual_count": len(exc.residual),
         }
-        try:
-            jsonio.write_json(config.path(f"actions-{side}.solutions.json"), payload)
-        except OSError as io_exc:
-            print(f"error: {io_exc}", file=sys.stderr)
-            return EXIT_IO
+        jsonio.write_json(config.path(f"actions-{side}.solutions.json"), payload)
         print(f"{side} enumeration: irreducible system ({exc.reason}); "
               f"residual of {len(exc.residual)} constraints written")
         return EXIT_IRREDUCIBLE
     payload = sol.to_json()
     payload["side"] = side
     payload["branch_count"] = len(sol.branches)
-    try:
-        jsonio.write_json(config.path(f"actions-{side}.solutions.json"), payload)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    jsonio.write_json(config.path(f"actions-{side}.solutions.json"), payload)
     print(f"{side} enumeration: {len(sol.branches)} canonical families")
     return EXIT_OK
 
@@ -173,28 +159,19 @@ def cmd_matched_pairs_find(args):
     config = _config(args)
     if args.load:
         return _replay_matched_pair(args.load, config)
-    try:
-        pairs, _sol = matched_pair_search(split_budget=config.budget)
-    except IrreducibleSystemError as exc:
-        print(f"matched-pair search hit an irreducible system: {exc}", file=sys.stderr)
-        return EXIT_IRREDUCIBLE
-    try:
-        rows = _pair_rows(pairs)
-        for n, (pair, product, sig, pres) in enumerate(rows, start=1):
-            digest = {
-                "zx_relation": sig,
-                "presentation": pres,
-                "left_family": _family_label(pair),
-                "pair_checks_pass": not check_matched_pair(pair),
-            }
-            jsonio.write_json(
-                config.path(f"matched-pair-{n}.json"),
-                jsonio.matched_pair_to_json(pair, digest),
-            )
-        print(f"matched pairs: {len(pairs)}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    pairs, _sol = matched_pair_search(split_budget=config.budget)
+    for n, (pair, product, sig, pres) in enumerate(_pair_rows(pairs), start=1):
+        digest = {
+            "zx_relation": sig,
+            "presentation": pres,
+            "left_family": _family_label(pair),
+            "pair_checks_pass": not check_matched_pair(pair),
+        }
+        jsonio.write_json(
+            config.path(f"matched-pair-{n}.json"),
+            jsonio.matched_pair_to_json(pair, digest),
+        )
+    print(f"matched pairs: {len(pairs)}")
     return EXIT_OK if len(pairs) == 4 else EXIT_CHECK_FAILED
 
 
@@ -212,26 +189,17 @@ def _replay_matched_pair(path, config):
     """Re-verify a stored matched-pair/v1 file and refresh its digest."""
     from hopffactor.actions import check_matched_pair, check_module_coalgebras
 
-    try:
-        data = jsonio.read_json(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    pair = jsonio.matched_pair_from_json(data)
+    pair = jsonio.matched_pair_from_json(jsonio.read_json(path))
     failures = check_module_coalgebras(pair) + check_matched_pair(pair)
     digest = {
         "left_family": _family_label(pair),
         "pair_checks_pass": not failures,
         "failures": [str(f) for f in failures[:10]],
     }
-    try:
-        jsonio.write_json(
-            config.path("matched-pair-replay.json"),
-            jsonio.matched_pair_to_json(pair, digest),
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    jsonio.write_json(
+        config.path("matched-pair-replay.json"),
+        jsonio.matched_pair_to_json(pair, digest),
+    )
     if failures:
         print(f"stored pair FAILS {len(failures)} checks; first: {failures[0]}")
         return EXIT_CHECK_FAILED
@@ -244,26 +212,17 @@ def cmd_product_build(args):
     from hopffactor.bicrossed import verify_presentation
 
     config = _config(args)
-    try:
-        pairs, _sol = matched_pair_search(split_budget=config.budget)
-        rows = _pair_rows(pairs)
-    except IrreducibleSystemError as exc:
-        print(f"matched-pair search hit an irreducible system: {exc}", file=sys.stderr)
-        return EXIT_IRREDUCIBLE
+    pairs, _sol = matched_pair_search(split_budget=config.budget)
     ok = len(pairs) == 4
-    try:
-        for n, (pair, product, sig, pres) in enumerate(rows, start=1):
-            checks = verify_presentation(product, pres)
-            ok = ok and all(c.holds for c in checks)
-            jsonio.write_json(
-                config.path(f"product-{n}.hopf.json"),
-                jsonio.algebra_to_json(product.algebra),
-            )
-            print(f"product {n}: {pres}, {sig}, relations "
-                  f"{'pass' if all(c.holds for c in checks) else 'FAIL'}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for n, (pair, product, sig, pres) in enumerate(_pair_rows(pairs), start=1):
+        checks = verify_presentation(product, pres)
+        ok = ok and all(c.holds for c in checks)
+        jsonio.write_json(
+            config.path(f"product-{n}.hopf.json"),
+            jsonio.algebra_to_json(product.algebra),
+        )
+        print(f"product {n}: {pres}, {sig}, relations "
+              f"{'pass' if all(c.holds for c in checks) else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -272,81 +231,73 @@ def cmd_theorem_check(args):
     from hopffactor.bicrossed import check_embeddings, invariant_report, verify_presentation
 
     config = _config(args)
-    try:
-        pairs, _sol = matched_pair_search(split_budget=config.budget)
-        rows = _pair_rows(pairs)
-    except IrreducibleSystemError as exc:
-        print(f"matched-pair search hit an irreducible system: {exc}", file=sys.stderr)
-        return EXIT_IRREDUCIBLE
+    pairs, _sol = matched_pair_search(split_budget=config.budget)
+    rows = _pair_rows(pairs)
 
     count_ok = len(pairs) == 4
     all_relations_ok = True
     tensor_identified = None
     report_rows = []
     signatures = []
-    try:
-        for n, (pair, product, sig, pres) in enumerate(rows, start=1):
-            signatures.append(sig)
-            axiom_rep = product.axiom_report
-            checks = verify_presentation(product, pres)
-            relations_ok = all(c.holds for c in checks)
-            all_relations_ok = all_relations_ok and relations_ok and axiom_rep.all_passed
-            reverified = not (check_module_coalgebras(pair) or check_matched_pair(pair))
-            embed_fail = check_embeddings(product)
-            inv = invariant_report(product, split_budget=config.budget)
-            if pres == "tensor":
-                T = tensor_product(build_H4(), build_H8())
-                tensor_identified = (
-                    product.algebra.structure_key() == T.structure_key()
-                )
-            jsonio.write_json(
-                config.path(f"matched-pair-{n}.json"),
-                jsonio.matched_pair_to_json(
-                    pair,
-                    {"zx_relation": sig, "presentation": pres,
-                     "left_family": _family_label(pair)},
-                ),
+    for n, (pair, product, sig, pres) in enumerate(rows, start=1):
+        signatures.append(sig)
+        axiom_rep = product.axiom_report
+        checks = verify_presentation(product, pres)
+        relations_ok = all(c.holds for c in checks)
+        all_relations_ok = all_relations_ok and relations_ok and axiom_rep.all_passed
+        reverified = not (check_module_coalgebras(pair) or check_matched_pair(pair))
+        embed_fail = check_embeddings(product)
+        inv = invariant_report(product, split_budget=config.budget)
+        if pres == "tensor":
+            T = tensor_product(build_H4(), build_H8())
+            tensor_identified = (
+                product.algebra.structure_key() == T.structure_key()
             )
-            jsonio.write_json(
-                config.path(f"product-{n}.hopf.json"),
-                jsonio.algebra_to_json(product.algebra),
-            )
-            jsonio.write_json(config.path(f"invariants-{n}.json"), inv.to_json())
-            report_rows.append(
-                {
-                    "id": n,
-                    "left_family": _family_label(pair),
-                    "zx_relation": sig,
-                    "presentation": pres,
-                    "axioms_pass": axiom_rep.all_passed,
-                    "relations_pass": relations_ok,
-                    "pair_reverified": reverified,
-                    "embeddings_pass": not embed_fail,
-                    "relations": [
-                        {"relation": c.relation, "holds": c.holds, "witness": c.witness}
-                        for c in checks
-                    ],
-                }
-            )
-            all_relations_ok = all_relations_ok and reverified and not embed_fail
-        report = {
-            "schema": "theorem-report/v1",
-            "matched_pair_count": len(pairs),
-            "expected_count": 4,
-            "zx_signatures": signatures,
-            "signatures_pairwise_distinct": len(set(signatures)) == len(signatures),
-            "tensor_identification": tensor_identified,
-            "rows": report_rows,
-        }
-        jsonio.write_json(config.path("theorem-report.json"), report)
-        if config.fmt == "markdown":
-            jsonio.write_text(
-                config.path("theorem-report.md"),
-                jsonio.theorem_report_to_markdown(report),
-            )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        jsonio.write_json(
+            config.path(f"matched-pair-{n}.json"),
+            jsonio.matched_pair_to_json(
+                pair,
+                {"zx_relation": sig, "presentation": pres,
+                 "left_family": _family_label(pair)},
+            ),
+        )
+        jsonio.write_json(
+            config.path(f"product-{n}.hopf.json"),
+            jsonio.algebra_to_json(product.algebra),
+        )
+        jsonio.write_json(config.path(f"invariants-{n}.json"), inv.to_json())
+        report_rows.append(
+            {
+                "id": n,
+                "left_family": _family_label(pair),
+                "zx_relation": sig,
+                "presentation": pres,
+                "axioms_pass": axiom_rep.all_passed,
+                "relations_pass": relations_ok,
+                "pair_reverified": reverified,
+                "embeddings_pass": not embed_fail,
+                "relations": [
+                    {"relation": c.relation, "holds": c.holds, "witness": c.witness}
+                    for c in checks
+                ],
+            }
+        )
+        all_relations_ok = all_relations_ok and reverified and not embed_fail
+    report = {
+        "schema": "theorem-report/v1",
+        "matched_pair_count": len(pairs),
+        "expected_count": 4,
+        "zx_signatures": signatures,
+        "signatures_pairwise_distinct": len(set(signatures)) == len(signatures),
+        "tensor_identification": tensor_identified,
+        "rows": report_rows,
+    }
+    jsonio.write_json(config.path("theorem-report.json"), report)
+    if config.fmt == "markdown":
+        jsonio.write_text(
+            config.path("theorem-report.md"),
+            jsonio.theorem_report_to_markdown(report),
+        )
 
     ok = (
         count_ok
@@ -427,6 +378,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except IrreducibleSystemError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IRREDUCIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

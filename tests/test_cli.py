@@ -312,6 +312,50 @@ def test_catalog_load_keeps_a_stored_product_name(tmp_path):
     assert sorted(os.listdir(out)) == ["bicrossed.axiom-report.json", "bicrossed.hopf.json"]
 
 
+# -- one error path: every subcommand reports through main --------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "verify"],
+        ["catalog", "verify", "--load", "h4.hopf.json"],
+        ["actions", "enumerate", "--side", "left"],
+        ["actions", "enumerate", "--side", "right"],
+        ["matched-pairs", "find"],
+        ["matched-pairs", "find", "--load", "pair.json"],
+        ["product", "build"],
+        ["theorem", "check"],
+    ],
+    ids=(
+        "catalog-verify", "catalog-verify-load", "actions-enumerate-left",
+        "actions-enumerate-right", "matched-pairs-find", "matched-pairs-find-load",
+        "product-build", "theorem-check",
+    ),
+)
+def test_out_is_a_regular_file_exits_io(tmp_path, capsys, argv):
+    jsonio.write_json(str(tmp_path / "h4.hopf.json"), jsonio.algebra_to_json(build_H4()))
+    cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
+    jsonio.write_json(str(tmp_path / "pair.json"), jsonio.matched_pair_to_json(cand))
+    out = tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_IO
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["matched-pairs", "find"], ["product", "build"], ["theorem", "check"]],
+    ids=("matched-pairs-find", "product-build", "theorem-check"),
+)
+def test_search_out_of_budget_exits_irreducible(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("HOPF_BUDGET", "1")
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_IRREDUCIBLE
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
     | st.text(max_size=4),
