@@ -600,16 +600,16 @@ def _check_antipode(H, T):
 
 # -- twisted tensor products ------------------------------------------------------
 #
-# Every product here lives on A (x) H (basis a (x) x, A index first: index
-# a * dim H + x) with the tensor coalgebra and a multiplication twisted by a
-# map R : H (x) A -> A (x) H.  The flip R(x (x) b) = b (x) x gives the tensor
-# product; a matched pair gives R(x (x) b) = sum (x1 |> b1) (x) (x2 <| b2),
-# the bicrossed product.
+# The tensor product and the bicrossed products are one construction: the
+# tensor coalgebra on A (x) H with the multiplication twisted by a map
+# R : H (x) A -> A (x) H, the flip for the tensor product and
+# R(x (x) b) = sum (x1 |> b1) (x) (x2 <| b2) for a matched pair.
 
 
 def _twisted_product(A, H, twist, name):
-    """The Hopf algebra A (x) H twisted by R, where twist[(x, b)] lists
-    (c, b2, x2) with R(x (x) b) = sum c * b2 (x) x2:
+    """The Hopf algebra A (x) H twisted by R, on the basis a (x) x with A
+    index first (index a * H.dim + x), where twist[(x, b)] lists (c, b2, x2)
+    with R(x (x) b) = sum c * b2 (x) x2:
 
         (a (x) x)(b (x) y) = sum c * (a b2) (x) (x2 y),
         S(a (x) x) = R(S(x) (x) S(a)).
