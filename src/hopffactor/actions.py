@@ -606,14 +606,9 @@ def _matched_pair_search_uncached(split_budget):
         if not (Lc.is_concrete() and Rc.is_concrete()):
             raise AssertionError("matched-pair branch left unknowns free")
         concrete = MatchedPairCandidate(Lc, Rc)
-        failures = check_module_coalgebras(concrete)
+        failures = settle_status(concrete)
         if failures:
-            raise AssertionError(f"solver emitted an invalid module action: {failures[0]}")
-        concrete.status = "module-valid"
-        failures = check_matched_pair(concrete)
-        if failures:
-            raise AssertionError(f"solver emitted a non-matched pair: {failures[0]}")
-        concrete.status = "matched"
+            raise AssertionError(f"solver emitted an unmatched pair: {failures[0]}")
         pairs.append(concrete)
     pairs.sort(key=lambda c: (c.left.table_key(), c.right.table_key()))
     return pairs, sol
@@ -792,6 +787,16 @@ def _check_product_rule(T, O):
                 )
             )
     return failures
+
+
+def settle_status(cand):
+    """Set `cand.status` from both direct checks ("unchecked" on a module
+    failure, else "module-valid" on a pairing failure, else "matched") and
+    return every failure, module checks first."""
+    module = check_module_coalgebras(cand)
+    pairing = check_matched_pair(cand)
+    cand.status = "unchecked" if module else "module-valid" if pairing else "matched"
+    return module + pairing
 
 
 def check_matched_pair(cand):

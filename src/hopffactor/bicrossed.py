@@ -27,7 +27,7 @@ from hopffactor.hopf import (
 )
 from hopffactor.hopf import _acc as _sacc
 from hopffactor.linalg import Mat
-from hopffactor.scalar import I, NEG_I, ZERO, Scalar
+from hopffactor.scalar import ZERO, Scalar, join_signed
 from hopffactor.solver import _DEFAULT_BUDGET
 
 
@@ -47,12 +47,12 @@ class BicrossedProduct:
 
     def embed_h4(self, element):
         """iota_A: a -> a (x) 1."""
-        h4 = self.pair.left.h4
+        h8, h4 = self.pair.left.h8, self.pair.left.h4
         if element.algebra is not h4:
             raise ValueError("element does not live in the H4 factor")
         coords = [ZERO] * self.algebra.dim
         for ai, c in enumerate(element.coords):
-            coords[ai * 8] = c
+            coords[ai * h8.dim] = c
         return self.algebra.element(coords)
 
     def embed_h8(self, element):
@@ -157,7 +157,10 @@ _CROSS_RELATIONS = {
     ),
 }
 
-PRESENTATION_NAMES = ("tensor", "H32_1", "H32_2", "H32_3")
+PRESENTATION_NAMES = tuple(_CROSS_RELATIONS)
+
+# each presentation's z.X right side: the four shapes that tell the products apart
+_ZX_RHS = {name: dict(relations)["z.X"] for name, relations in _CROSS_RELATIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -226,37 +229,25 @@ def _pretty_rhs(rhs):
             terms.append(f"{coeff}{w}" if w != "1" else coeff)
         else:
             terms.append(f"({coeff}){w}" if w != "1" else f"({coeff})")
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return join_signed(terms)
+
+
+def presentation_for(product):
+    """The presentation whose z.X relation holds in the product, or None."""
+    zx = product.generator("z") * product.generator("X")
+    for name, rhs in _ZX_RHS.items():
+        if zx == _rhs_element(product, rhs):
+            return name
+    return None
 
 
 def zx_signature(product):
     """Which of the four zX relation shapes holds: the product's fingerprint."""
-    z = product.generator("z")
-    X = product.generator("X")
-    zx = z * X
-    candidates = (
-        ("zX=Xz", X * z),
-        ("zX=-Xz", -(X * z)),
-        ("zX=iXgz", I * (X * product.generator("g") * z)),
-        ("zX=-iXgz", NEG_I * (X * product.generator("g") * z)),
-    )
-    for name, value in candidates:
-        if zx == value:
-            return name
-    return f"zX=other({zx!r})"
-
-
-def presentation_for(product):
-    """The presentation a product should satisfy, chosen by its zX shape."""
-    return {
-        "zX=Xz": "tensor",
-        "zX=-Xz": "H32_1",
-        "zX=iXgz": "H32_2",
-        "zX=-iXgz": "H32_3",
-    }.get(zx_signature(product))
+    name = presentation_for(product)
+    if name is None:
+        zx = product.generator("z") * product.generator("X")
+        return f"zX=other({zx!r})"
+    return "zX=" + _pretty_rhs(_ZX_RHS[name])
 
 
 # -- embeddings & factorization checks ----------------------------------------------

@@ -15,6 +15,7 @@ The HOPF_BUDGET environment variable overrides --budget.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -52,6 +53,12 @@ def _config(args):
         budget = int(env)
     if budget <= 0:
         raise ValueError("budget must be positive")
+    # fail before any work when --out cannot become a directory (made at the first write)
+    probe = args.out
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
     return RunConfig(out_dir=args.out, budget=budget, fmt=args.format)
 
 
@@ -140,32 +147,33 @@ def cmd_actions_enumerate(args):
 
 
 def _pair_rows(pairs):
-    """Pairs decorated with products, ordered by presentation name."""
-    from hopffactor.bicrossed import build_bicrossed, presentation_for, zx_signature
+    """(pair, product, zX signature, presentation, left family) rows in
+    the order of `PRESENTATION_NAMES`; unrecognised products come last."""
+    from hopffactor.bicrossed import PRESENTATION_NAMES, build_bicrossed, presentation_for, zx_signature
 
     rows = []
     for pair in pairs:
         product = build_bicrossed(pair)
-        sig = zx_signature(product)
-        rows.append((pair, product, sig, presentation_for(product)))
-    order = {"tensor": 0, "H32_1": 1, "H32_2": 2, "H32_3": 3}
-    rows.sort(key=lambda r: order.get(r[3], 99))
+        pres = presentation_for(product)
+        rows.append((pair, product, zx_signature(product), pres, _family_label(pair)))
+    rank = PRESENTATION_NAMES + (None,)
+    rows.sort(key=lambda r: rank.index(r[3]))
     return rows
 
 
 def cmd_matched_pairs_find(args):
-    from hopffactor.actions import check_matched_pair, matched_pair_search
+    from hopffactor.actions import matched_pair_search
 
     config = _config(args)
     if args.load:
         return _replay_matched_pair(args.load, config)
     pairs, _sol = matched_pair_search(split_budget=config.budget)
-    for n, (pair, product, sig, pres) in enumerate(_pair_rows(pairs), start=1):
+    for n, (pair, product, sig, pres, family) in enumerate(_pair_rows(pairs), start=1):
         digest = {
             "zx_relation": sig,
             "presentation": pres,
-            "left_family": _family_label(pair),
-            "pair_checks_pass": not check_matched_pair(pair),
+            "left_family": family,
+            "pair_checks_pass": pair.status == "matched",
         }
         jsonio.write_json(
             config.path(f"matched-pair-{n}.json"),
@@ -186,11 +194,11 @@ def _family_label(pair):
 
 
 def _replay_matched_pair(path, config):
-    """Re-verify a stored matched-pair/v1 file and refresh its digest."""
-    from hopffactor.actions import check_matched_pair, check_module_coalgebras
+    """Re-verify a stored matched-pair/v1 file; the copy written carries this run's status."""
+    from hopffactor.actions import settle_status
 
     pair = jsonio.matched_pair_from_json(jsonio.read_json(path))
-    failures = check_module_coalgebras(pair) + check_matched_pair(pair)
+    failures = settle_status(pair)
     digest = {
         "left_family": _family_label(pair),
         "pair_checks_pass": not failures,
@@ -214,7 +222,7 @@ def cmd_product_build(args):
     config = _config(args)
     pairs, _sol = matched_pair_search(split_budget=config.budget)
     ok = len(pairs) == 4
-    for n, (pair, product, sig, pres) in enumerate(_pair_rows(pairs), start=1):
+    for n, (pair, product, sig, pres, _family) in enumerate(_pair_rows(pairs), start=1):
         checks = verify_presentation(product, pres)
         ok = ok and all(c.holds for c in checks)
         jsonio.write_json(
@@ -227,7 +235,7 @@ def cmd_product_build(args):
 
 
 def cmd_theorem_check(args):
-    from hopffactor.actions import check_matched_pair, check_module_coalgebras, matched_pair_search
+    from hopffactor.actions import matched_pair_search
     from hopffactor.bicrossed import check_embeddings, invariant_report, verify_presentation
 
     config = _config(args)
@@ -239,13 +247,13 @@ def cmd_theorem_check(args):
     tensor_identified = None
     report_rows = []
     signatures = []
-    for n, (pair, product, sig, pres) in enumerate(rows, start=1):
+    for n, (pair, product, sig, pres, family) in enumerate(rows, start=1):
         signatures.append(sig)
         axiom_rep = product.axiom_report
         checks = verify_presentation(product, pres)
         relations_ok = all(c.holds for c in checks)
         all_relations_ok = all_relations_ok and relations_ok and axiom_rep.all_passed
-        reverified = not (check_module_coalgebras(pair) or check_matched_pair(pair))
+        reverified = pair.status == "matched"
         embed_fail = check_embeddings(product)
         inv = invariant_report(product, split_budget=config.budget)
         if pres == "tensor":
@@ -257,8 +265,7 @@ def cmd_theorem_check(args):
             config.path(f"matched-pair-{n}.json"),
             jsonio.matched_pair_to_json(
                 pair,
-                {"zx_relation": sig, "presentation": pres,
-                 "left_family": _family_label(pair)},
+                {"zx_relation": sig, "presentation": pres, "left_family": family},
             ),
         )
         jsonio.write_json(
@@ -269,7 +276,7 @@ def cmd_theorem_check(args):
         report_rows.append(
             {
                 "id": n,
-                "left_family": _family_label(pair),
+                "left_family": family,
                 "zx_relation": sig,
                 "presentation": pres,
                 "axioms_pass": axiom_rep.all_passed,

@@ -19,7 +19,7 @@ from math import lcm
 
 from hopffactor.linalg import kernel
 from hopffactor.poly import Poly
-from hopffactor.scalar import ONE, ZERO, Scalar
+from hopffactor.scalar import ONE, ZERO, Scalar, join_signed
 from hopffactor.solver import _DEFAULT_BUDGET, solve
 
 
@@ -266,12 +266,7 @@ class Element:
                 if any(ch in "+-" for ch in s[1:]):
                     s = f"({s})"
                 terms.append(f"{s}*{label}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return join_signed(terms)
 
 
 def _acc(acc, key, val):

@@ -19,7 +19,7 @@ flat-tuple monomial encoding is both the simplest and the fastest choice.
 
 from math import gcd, lcm
 
-from hopffactor.scalar import ZERO, Scalar, _red, render_gaussian
+from hopffactor.scalar import ZERO, Scalar, _red, join_signed, render_gaussian
 
 
 def _grlex(monos):
@@ -207,10 +207,6 @@ class Poly:
 
     # -- substitution & evaluation -------------------------------------------
 
-    def subst_var(self, var, value):
-        """Substitute one variable by a Poly (or Scalar) and renormalize."""
-        return self.subst_many({var: value if isinstance(value, Poly) else Poly.const(value)})
-
     def subst_many(self, mapping):
         """Substitute several variables (var -> Poly) in one rebuild."""
         relevant = self.variables() & mapping.keys()
@@ -266,16 +262,7 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def render(self):
-        if not self.terms:
-            return "0"
-        pieces = [_render_term(m, parts) for m, parts in self.key()]
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return join_signed([_render_term(m, parts) for m, parts in self.key()])
 
     def __str__(self):
         return self.render()

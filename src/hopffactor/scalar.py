@@ -56,6 +56,17 @@ def _render_rat(n, d):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def join_signed(terms):
+    """Rendered terms as one sum: a term's leading minus becomes the
+    operator, so ["x", "-y"] gives "x - y"; no terms give "0"."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
 def parse_gaussian(text):
     """Inverse of render_gaussian; returns (rn, rd, imn, imd), unreduced."""
     s = text.strip().replace(" ", "")

@@ -19,6 +19,7 @@ from hopffactor.actions import (
     matched_pair_search,
     matched_pair_system,
     right_module_coalgebra_system,
+    settle_status,
     trivial_right_table,
     x_action_circulant_system,
 )
@@ -312,6 +313,26 @@ def test_matched_pair_system_trivial_candidate_is_satisfied():
     cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
     residual = [p for p in matched_pair_system(cand) if not p.is_zero()]
     assert residual == []
+
+
+def test_settle_status_follows_the_direct_checks():
+    matched = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
+    assert settle_status(matched) == [] and matched.status == "matched"
+
+    unpaired = MatchedPairCandidate(left_family_instance(1, "a"), antidiagonal_right_table())
+    assert settle_status(unpaired) == check_matched_pair(unpaired) != []
+    assert unpaired.status == "module-valid"
+
+    # one left coefficient off: the stored "matched" is overwritten
+    payload = left_family_instance(1, "a").to_json()
+    payload["entries"][9][2][1] = (Scalar.from_json(payload["entries"][9][2][1]) + ONE).to_json()
+    broken = MatchedPairCandidate(
+        LeftActionTable.from_json(payload), trivial_right_table(), status="matched"
+    )
+    module = check_module_coalgebras(broken)
+    assert module != []
+    assert settle_status(broken) == module + check_matched_pair(broken)
+    assert broken.status == "unchecked"
 
 
 # -- negative controls ---------------------------------------------------------------

@@ -194,8 +194,10 @@ def test_matched_pairs_replay(tmp_path):
     assert code == EXIT_OK
     payload = read_json(replay_out / "matched-pair-replay.json")
     assert payload["digest"]["pair_checks_pass"] is True
+    assert payload["status"] == "matched"
 
-    # corrupt one left-action coefficient and replay again
+    # corrupt one left-action coefficient and replay again: the stored
+    # "matched" is not carried over
     stored = read_json(out / "matched-pair-2.json")
     stored["left"]["entries"][9][2][1] = (
         Scalar.from_json(stored["left"]["entries"][9][2][1]) + Scalar(1)
@@ -204,6 +206,30 @@ def test_matched_pairs_replay(tmp_path):
     bad.write_text(json.dumps(stored), encoding="utf-8")
     code = main(["matched-pairs", "find", "--load", str(bad), "--out", str(replay_out)])
     assert code == EXIT_CHECK_FAILED
+    assert read_json(replay_out / "matched-pair-replay.json")["status"] == "unchecked"
+
+    # a verified pair stored as "unchecked" comes back "matched"
+    stored = read_json(out / "matched-pair-2.json")
+    stored["status"] = "unchecked"
+    modest = tmp_path / "unchecked-pair.json"
+    modest.write_text(json.dumps(stored), encoding="utf-8")
+    code = main(["matched-pairs", "find", "--load", str(modest), "--out", str(replay_out)])
+    assert code == EXIT_OK
+    assert read_json(replay_out / "matched-pair-replay.json")["status"] == "matched"
+
+
+def test_commands_take_the_search_verdict(tmp_path, monkeypatch):
+    """After the search has run, `theorem check` and `matched-pairs find`
+    read each pair's status and never re-run the direct checks."""
+    from hopffactor import actions
+
+    pairs, _sol = actions.matched_pair_search()
+    assert [p.status for p in pairs] == ["matched"] * 4
+    failure = [actions.CheckFailure("planted", (), "a re-run check")]
+    monkeypatch.setattr(actions, "check_module_coalgebras", lambda cand: failure)
+    monkeypatch.setattr(actions, "check_matched_pair", lambda cand: failure)
+    assert main(["matched-pairs", "find", "--out", str(tmp_path / "mp")]) == EXIT_OK
+    assert main(["theorem", "check", "--out", str(tmp_path / "th")]) == EXIT_OK
 
 
 def test_product_build(tmp_path, capsys):
@@ -333,15 +359,29 @@ def test_catalog_load_keeps_a_stored_product_name(tmp_path):
         "product-build", "theorem-check",
     ),
 )
-def test_out_is_a_regular_file_exits_io(tmp_path, capsys, argv):
+def test_out_is_a_regular_file_exits_io(tmp_path, capsys, monkeypatch, argv):
+    """--out is checked before any work: no search, enumeration, axiom
+    battery or pair check runs when it or an ancestor is a regular file."""
+    from hopffactor import actions, cli
+
     jsonio.write_json(str(tmp_path / "h4.hopf.json"), jsonio.algebra_to_json(build_H4()))
     cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
     jsonio.write_json(str(tmp_path / "pair.json"), jsonio.matched_pair_to_json(cand))
+    for module, name in (
+        (actions, "matched_pair_search"),
+        (actions, "enumerate_left_actions"),
+        (actions, "enumerate_right_actions"),
+        (actions, "check_module_coalgebras"),
+        (actions, "check_matched_pair"),
+        (cli, "verify_axioms"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     out = tmp_path / "out"
     out.write_text("not a directory\n", encoding="utf-8")
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    assert main(argv + ["--out", str(out)]) == EXIT_IO
-    assert_one_line_error(capsys)
+    for target in (out, out / "below"):
+        assert main(argv + ["--out", str(target)]) == EXIT_IO
+        assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize(

@@ -48,16 +48,16 @@ def test_render_deterministic_ordering():
 
 def test_subst_var():
     p = x * y + y
-    assert p.subst_var("x", Poly.const(Scalar(0))) == y
-    assert p.subst_var("y", x) == x * x + x
-    assert p.subst_var("w", x) is p
+    assert p.subst_many({"x": Poly.const(Scalar(0))}) == y
+    assert p.subst_many({"y": x}) == x * x + x
+    assert p.subst_many({"w": x}) is p
 
 
 def test_subst_many_matches_sequential():
     p = x * x * y - 2 * z + 1
     mapping = {"x": y + 1, "z": Poly.const(Scalar(1, 2))}
     combined = p.subst_many(mapping)
-    sequential = p.subst_var("x", y + 1).subst_var("z", Poly.const(Scalar(1, 2)))
+    sequential = p.subst_many({"x": y + 1}).subst_many({"z": Poly.const(Scalar(1, 2))})
     assert combined == sequential
 
 
