@@ -83,6 +83,38 @@ def test_presentations_verify(products):
         assert failing == [], f"{name}: {failing}"
 
 
+_COMMON_LABELS = [
+    "gg = 1", "hh = 1", "GG = 1", "gh = hg", "gz = zh", "hz = zg",
+    "zz = (1/2) + (1/2)g + (1/2)h + (-1/2)gh", "XX = 0", "GX = -XG",
+]
+_CROSS_LABELS = {
+    "tensor": ["gG = Gg", "hG = Gh", "zG = Gz", "gX = Xg", "hX = Xh", "zX = Xz"],
+    "H32_1": ["gG = Gg", "hG = Gh", "zG = Gz", "gX = Xg", "hX = Xh", "zX = -Xz"],
+    "H32_2": ["gG = Gg", "hG = Gh", "gzG = Ghz", "gX = -Xg", "hX = -Xh", "zX = iXgz"],
+    "H32_3": ["gG = Gg", "hG = Gh", "gzG = Ghz", "gX = -Xg", "hX = -Xh", "zX = -iXgz"],
+}
+
+
+def test_relation_labels_pinned(products):
+    # the rendered relation text of all four presentations, in table order
+    for E in products.values():
+        name = presentation_for(E)
+        checks = verify_presentation(E, name)
+        assert [c.relation for c in checks] == _COMMON_LABELS + _CROSS_LABELS[name]
+        assert all(c.holds for c in checks)
+    failing = [
+        (c.relation, c.witness)
+        for c in verify_presentation(products["zX=Xz"], "H32_2")
+        if not c.holds
+    ]
+    assert failing == [
+        ("gzG = Ghz", "G⊗gz - G⊗hz"),
+        ("gX = -Xg", "2*X⊗g"),
+        ("hX = -Xh", "2*X⊗h"),
+        ("zX = iXgz", "X⊗z - i*X⊗gz"),
+    ]
+
+
 def test_ternary_relation_in_twisted_presentations(products):
     checks = verify_presentation(products["zX=iXgz"], "H32_2")
     labels = {c.relation for c in checks}
