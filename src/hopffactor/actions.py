@@ -865,41 +865,27 @@ def left_family_instance(x_family, gx_family, alpha=ONE, beta=ONE):
         base[coord] = base[coord] + sign
         return tuple(base)
 
-    xi = h4.index["X"]
-    if x_family == 1:
-        gX = hX = zX = skew(ZERO, ONE, xi)
-    elif x_family == 2:
-        gX = hX = skew(ZERO, ONE, xi)
-        zX = skew(alpha, NEG_ONE, xi)
-    elif x_family == 3:
-        gX = hX = skew(alpha, NEG_ONE, xi)
-        zX = skew(alpha * inv_1pi, I, xi)
-    elif x_family == 4:
-        gX = hX = skew(alpha, NEG_ONE, xi)
-        zX = skew(alpha * inv_1mi, NEG_I, xi)
-    else:
+    def family(k, p, coord):
+        # the images of X (coord) or GX under g = h and z in family k (1..4),
+        # with the family's free parameter at p
+        fixed = skew(ZERO, ONE, coord)
+        if k == 1:
+            return fixed, fixed
+        if k == 2:
+            return fixed, skew(p, NEG_ONE, coord)
+        if k == 3:
+            return skew(p, NEG_ONE, coord), skew(p * inv_1pi, I, coord)
+        return skew(p, NEG_ONE, coord), skew(p * inv_1mi, NEG_I, coord)
+
+    if x_family not in (1, 2, 3, 4):
         raise ValueError("x_family must be 1..4")
-
-    gxi = h4.index["GX"]
-    if gx_family == "a":
-        gGX = hGX = zGX = skew(ZERO, ONE, gxi)
-    elif gx_family == "b":
-        gGX = hGX = skew(ZERO, ONE, gxi)
-        zGX = skew(beta, NEG_ONE, gxi)
-    elif gx_family == "c":
-        gGX = hGX = skew(beta, NEG_ONE, gxi)
-        zGX = skew(beta * inv_1pi, I, gxi)
-    elif gx_family == "d":
-        gGX = hGX = skew(beta, NEG_ONE, gxi)
-        zGX = skew(beta * inv_1mi, NEG_I, gxi)
-    else:
+    if gx_family not in ("a", "b", "c", "d"):
         raise ValueError("gx_family must be 'a'..'d'")
-
-    def images(x_img, gx_img):
-        return {"G": G_img, "X": x_img, "GX": gx_img}
-
+    gX, zX = family(x_family, alpha, h4.index["X"])
+    gGX, zGX = family("abcd".index(gx_family) + 1, beta, h4.index["GX"])
+    g_images = {"G": G_img, "X": gX, "GX": gGX}
     return LeftActionTable.from_generator_images(
-        images(gX, gGX), images(hX, hGX), images(zX, zGX)
+        g_images, g_images, {"G": G_img, "X": zX, "GX": zGX}
     )
 
 

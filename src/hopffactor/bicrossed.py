@@ -27,7 +27,7 @@ from hopffactor.hopf import (
 )
 from hopffactor.hopf import _acc as _sacc
 from hopffactor.linalg import Mat
-from hopffactor.scalar import ZERO, Scalar, join_signed
+from hopffactor.scalar import HALF, I, NEG_I, NEG_ONE, ZERO, join_signed
 from hopffactor.solver import _DEFAULT_BUDGET
 
 
@@ -108,18 +108,19 @@ def build_bicrossed(pair):
 
 # -- presentations ---------------------------------------------------------------
 
-# Relations are (left word, ((coefficient, right word), ...)) over the
-# generator alphabet {g, h, z, G, X}; the empty word is the unit.
+# Relations are (left word, right side) over the generator alphabet
+# {g, h, z, G, X}: the right side is a word or a sum ((coefficient, word), ...)
+# with Scalar coefficients, the empty sum being zero; the empty word is the unit.
 _COMMON_RELATIONS = (
-    ("g.g", "1"),
-    ("h.h", "1"),
-    ("G.G", "1"),
+    ("g.g", ""),
+    ("h.h", ""),
+    ("G.G", ""),
     ("g.h", "h.g"),
     ("g.z", "z.h"),
     ("h.z", "z.g"),
-    ("z.z", (("1/2", ""), ("1/2", "g"), ("1/2", "h"), ("-1/2", "g.h"))),
-    ("X.X", "0"),
-    ("G.X", (("-1", "X.G"),)),
+    ("z.z", ((HALF, ""), (HALF, "g"), (HALF, "h"), (-HALF, "g.h"))),
+    ("X.X", ()),
+    ("G.X", ((NEG_ONE, "X.G"),)),
 )
 
 _CROSS_RELATIONS = {
@@ -137,23 +138,23 @@ _CROSS_RELATIONS = {
         ("z.G", "G.z"),
         ("g.X", "X.g"),
         ("h.X", "X.h"),
-        ("z.X", (("-1", "X.z"),)),
+        ("z.X", ((NEG_ONE, "X.z"),)),
     ),
     "H32_2": (
         ("g.G", "G.g"),
         ("h.G", "G.h"),
         ("g.z.G", "G.h.z"),
-        ("g.X", (("-1", "X.g"),)),
-        ("h.X", (("-1", "X.h"),)),
-        ("z.X", (("i", "X.g.z"),)),
+        ("g.X", ((NEG_ONE, "X.g"),)),
+        ("h.X", ((NEG_ONE, "X.h"),)),
+        ("z.X", ((I, "X.g.z"),)),
     ),
     "H32_3": (
         ("g.G", "G.g"),
         ("h.G", "G.h"),
         ("g.z.G", "G.h.z"),
-        ("g.X", (("-1", "X.g"),)),
-        ("h.X", (("-1", "X.h"),)),
-        ("z.X", (("-i", "X.g.z"),)),
+        ("g.X", ((NEG_ONE, "X.g"),)),
+        ("h.X", ((NEG_ONE, "X.h"),)),
+        ("z.X", ((NEG_I, "X.g.z"),)),
     ),
 }
 
@@ -179,13 +180,11 @@ def _word_element(product, word):
 
 
 def _rhs_element(product, rhs):
-    if rhs == "0":
-        return product.algebra.zero()
     if isinstance(rhs, str):
         return _word_element(product, rhs)
     acc = product.algebra.zero()
     for coeff, word in rhs:
-        acc = acc + Scalar.parse(coeff) * _word_element(product, word)
+        acc = acc + coeff * _word_element(product, word)
     return acc
 
 
@@ -220,7 +219,7 @@ def _pretty_rhs(rhs):
         return _pretty_word(rhs)
     terms = []
     for coeff, word in rhs:
-        w = _pretty_word(word)
+        w, coeff = _pretty_word(word), str(coeff)
         if coeff == "1":
             terms.append(w)
         elif coeff == "-1":

@@ -19,7 +19,7 @@ from math import lcm
 
 from hopffactor.linalg import kernel
 from hopffactor.poly import Poly
-from hopffactor.scalar import ONE, ZERO, Scalar, join_signed
+from hopffactor.scalar import ONE, ZERO, Scalar, join_signed, render_term
 from hopffactor.solver import _DEFAULT_BUDGET, solve
 
 
@@ -253,20 +253,11 @@ class Element:
         return tuple(c.sort_key() for c in self.coords)
 
     def __repr__(self):
-        terms = []
-        for c, label in zip(self.coords, self.algebra.basis):
-            if c.is_zero():
-                continue
-            if c.is_one():
-                terms.append(label)
-            elif c == -1:
-                terms.append(f"-{label}")
-            else:
-                s = str(c)
-                if any(ch in "+-" for ch in s[1:]):
-                    s = f"({s})"
-                terms.append(f"{s}*{label}")
-        return join_signed(terms)
+        return join_signed([
+            render_term(c.sort_key(), label)
+            for c, label in zip(self.coords, self.algebra.basis)
+            if not c.is_zero()
+        ])
 
 
 def _acc(acc, key, val):
@@ -346,45 +337,40 @@ def verify_axioms(H):
     return AxiomReport(H.name, H.dim, checks)
 
 
-# The battery runs on an integer view of the structure constants: each table
-# holds Gaussian-integer numerators (re, im) over one common denominator (the
-# lcm of its entries' denominators), so no Scalar is made per instance.  Both
-# sides of a law are accumulated at the same power of these denominators
-# (one side's factor scaled up front where their powers differ) and compared
-# as dicts of numerators, zero entries ignored, which is exact rational
-# equality.
+# The battery runs on an integer view of the structure constants: every
+# constant of every table is a Gaussian-integer numerator (re, im) over one
+# common denominator D (the lcm of all their denominators), so no Scalar is
+# made per instance.  A side of a law that multiplies k constants is over D^k;
+# the two sides are brought to the same power and compared as dicts of
+# numerators, zero entries ignored, which is exact rational equality.
 
 
 class _IntTables:
-    """The integer view of one algebra's tables, built per verify_axioms
-    call.  mul[i][j]: (k, re, im) over dm; unit: (i, re, im) over du;
-    comul[i]: (j, k, re, im) over dc; counit[i]: (re, im) over de;
-    antipode[i]: (j, re, im) over ds."""
+    """The integer view of one algebra's tables over D, built per
+    verify_axioms call.  mul[i][j]: (k, re, im); unit: (i, re, im);
+    comul[i]: (j, k, re, im); counit[i]: (re, im); antipode[i]: (j, re, im)."""
 
-    __slots__ = ("mul", "dm", "unit", "du", "comul", "dc", "counit", "de", "antipode", "ds")
+    __slots__ = ("D", "mul", "unit", "comul", "counit", "antipode")
 
     def __init__(self, H):
-        self.dm = dm = _common_den(c for block in H.mul_sparse for row in block for _, c in row)
+        constants = [c for block in H.mul_sparse for row in block for _, c in row]
+        constants += [c for _, c in H.unit_sparse]
+        constants += [c for triples in H.comul for c, _, _ in triples]
+        constants += H.counit
+        constants += [c for row in H.antipode_sparse for _, c in row]
+        self.D = D = lcm(*{d for c in constants for d in (c.rd, c.imd)})
         self.mul = tuple(
-            tuple(tuple((k, *_num(c, dm)) for k, c in row) for row in block)
+            tuple(tuple((k, *_num(c, D)) for k, c in row) for row in block)
             for block in H.mul_sparse
         )
-        self.du = du = _common_den(c for _, c in H.unit_sparse)
-        self.unit = tuple((i, *_num(c, du)) for i, c in H.unit_sparse)
-        self.dc = dc = _common_den(c for triples in H.comul for c, _, _ in triples)
+        self.unit = tuple((i, *_num(c, D)) for i, c in H.unit_sparse)
         self.comul = tuple(
-            tuple((j, k, *_num(c, dc)) for c, j, k in triples) for triples in H.comul
+            tuple((j, k, *_num(c, D)) for c, j, k in triples) for triples in H.comul
         )
-        self.de = de = _common_den(H.counit)
-        self.counit = tuple(_num(c, de) for c in H.counit)
-        self.ds = ds = _common_den(c for row in H.antipode_sparse for _, c in row)
+        self.counit = tuple(_num(c, D) for c in H.counit)
         self.antipode = tuple(
-            tuple((j, *_num(c, ds)) for j, c in row) for row in H.antipode_sparse
+            tuple((j, *_num(c, D)) for j, c in row) for row in H.antipode_sparse
         )
-
-
-def _common_den(scalars):
-    return lcm(1, *(d for c in scalars for d in (c.rd, c.imd)))
 
 
 def _num(c, den):
@@ -408,7 +394,7 @@ def _nonzero(acc):
 
 
 def _check_associativity(H, T):
-    # both sides over dm^2; the accumulation is `_gacc` inlined, this being
+    # both sides over D^2; the accumulation is `_gacc` inlined, this being
     # the battery's longest loop
     witnesses = []
     mul = T.mul
@@ -438,10 +424,10 @@ def _check_associativity(H, T):
 
 
 def _check_unit(H, T):
-    # both products over du*dm
+    # both products over D^2
     witnesses = []
     mul = T.mul
-    expected = (T.du * T.dm, 0)
+    expected = (T.D * T.D, 0)
     for i in range(H.dim):
         left = {}
         right = {}
@@ -458,7 +444,7 @@ def _check_unit(H, T):
 
 
 def _check_coassociativity(H, T):
-    # both sides over dc^2
+    # both sides over D^2
     witnesses = []
     comul = T.comul
     for i in range(H.dim):
@@ -475,10 +461,10 @@ def _check_coassociativity(H, T):
 
 
 def _check_counit(H, T):
-    # both sides over dc*de
+    # both sides over D^2
     witnesses = []
     eps = T.counit
-    expected = (T.dc * T.de, 0)
+    expected = (T.D * T.D, 0)
     for i in range(H.dim):
         left = {}
         right = {}
@@ -497,19 +483,19 @@ def _check_counit(H, T):
 def _check_comul_mult(H, T):
     witnesses = []
     mul, comul = T.mul, T.comul
-    # delta(1) over du*dc and 1 (x) 1 over du^2, both lifted to du^2*dc
+    # delta(1) and 1 (x) 1 over D^2
     delta_unit = {}
     unit_tensor = {}
     for i, ur, ui in T.unit:
         for j, k, c, e in comul[i]:
-            _gacc(delta_unit, (j, k), (ur * c - ui * e) * T.du, (ur * e + ui * c) * T.du)
+            _gacc(delta_unit, (j, k), ur * c - ui * e, ur * e + ui * c)
         for j, c, e in T.unit:
-            _gacc(unit_tensor, (i, j), (ur * c - ui * e) * T.dc, (ur * e + ui * c) * T.dc)
+            _gacc(unit_tensor, (i, j), ur * c - ui * e, ur * e + ui * c)
     if not _same(delta_unit, unit_tensor):
         witnesses.append("delta(1) != 1 (x) 1")
-    # delta(e_i e_j) over dm*dc, lifted to dm^2*dc^2, against
-    # delta(e_i)delta(e_j) over dm^2*dc^2
-    scale = T.dm * T.dc
+    # delta(e_i e_j) over D^2, lifted to D^4, against delta(e_i)delta(e_j)
+    # over D^4
+    scale = T.D * T.D
     for i in range(H.dim):
         for j in range(H.dim):
             lhs = {}
@@ -536,18 +522,16 @@ def _check_comul_mult(H, T):
 
 
 def _check_counit_mult(H, T):
+    # every side over D^2
     witnesses = []
     eps = T.counit
-    de = T.de
-    # eps(1) over du*de
     re = im = 0
     for i, ur, ui in T.unit:
         c, e = eps[i]
         re += ur * c - ui * e
         im += ur * e + ui * c
-    if (re, im) != (T.du * de, 0):
+    if (re, im) != (T.D * T.D, 0):
         witnesses.append("eps(1) != 1")
-    # eps(e_i e_j) over dm*de against eps(e_i)eps(e_j) over de^2
     for i in range(H.dim):
         a, b = eps[i]
         for j in range(H.dim):
@@ -557,23 +541,19 @@ def _check_counit_mult(H, T):
                 f, g = eps[k]
                 re += mr * f - mi * g
                 im += mr * g + mi * f
-            if (re * de, im * de) != ((a * c - b * e) * T.dm, (a * e + b * c) * T.dm):
+            if (re, im) != (a * c - b * e, a * e + b * c):
                 witnesses.append(f"eps({H.basis[i]}*{H.basis[j]}) != eps*eps")
     return witnesses
 
 
 def _check_antipode(H, T):
-    # both convolutions over dc*ds*dm and eps(e_i)1 over de*du, all lifted
-    # to dc*ds*dm*de*du
+    # both convolutions over D^3 against eps(e_i)1 over D^2, lifted to D^3
     witnesses = []
     mul, anti = T.mul, T.antipode
-    scale = T.de * T.du
-    conv = T.dc * T.ds * T.dm
     for i in range(H.dim):
         left = {}
         right = {}
         for j, k, a, b in T.comul[i]:
-            a, b = a * scale, b * scale
             # S(x1) x2
             for s, c, e in anti[j]:
                 fr, fi = a * c - b * e, a * e + b * c
@@ -584,7 +564,7 @@ def _check_antipode(H, T):
                 fr, fi = a * c - b * e, a * e + b * c
                 for m, c2, e2 in mul[j][s]:
                     _gacc(right, m, fr * c2 - fi * e2, fr * e2 + fi * c2)
-        a, b = T.counit[i][0] * conv, T.counit[i][1] * conv
+        a, b = T.counit[i][0] * T.D, T.counit[i][1] * T.D
         expected = {j: (a * c - b * e, a * e + b * c) for j, c, e in T.unit}
         if not _same(left, expected):
             witnesses.append(f"m(S (x) id) delta != eps*1 on {H.basis[i]}")

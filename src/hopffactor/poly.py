@@ -19,7 +19,7 @@ flat-tuple monomial encoding is both the simplest and the fastest choice.
 
 from math import gcd, lcm
 
-from hopffactor.scalar import ZERO, Scalar, _red, join_signed, render_gaussian
+from hopffactor.scalar import ZERO, Scalar, _red, join_signed, render_term
 
 
 def _grlex(monos):
@@ -262,7 +262,7 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def render(self):
-        return join_signed([_render_term(m, parts) for m, parts in self.key()])
+        return join_signed([render_term(parts, _render_mono(m)) for m, parts in self.key()])
 
     def __str__(self):
         return self.render()
@@ -319,25 +319,6 @@ def _render_mono(m):
     for x, k in seen:
         parts.append(x if k == 1 else f"{x}^{k}")
     return "*".join(parts)
-
-
-def _render_term(m, parts):
-    mono = _render_mono(m)
-    s = render_gaussian(*parts)
-    if not mono:
-        return s if _is_simple(s) else f"({s})"
-    if parts == (1, 1, 0, 1):
-        return mono
-    if parts == (-1, 1, 0, 1):
-        return f"-{mono}"
-    if _is_simple(s):
-        return f"{s}*{mono}"
-    return f"({s})*{mono}"
-
-
-def _is_simple(rendered):
-    # a single signed term: no interior +/- after the first character
-    return not any(ch in "+-" for ch in rendered[1:])
 
 
 # -- substitution -------------------------------------------------------------

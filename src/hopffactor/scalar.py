@@ -10,25 +10,15 @@ denominator coprime, zero stored as 0/1.  Equality is therefore structural
 and scalars hash consistently.
 
 The wire format for a scalar a/b + (c/d)i is the 4-integer list
-[a, b, c, d] with b, d > 0 and both fractions reduced; the text format is
-e.g. "0", "-3/2", "i", "-i", "2*i", "1/2-1/2*i".
+[a, b, c, d] with b, d > 0 and both fractions reduced.  The text format,
+e.g. "0", "-3/2", "i", "-i", "2*i", "1/2-1/2*i", is output only: nothing
+parses it back.
 """
 
-import re
 from math import gcd
 
 # the one scalar implementation; perfbench's setup probe still prints it
 BACKEND = "python"
-
-_TERM = re.compile(
-    r"""^(?P<sign>[+-]?)
-        (?:
-          (?P<imunit>i)                                  # bare i
-          |
-          (?P<num>\d+)(?:/(?P<den>\d+))?(?P<istar>\*i)?  # n, n/d, n*i, n/d*i
-        )$""",
-    re.VERBOSE,
-)
 
 
 def render_gaussian(rn, rd, imn, imd):
@@ -56,6 +46,22 @@ def _render_rat(n, d):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def render_term(parts, label):
+    """One coefficient (rn, rd, imn, imd) times a label: "label" for 1,
+    "-label" for -1, a compound coefficient in parentheses, and the
+    coefficient alone for the empty label."""
+    s = render_gaussian(*parts)
+    if any(ch in "+-" for ch in s[1:]):
+        s = f"({s})"
+    if not label:
+        return s
+    if parts == (1, 1, 0, 1):
+        return label
+    if parts == (-1, 1, 0, 1):
+        return f"-{label}"
+    return f"{s}*{label}"
+
+
 def join_signed(terms):
     """Rendered terms as one sum: a term's leading minus becomes the
     operator, so ["x", "-y"] gives "x - y"; no terms give "0"."""
@@ -65,44 +71,6 @@ def join_signed(terms):
     for t in terms[1:]:
         out += " - " + t[1:] if t.startswith("-") else " + " + t
     return out
-
-
-def parse_gaussian(text):
-    """Inverse of render_gaussian; returns (rn, rd, imn, imd), unreduced."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar literal")
-    # split into terms at top-level +/- (no parentheses in this grammar)
-    terms = []
-    start = 0
-    for k in range(1, len(s)):
-        if s[k] in "+-":
-            terms.append(s[start:k])
-            start = k
-    terms.append(s[start:])
-    rn, rd, imn, imd = 0, 1, 0, 1
-    seen_re = seen_im = False
-    for term in terms:
-        m = _TERM.match(term)
-        if m is None:
-            raise ValueError(f"bad scalar literal: {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("imunit"):
-            num, den, is_im = 1, 1, True
-        else:
-            num = int(m.group("num"))
-            den = int(m.group("den") or 1)
-            is_im = m.group("istar") is not None
-        if is_im:
-            if seen_im:
-                raise ValueError(f"bad scalar literal: {text!r}")
-            imn, imd, seen_im = sign * num, den, True
-        else:
-            if seen_re:
-                raise ValueError(f"bad scalar literal: {text!r}")
-            rn, rd, seen_re = sign * num, den, True
-    return rn, rd, imn, imd
-
 
 
 def _red(n, d):
@@ -146,10 +114,6 @@ class Scalar:
         ):
             raise ValueError(f"bad scalar payload: {data!r}")
         return cls(*data)
-
-    @classmethod
-    def parse(cls, text):
-        return cls(*parse_gaussian(text))
 
     # -- predicates --------------------------------------------------------
 

@@ -56,13 +56,13 @@ def gaussian_sqrt(s):
     nonnegative imaginary part.
     """
     if s.is_zero():
-        return type(s)(0)
+        return Scalar(0)
     if s.imn == 0:
         if s.rn > 0:
             r = _rat_sqrt(s.rn, s.rd)
-            return None if r is None else type(s)(r[0], r[1])
+            return None if r is None else Scalar(r[0], r[1])
         r = _rat_sqrt(-s.rn, s.rd)
-        return None if r is None else type(s)(0, 1, r[0], r[1])
+        return None if r is None else Scalar(0, 1, r[0], r[1])
     # t = x + yi with x^2 - y^2 = re(s), 2xy = im(s); then x^2 + y^2 = |s|
     # and x^2 = (re(s) + |s|)/2, all of which must be rational squares.
     norm_n = s.rn * s.rn * s.imd * s.imd + s.imn * s.imn * s.rd * s.rd
@@ -77,7 +77,7 @@ def gaussian_sqrt(s):
     if x is None or x[0] == 0:
         return None
     # y = im(s)/(2x), purely imaginary contribution
-    t = type(s)(x[0], x[1]) + type(s)(0, 1, s.imn, s.imd) / type(s)(2 * x[0], x[1])
+    t = Scalar(x[0], x[1]) + Scalar(0, 1, s.imn, s.imd) / Scalar(2 * x[0], x[1])
     if t * t == s:
         return t
     return None

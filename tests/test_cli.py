@@ -338,6 +338,24 @@ def test_catalog_load_keeps_a_stored_product_name(tmp_path):
     assert sorted(os.listdir(out)) == ["bicrossed.axiom-report.json", "bicrossed.hopf.json"]
 
 
+@pytest.mark.parametrize("name, basis", [("h8", None), ("h4", ["e0", "e1", "e2", "e3"])])
+def test_catalog_load_named_like_a_built_target(tmp_path, capsys, name, basis):
+    # the presentation spot checks belong to the built targets, not to a
+    # loaded file that happens to carry their name
+    payload = jsonio.algebra_to_json(build_H4())
+    payload["name"] = name
+    if basis is not None:
+        payload["basis"] = basis
+    path = tmp_path / "stored.hopf.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["catalog", "verify", "--load", str(path), "--out", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    report = read_json(out / f"{name}.axiom-report.json")
+    assert report["all_passed"] is True
+    assert report["structural_checks"] == []
+
+
 # -- one error path: every subcommand reports through main --------------------------
 
 

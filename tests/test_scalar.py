@@ -96,13 +96,6 @@ def test_conjugation(S, data):
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_render_parse_roundtrip(S, data):
-    a = data.draw(scalars_for(S))
-    assert S.parse(str(a)) == a
-
-
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
 def test_json_roundtrip(S, data):
     a = data.draw(scalars_for(S))
     assert S.from_json(a.to_json()) == a
