@@ -103,6 +103,34 @@ class _ActionTable:
         return table
 
     @classmethod
+    def from_generators(cls, images):
+        """The table whose generators act by `images`: {(acting generator
+        index, acted index): row of Scalars or Polys} on every acted index
+        but the unit; a generator on the acted unit is structural.  Every
+        other element acts by the module law read from its basis label, a
+        word in the generators: (uv) |> w = u |> (v |> w) applies the letters
+        right to left, w <| (uv) = (w <| u) <| v left to right."""
+        table = cls({})
+        acting, n_acted = table.acting, range(table.acted.dim)
+        rows = {(g, 0): table.unit_row(g, 0) for g, _ in images}
+        for key, row in images.items():
+            rows[key] = tuple(c if isinstance(c, Poly) else _pc(c) for c in row)
+        for u in range(acting.dim):
+            word = [acting.index[c] for c in acting.basis[u]] if u else []
+            if cls.side == "left":
+                word.reverse()
+            for w in n_acted:
+                row = table.unit_row(0, w)
+                for g in word:
+                    acc = [dict() for _ in n_acted]
+                    for k, p in enumerate(row):
+                        for m, q in enumerate(rows[(g, k)]):
+                            acc_mul(acc[m], p, q)
+                    row = tuple(from_acc(d) for d in acc)
+                table.entries[table.entry_key(u, w)] = row
+        return table
+
+    @classmethod
     def from_json(cls, data):
         if not (
             isinstance(data, dict)
@@ -192,51 +220,6 @@ class LeftActionTable(_ActionTable):
     module_law_witness = "(xy) |> a != x |> (y |> a)"
     product_rule_witness = "h |> (ab) != (h1|>a1)((h2<|a2)|>b)"
 
-    @classmethod
-    def from_generator_images(cls, g_images, h_images, z_images):
-        """Build the full 8x4 table from the actions of g, h, z on G, X, GX
-        (each image a coordinate 4-tuple of Scalars); compound rows follow
-        the module law, e.g. gz |> a = g |> (z |> a)."""
-        h8, h4 = build_H8(), build_H4()
-        gen_rows = {
-            1: _generator_row(h4, g_images),
-            2: _generator_row(h4, h_images),
-            4: _generator_row(h4, z_images),
-        }
-
-        def compose(factors, a_coords):
-            # factors act right-to-left on the H4 coordinate vector
-            coords = a_coords
-            for f in reversed(factors):
-                out = [ZERO] * h4.dim
-                for k, c in enumerate(coords):
-                    if c.is_zero():
-                        continue
-                    for m, e in enumerate(gen_rows[f][k]):
-                        if not e.is_zero():
-                            out[m] = out[m] + c * e
-                coords = tuple(out)
-            return coords
-
-        factorization = {0: (), 1: (1,), 2: (2,), 3: (1, 2), 4: (4,),
-                         5: (1, 4), 6: (2, 4), 7: (1, 2, 4)}
-        entries = {}
-        for xi in range(h8.dim):
-            for ai in range(h4.dim):
-                base = tuple(ONE if k == ai else ZERO for k in range(h4.dim))
-                coords = compose(factorization[xi], base)
-                entries[(xi, ai)] = tuple(_pc(c) for c in coords)
-        return cls(entries)
-
-
-def _generator_row(h4, images):
-    """images: {label ('G','X','GX') -> 4-tuple of Scalars}; row for 1 is
-    implicit, row for a = 1 is eps(gen) * 1 = 1."""
-    row = {0: tuple(ONE if k == 0 else ZERO for k in range(h4.dim))}
-    for label, coords in images.items():
-        row[h4.index[label]] = tuple(coords)
-    return [row[k] for k in range(h4.dim)]
-
 
 class RightActionTable(_ActionTable):
     """x <| a with values in H8.  The x = 1 row is eps(a) * 1."""
@@ -252,47 +235,21 @@ class RightActionTable(_ActionTable):
         """Table from: images of g, h, gh under <|G (H8 basis labels), their
         <|X images (8-tuples), and the two 4x4 z-block matrices (column j =
         coordinates of basis_j <| G resp. <| X on (z, gz, hz, ghz)).  Values
-        may be Scalars or Polys.  The GX column is forced by the module law:
-        x <| GX = (x <| G) <| X."""
-        table = cls({})
-        h8, h4, entries = table.h8, table.h4, table.entries
-
-        def as_poly(v):
-            return v if isinstance(v, Poly) else _pc(v)
-
-        zblock = [4, 5, 6, 7]
-        for ai in range(h4.dim):
-            entries[(0, ai)] = table.unit_row(ai, 0)
-        for xi in range(1, h8.dim):
-            entries[(xi, 0)] = table.unit_row(0, xi)
-        gi, xcol, gxi = h4.index["G"], h4.index["X"], h4.index["GX"]
-        for row, label in ((1, "g"), (2, "h"), (3, "gh")):
-            target = h8.index[grouplike_g_images[label]]
-            entries[(row, gi)] = tuple(
-                _P_ONE if k == target else _P_ZERO for k in range(h8.dim)
-            )
-            entries[(row, xcol)] = tuple(
-                as_poly(c) for c in grouplike_x_images[label]
-            )
-        for col, xi in enumerate(zblock):
-            entries[(xi, gi)] = tuple(
-                as_poly(a_matrix[k - 4][col]) if k in zblock else _P_ZERO
-                for k in range(h8.dim)
-            )
-            entries[(xi, xcol)] = tuple(
-                as_poly(b_matrix[k - 4][col]) if k in zblock else _P_ZERO
-                for k in range(h8.dim)
-            )
-        for xi in range(1, h8.dim):
-            acc = [dict() for _ in range(h8.dim)]
-            for k, p in enumerate(entries[(xi, gi)]):
-                if p.is_zero():
-                    continue
-                for m, q in enumerate(entries[(k, xcol)]):
-                    if not q.is_zero():
-                        acc_mul(acc[m], p, q)
-            entries[(xi, gxi)] = tuple(from_acc(d) for d in acc)
-        return table
+        may be Scalars or Polys.  They become the rows of the generators G
+        and X; `from_generators` forces x <| GX = (x <| G) <| X."""
+        h8, h4 = build_H8(), build_H4()
+        G, X = h4.index["G"], h4.index["X"]
+        images = {}
+        for label in ("g", "h", "gh"):
+            xi, target = h8.index[label], h8.index[grouplike_g_images[label]]
+            images[(G, xi)] = tuple(ONE if k == target else ZERO for k in range(h8.dim))
+            images[(X, xi)] = grouplike_x_images[label]
+        for col, xi in enumerate((4, 5, 6, 7)):
+            for g, matrix in ((G, a_matrix), (X, b_matrix)):
+                images[(g, xi)] = tuple(
+                    matrix[k - 4][col] if k >= 4 else ZERO for k in range(h8.dim)
+                )
+        return cls.from_generators(images)
 
     def matrix_G(self):
         """The 4x4 block A with (z<|G, gz<|G, hz<|G, ghz<|G) = (z,gz,hz,ghz) A."""
@@ -883,10 +840,14 @@ def left_family_instance(x_family, gx_family, alpha=ONE, beta=ONE):
         raise ValueError("gx_family must be 'a'..'d'")
     gX, zX = family(x_family, alpha, h4.index["X"])
     gGX, zGX = family("abcd".index(gx_family) + 1, beta, h4.index["GX"])
-    g_images = {"G": G_img, "X": gX, "GX": gGX}
-    return LeftActionTable.from_generator_images(
-        g_images, g_images, {"G": G_img, "X": zX, "GX": zGX}
-    )
+    g_rows = {"G": G_img, "X": gX, "GX": gGX}
+    z_rows = {"G": G_img, "X": zX, "GX": zGX}
+    h8 = build_H8()
+    return LeftActionTable.from_generators({
+        (h8.index[gen], h4.index[a]): row
+        for gen, rows in (("g", g_rows), ("h", g_rows), ("z", z_rows))
+        for a, row in rows.items()
+    })
 
 
 def classify_left_table(L):

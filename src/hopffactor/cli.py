@@ -11,7 +11,6 @@ check or count mismatch, 2 I/O error, 3 irreducible constraint system.
 `main` reports an I/O error (2), an irreducible system (3) or a bad
 input value (1) as one `error:` line on stderr; only `actions enumerate`
 handles an irreducible system itself, to write the residual.
-The HOPF_BUDGET environment variable overrides --budget.
 """
 
 import argparse
@@ -47,11 +46,7 @@ class RunConfig:
 
 
 def _config(args):
-    budget = args.budget
-    env = os.environ.get("HOPF_BUDGET")
-    if env:
-        budget = int(env)
-    if budget <= 0:
+    if args.budget <= 0:
         raise ValueError("budget must be positive")
     # fail before any work when --out cannot become a directory (made at the first write)
     probe = args.out
@@ -59,7 +54,7 @@ def _config(args):
         probe = os.path.dirname(probe)
     if probe and not os.path.isdir(probe):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
-    return RunConfig(out_dir=args.out, budget=budget, fmt=args.format)
+    return RunConfig(out_dir=args.out, budget=args.budget, fmt=args.format)
 
 
 def _structural_checks(name, H):
@@ -327,8 +322,7 @@ def cmd_theorem_check(args):
 def _add_common(parser):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument(
-        "--budget", type=int, default=_DEFAULT_BUDGET,
-        help="solver split budget (HOPF_BUDGET overrides)",
+        "--budget", type=int, default=_DEFAULT_BUDGET, help="solver split budget",
     )
     parser.add_argument(
         "--format", choices=("json", "markdown"), default="json",

@@ -15,7 +15,7 @@ rules is checked exhaustively on all words up to length four.
 
 from functools import lru_cache
 
-from hopffactor.hopf import HopfAlgebraData, verify_axioms
+from hopffactor.hopf import HopfAlgebraData, _acc, verify_axioms
 from hopffactor.scalar import HALF, NEG_ONE, ONE, Scalar
 
 _REWRITE_BUDGET = 10_000
@@ -74,13 +74,7 @@ def normalize(pres, combo, budget=_REWRITE_BUDGET):
         coeff = work.pop(word)
         prefix, suffix = word[:pos], word[pos + len(lhs):]
         for c, repl in rhs:
-            new_word = prefix + repl + suffix
-            cur = work.get(new_word)
-            val = coeff * c if cur is None else cur + coeff * c
-            if val.is_zero():
-                work.pop(new_word, None)
-            else:
-                work[new_word] = val
+            _acc(work, prefix + repl + suffix, coeff * c)
 
 
 def _find_redex(pres, word):
@@ -105,8 +99,7 @@ def check_local_confluence(pres, max_len=4):
                         continue
                     combo = {}
                     for c, repl in rhs:
-                        new_word = word[:pos] + repl + word[pos + len(lhs):]
-                        combo[new_word] = combo.get(new_word, Scalar(0)) + c
+                        _acc(combo, word[:pos] + repl + word[pos + len(lhs):], c)
                     reducts.append(normalize(pres, combo))
             if not reducts:
                 continue
@@ -157,22 +150,13 @@ def tabulate(pres):
             new_pairs = {}
             for (lw, rw), c in pairs.items():
                 for cg, gl, gr in pres.coproduct[g]:
-                    key = (lw + gl, rw + gr)
-                    cur = new_pairs.get(key)
-                    val = c * cg if cur is None else cur + c * cg
-                    new_pairs[key] = val
+                    _acc(new_pairs, (lw + gl, rw + gr), c * cg)
             pairs = new_pairs
         acc = {}
         for (lw, rw), c in pairs.items():
             for lword, lc in normalize(pres, lw).items():
                 for rword, rc in normalize(pres, rw).items():
-                    key = (index[lword], index[rword])
-                    cur = acc.get(key)
-                    val = c * lc * rc if cur is None else cur + c * lc * rc
-                    if val.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = val
+                    _acc(acc, (index[lword], index[rword]), c * lc * rc)
         comul.append(tuple((c, j, k) for (j, k), c in sorted(acc.items())))
 
     counit = []
@@ -189,10 +173,7 @@ def tabulate(pres):
             new_combo = {}
             for word, c in combo.items():
                 for cg, im in pres.antipode[g]:
-                    key = word + im
-                    cur = new_combo.get(key)
-                    val = c * cg if cur is None else cur + c * cg
-                    new_combo[key] = val
+                    _acc(new_combo, word + im, c * cg)
             combo = new_combo
         antipode.append(_as_coords(pres, normalize(pres, combo), index))
 

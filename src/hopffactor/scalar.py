@@ -120,9 +120,6 @@ class Scalar:
     def is_zero(self):
         return self.rn == 0 and self.imn == 0
 
-    def is_one(self):
-        return self.rn == 1 and self.rd == 1 and self.imn == 0
-
     def is_real(self):
         return self.imn == 0
 
@@ -265,7 +262,6 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-TWO = Scalar(2)
 NEG_ONE = Scalar(-1)
 HALF = Scalar(1, 2)
 I = Scalar(0, 1, 1, 1)

@@ -278,6 +278,45 @@ def test_matched_pair_emergent_facts(search_result):
             assert scalars[(xi, h4.index["G"])] == expected
 
 
+def test_from_generators_rebuilds_the_searched_tables(search_result):
+    # the module law fills in every compound element on both sides:
+    # gh, gz, hz, ghz acting on H4 and GX acting on H8
+    pairs, _ = search_result
+    assert len(pairs) == 4
+    for pair in pairs:
+        for table, generators in ((pair.left, "ghz"), (pair.right, "GX")):
+            act = table.by_acting(table.entries)
+            images = {
+                (table.acting.index[g], w): act[(table.acting.index[g], w)]
+                for g in generators
+                for w in range(1, table.acted.dim)
+            }
+            rebuilt = type(table).from_generators(images)
+            assert rebuilt.table_key() == table.table_key()
+
+
+@pytest.mark.parametrize(
+    "table_cls, generators, compound, first, second",
+    [(LeftActionTable, "ghz", "gz", "z", "g"), (RightActionTable, "GX", "GX", "G", "X")],
+    ids=("left", "right"),
+)
+def test_from_generators_reads_a_label_in_module_law_order(
+    table_cls, generators, compound, first, second
+):
+    # on unknown generator rows, where the order shows: gz |> w = g |> (z |> w)
+    # and w <| GX = (w <| G) <| X (g, h act alike and X kills H8 on the pairs)
+    T = table_cls.symbolic()
+    act, index, n_acted = T.by_acting(T.entries), T.acting.index, range(T.acted.dim)
+    images = {(index[g], w): act[(index[g], w)] for g in generators for w in n_acted if w}
+    built = T.by_acting(table_cls.from_generators(images).entries)
+    for w in n_acted:
+        expected = [Poly()] * T.acted.dim
+        for k, p in enumerate(act[(index[first], w)]):
+            for m, q in enumerate(act[(index[second], k)]):
+                expected[m] = expected[m] + p * q
+        assert built[(index[compound], w)] == tuple(expected)
+
+
 def test_matched_branch_points_are_concrete(search_result):
     _, sol = search_result
     assert len(sol.branches) == 4

@@ -116,18 +116,18 @@ def test_actions_enumerate_right_exits_irreducible(tmp_path):
     assert payload["residual_count"] > 0
 
 
-def test_budget_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOPF_BUDGET", "1")
+def test_budget_flag_exhausts_the_split_search(tmp_path):
     out = tmp_path / "tiny"
-    code = main(["actions", "enumerate", "--side", "left", "--out", str(out)])
+    code = main(["actions", "enumerate", "--side", "left", "--budget", "1", "--out", str(out)])
     assert code == EXIT_IRREDUCIBLE
     payload = read_json(out / "actions-left.solutions.json")
     assert payload["reason"] == "budget-exhausted"
 
 
-def test_invalid_budget(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOPF_BUDGET", "-3")
-    code = main(["actions", "enumerate", "--side", "left", "--out", str(tmp_path / "x")])
+def test_invalid_budget(tmp_path):
+    code = main(
+        ["actions", "enumerate", "--side", "left", "--budget", "-3", "--out", str(tmp_path / "x")]
+    )
     assert code == EXIT_CHECK_FAILED
 
 
@@ -406,10 +406,9 @@ def test_out_is_a_regular_file_exits_io(tmp_path, capsys, monkeypatch, argv):
     "argv", [["matched-pairs", "find"], ["product", "build"], ["theorem", "check"]],
     ids=("matched-pairs-find", "product-build", "theorem-check"),
 )
-def test_search_out_of_budget_exits_irreducible(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setenv("HOPF_BUDGET", "1")
+def test_search_out_of_budget_exits_irreducible(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    assert main(argv + ["--out", str(out)]) == EXIT_IRREDUCIBLE
+    assert main(argv + ["--budget", "1", "--out", str(out)]) == EXIT_IRREDUCIBLE
     assert_one_line_error(capsys)
     assert not out.exists()
 
