@@ -23,7 +23,7 @@ from hopffactor.hopf import _acc as _sacc
 from hopffactor.poly import Poly, _Batch, _num, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
-from hopffactor.solver import _DEFAULT_BUDGET, solve
+from hopffactor.solver import solve
 
 _P_ZERO = Poly()
 _P_ONE = Poly.const(ONE)
@@ -505,14 +505,14 @@ class MatchedPairCandidate:
     status: str = "unchecked"  # -> "module-valid" -> "matched"
 
 
-def enumerate_left_actions(split_budget=_DEFAULT_BUDGET):
+def enumerate_left_actions():
     """All left module-coalgebra actions of H8 on H4, as solver branches."""
     L = LeftActionTable.symbolic()
     system = module_coalgebra_system(L)
-    return solve(system, split_budget=split_budget, var_universe=L.variables())
+    return solve(system, var_universe=L.variables())
 
 
-def enumerate_right_actions(split_budget=_DEFAULT_BUDGET):
+def enumerate_right_actions():
     """All right module-coalgebra actions of H4 on H8.  The z-block of the
     G-action ranges over a two-dimensional family (the involutive coalgebra
     endomorphisms of a simple four-dimensional coalgebra) that is not a
@@ -521,22 +521,20 @@ def enumerate_right_actions(split_budget=_DEFAULT_BUDGET):
     return a fictitious enumeration."""
     R = RightActionTable.symbolic()
     system = module_coalgebra_system(R)
-    return solve(system, split_budget=split_budget, var_universe=R.variables())
+    return solve(system, var_universe=R.variables())
 
 
-_SEARCH_CACHE = {}
+_SEARCH_CACHE = []  # the one (pairs, solution set) result, once the search has run
 
 
-def matched_pair_search(split_budget=_DEFAULT_BUDGET):
+def matched_pair_search():
     """Solve the union of both module-coalgebra systems and the pairing
     constraints; returns (verified candidates, solution set).  The search
-    is deterministic, so results are memoized per budget."""
-    cached = _SEARCH_CACHE.get(split_budget)
-    if cached is not None:
-        return list(cached[0]), cached[1]
-    pairs, sol = _matched_pair_search_uncached(split_budget)
-    _SEARCH_CACHE[split_budget] = (tuple(pairs), sol)
-    return pairs, sol
+    is deterministic, so its result is memoized."""
+    if not _SEARCH_CACHE:
+        _SEARCH_CACHE.append(_matched_pair_search_uncached())
+    pairs, sol = _SEARCH_CACHE[0]
+    return list(pairs), sol
 
 
 def _search_system(L, R):
@@ -550,12 +548,12 @@ def _search_system(L, R):
     )
 
 
-def _matched_pair_search_uncached(split_budget):
+def _matched_pair_search_uncached():
     L = LeftActionTable.symbolic()
     R = RightActionTable.symbolic()
     system = _search_system(L, R)
     universe = L.variables() + R.variables()
-    sol = solve(system, split_budget=split_budget, var_universe=universe)
+    sol = solve(system, var_universe=universe)
     pairs = []
     for branch in sol.branches:
         Lc = L.substitute(branch)
@@ -571,9 +569,9 @@ def _matched_pair_search_uncached(split_budget):
     return pairs, sol
 
 
-def find_matched_pairs(split_budget=_DEFAULT_BUDGET):
+def find_matched_pairs():
     """All matched pairs (|>, <|), independently re-verified."""
-    return matched_pair_search(split_budget)[0]
+    return matched_pair_search()[0]
 
 
 # -- direct verification (independent of the compiled systems) ---------------------

@@ -28,7 +28,6 @@ from hopffactor.hopf import (
 from hopffactor.hopf import _acc as _sacc
 from hopffactor.linalg import Mat
 from hopffactor.scalar import HALF, I, NEG_I, NEG_ONE, ZERO, join_signed
-from hopffactor.solver import _DEFAULT_BUDGET
 
 
 class BicrossedConstructionError(RuntimeError):
@@ -341,12 +340,12 @@ class InvariantReport:
         }
 
 
-def invariant_report(product, split_budget=_DEFAULT_BUDGET):
+def invariant_report(product):
     """Dimension, group-likes (solver-enumerated and cross-checked), all
     skew-primitive dimensions between group-like pairs, commutativity
     flags, the zX relation shape, and antipode bijectivity."""
     E = product.algebra
-    gls = grouplikes(E, split_budget=split_budget)
+    gls = grouplikes(E)
     for g in gls:
         if not is_grouplike(E, g):
             raise AssertionError("invariant report found a bogus group-like")

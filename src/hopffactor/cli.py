@@ -6,11 +6,15 @@ right module-coalgebra enumeration), `matched-pairs find`, `product build`
 (the four bicrossed products plus relation checks), and `theorem check`
 (the whole chain with a summary table).
 
+Every subcommand takes `--out DIR`; `catalog verify` and `theorem check`
+also take `--format json|markdown`.
+
 Exit codes depend on mathematical outcomes only: 0 success, 1 failed
-check or count mismatch, 2 I/O error, 3 irreducible constraint system.
-`main` reports an I/O error (2), an irreducible system (3) or a bad
-input value (1) as one `error:` line on stderr; only `actions enumerate`
-handles an irreducible system itself, to write the residual.
+check, count mismatch or usage error, 2 I/O error, 3 a search the solver
+cannot finish (an irreducible system or an exhausted split budget).
+`main` reports a usage error or bad input value (1), an I/O error (2) or
+an irreducible system (3) as one `error:` line on stderr; only `actions
+enumerate` handles an irreducible system itself, to write the residual.
 """
 
 import argparse
@@ -25,7 +29,7 @@ from hopffactor import jsonio
 from hopffactor.hopf import tensor_product, verify_axioms
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import Scalar
-from hopffactor.solver import _DEFAULT_BUDGET, IrreducibleSystemError
+from hopffactor.solver import IrreducibleSystemError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -33,28 +37,21 @@ EXIT_IO = 2
 EXIT_IRREDUCIBLE = 3
 
 
-class RunConfig:
-    __slots__ = ("out_dir", "budget", "fmt")
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so `main` reports it as one
+    `error:` line with exit 1 (argparse itself exits 2, the I/O code)."""
 
-    def __init__(self, out_dir, budget, fmt):
-        self.out_dir = out_dir
-        self.budget = budget
-        self.fmt = fmt
-
-    def path(self, name):
-        return os.path.join(self.out_dir, name)
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _config(args):
-    if args.budget <= 0:
-        raise ValueError("budget must be positive")
     # fail before any work when --out cannot become a directory (made at the first write)
     probe = args.out
     while probe and not os.path.lexists(probe):
         probe = os.path.dirname(probe)
     if probe and not os.path.isdir(probe):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
-    return RunConfig(out_dir=args.out, budget=args.budget, fmt=args.format)
 
 
 def _structural_checks(name, H):
@@ -77,7 +74,7 @@ def _structural_checks(name, H):
 
 
 def cmd_catalog_verify(args):
-    config = _config(args)
+    _config(args)
     targets = []
     if args.load:
         H = jsonio.algebra_from_json(jsonio.read_json(args.load))
@@ -96,15 +93,15 @@ def cmd_catalog_verify(args):
         extra = [] if args.load else _structural_checks(name, H)
         ok = report.all_passed and all(p for _, p in extra)
         all_ok = all_ok and ok
-        jsonio.write_json(config.path(f"{name}.hopf.json"), jsonio.algebra_to_json(H))
+        jsonio.write_json(os.path.join(args.out, f"{name}.hopf.json"), jsonio.algebra_to_json(H))
         payload = jsonio.axiom_report_to_json(report, extra)
-        if config.fmt == "markdown":
+        if args.format == "markdown":
             jsonio.write_text(
-                config.path(f"{name}.axiom-report.md"),
+                os.path.join(args.out, f"{name}.axiom-report.md"),
                 jsonio.axiom_report_to_markdown(report, extra),
             )
         else:
-            jsonio.write_json(config.path(f"{name}.axiom-report.json"), payload)
+            jsonio.write_json(os.path.join(args.out, f"{name}.axiom-report.json"), payload)
         verdict = "ok" if ok else "FAILED"
         print(f"{name}: dim {H.dim}, axiom checks {verdict}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
@@ -113,13 +110,13 @@ def cmd_catalog_verify(args):
 def cmd_actions_enumerate(args):
     from hopffactor.actions import enumerate_left_actions, enumerate_right_actions
 
-    config = _config(args)
+    _config(args)
     side = args.side
     try:
         if side == "left":
-            sol = enumerate_left_actions(split_budget=config.budget)
+            sol = enumerate_left_actions()
         else:
-            sol = enumerate_right_actions(split_budget=config.budget)
+            sol = enumerate_right_actions()
     except IrreducibleSystemError as exc:
         payload = {
             "schema": "solutions/v1",
@@ -129,14 +126,14 @@ def cmd_actions_enumerate(args):
             "residual": [p.render() for p in exc.residual[:40]],
             "residual_count": len(exc.residual),
         }
-        jsonio.write_json(config.path(f"actions-{side}.solutions.json"), payload)
+        jsonio.write_json(os.path.join(args.out, f"actions-{side}.solutions.json"), payload)
         print(f"{side} enumeration: irreducible system ({exc.reason}); "
               f"residual of {len(exc.residual)} constraints written")
         return EXIT_IRREDUCIBLE
     payload = sol.to_json()
     payload["side"] = side
     payload["branch_count"] = len(sol.branches)
-    jsonio.write_json(config.path(f"actions-{side}.solutions.json"), payload)
+    jsonio.write_json(os.path.join(args.out, f"actions-{side}.solutions.json"), payload)
     print(f"{side} enumeration: {len(sol.branches)} canonical families")
     return EXIT_OK
 
@@ -159,10 +156,10 @@ def _pair_rows(pairs):
 def cmd_matched_pairs_find(args):
     from hopffactor.actions import matched_pair_search
 
-    config = _config(args)
+    _config(args)
     if args.load:
-        return _replay_matched_pair(args.load, config)
-    pairs, _sol = matched_pair_search(split_budget=config.budget)
+        return _replay_matched_pair(args.load, args.out)
+    pairs, _sol = matched_pair_search()
     for n, (pair, product, sig, pres, family) in enumerate(_pair_rows(pairs), start=1):
         digest = {
             "zx_relation": sig,
@@ -171,7 +168,7 @@ def cmd_matched_pairs_find(args):
             "pair_checks_pass": pair.status == "matched",
         }
         jsonio.write_json(
-            config.path(f"matched-pair-{n}.json"),
+            os.path.join(args.out, f"matched-pair-{n}.json"),
             jsonio.matched_pair_to_json(pair, digest),
         )
     print(f"matched pairs: {len(pairs)}")
@@ -188,7 +185,7 @@ def _family_label(pair):
     return f"x-family {xf} (alpha={alpha}), gx-family {gf} (beta={beta})"
 
 
-def _replay_matched_pair(path, config):
+def _replay_matched_pair(path, out):
     """Re-verify a stored matched-pair/v1 file; the copy written carries this run's status."""
     from hopffactor.actions import settle_status
 
@@ -200,7 +197,7 @@ def _replay_matched_pair(path, config):
         "failures": [str(f) for f in failures[:10]],
     }
     jsonio.write_json(
-        config.path("matched-pair-replay.json"),
+        os.path.join(out, "matched-pair-replay.json"),
         jsonio.matched_pair_to_json(pair, digest),
     )
     if failures:
@@ -214,14 +211,14 @@ def cmd_product_build(args):
     from hopffactor.actions import matched_pair_search
     from hopffactor.bicrossed import verify_presentation
 
-    config = _config(args)
-    pairs, _sol = matched_pair_search(split_budget=config.budget)
+    _config(args)
+    pairs, _sol = matched_pair_search()
     ok = len(pairs) == 4
     for n, (pair, product, sig, pres, _family) in enumerate(_pair_rows(pairs), start=1):
         checks = verify_presentation(product, pres)
         ok = ok and all(c.holds for c in checks)
         jsonio.write_json(
-            config.path(f"product-{n}.hopf.json"),
+            os.path.join(args.out, f"product-{n}.hopf.json"),
             jsonio.algebra_to_json(product.algebra),
         )
         print(f"product {n}: {pres}, {sig}, relations "
@@ -233,12 +230,10 @@ def cmd_theorem_check(args):
     from hopffactor.actions import matched_pair_search
     from hopffactor.bicrossed import check_embeddings, invariant_report, verify_presentation
 
-    config = _config(args)
-    pairs, _sol = matched_pair_search(split_budget=config.budget)
+    _config(args)
+    pairs, _sol = matched_pair_search()
     rows = _pair_rows(pairs)
 
-    count_ok = len(pairs) == 4
-    all_relations_ok = True
     tensor_identified = None
     report_rows = []
     signatures = []
@@ -246,28 +241,25 @@ def cmd_theorem_check(args):
         signatures.append(sig)
         axiom_rep = product.axiom_report
         checks = verify_presentation(product, pres)
-        relations_ok = all(c.holds for c in checks)
-        all_relations_ok = all_relations_ok and relations_ok and axiom_rep.all_passed
-        reverified = pair.status == "matched"
         embed_fail = check_embeddings(product)
-        inv = invariant_report(product, split_budget=config.budget)
+        inv = invariant_report(product)
         if pres == "tensor":
             T = tensor_product(build_H4(), build_H8())
             tensor_identified = (
                 product.algebra.structure_key() == T.structure_key()
             )
         jsonio.write_json(
-            config.path(f"matched-pair-{n}.json"),
+            os.path.join(args.out, f"matched-pair-{n}.json"),
             jsonio.matched_pair_to_json(
                 pair,
                 {"zx_relation": sig, "presentation": pres, "left_family": family},
             ),
         )
         jsonio.write_json(
-            config.path(f"product-{n}.hopf.json"),
+            os.path.join(args.out, f"product-{n}.hopf.json"),
             jsonio.algebra_to_json(product.algebra),
         )
-        jsonio.write_json(config.path(f"invariants-{n}.json"), inv.to_json())
+        jsonio.write_json(os.path.join(args.out, f"invariants-{n}.json"), inv.to_json())
         report_rows.append(
             {
                 "id": n,
@@ -275,8 +267,8 @@ def cmd_theorem_check(args):
                 "zx_relation": sig,
                 "presentation": pres,
                 "axioms_pass": axiom_rep.all_passed,
-                "relations_pass": relations_ok,
-                "pair_reverified": reverified,
+                "relations_pass": all(c.holds for c in checks),
+                "pair_reverified": pair.status == "matched",
                 "embeddings_pass": not embed_fail,
                 "relations": [
                     {"relation": c.relation, "holds": c.holds, "witness": c.witness}
@@ -284,7 +276,6 @@ def cmd_theorem_check(args):
                 ],
             }
         )
-        all_relations_ok = all_relations_ok and reverified and not embed_fail
     report = {
         "schema": "theorem-report/v1",
         "matched_pair_count": len(pairs),
@@ -294,18 +285,22 @@ def cmd_theorem_check(args):
         "tensor_identification": tensor_identified,
         "rows": report_rows,
     }
-    jsonio.write_json(config.path("theorem-report.json"), report)
-    if config.fmt == "markdown":
+    jsonio.write_json(os.path.join(args.out, "theorem-report.json"), report)
+    if args.format == "markdown":
         jsonio.write_text(
-            config.path("theorem-report.md"),
+            os.path.join(args.out, "theorem-report.md"),
             jsonio.theorem_report_to_markdown(report),
         )
 
     ok = (
-        count_ok
-        and all_relations_ok
-        and tensor_identified is True
-        and len(set(signatures)) == 4
+        report["matched_pair_count"] == 4
+        and all(
+            row["axioms_pass"] and row["relations_pass"]
+            and row["pair_reverified"] and row["embeddings_pass"]
+            for row in report["rows"]
+        )
+        and report["tensor_identification"] is True
+        and len(set(report["zx_signatures"])) == 4
     )
     print(f"matched pairs: {len(pairs)} (expected 4)")
     for row in report_rows:
@@ -319,65 +314,62 @@ def cmd_theorem_check(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_common(parser):
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--budget", type=int, default=_DEFAULT_BUDGET, help="solver split budget",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "markdown"), default="json",
-        help="human-readable report format",
-    )
-
-
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopffactor",
         description="Exact verification pipeline for the bicrossed products of H8 and H4",
+    )
+    # every subcommand writes under --out; only the two that write a report take --format
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default="out", help="output directory")
+    report = _Parser(add_help=False, parents=[out])
+    report.add_argument(
+        "--format", choices=("json", "markdown"), default="json",
+        help="human-readable report format",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     catalog = sub.add_parser("catalog", help="base algebra catalog")
     catalog_sub = catalog.add_subparsers(dest="subcommand", required=True)
-    verify = catalog_sub.add_parser("verify", help="build and axiom-check the algebras")
+    verify = catalog_sub.add_parser(
+        "verify", parents=[report], help="build and axiom-check the algebras",
+    )
     verify.add_argument("--algebra", choices=("h4", "h8", "all"), default="all")
     verify.add_argument("--load", help="verify a stored hopf-algebra/v1 file instead")
-    _add_common(verify)
     verify.set_defaults(func=cmd_catalog_verify)
 
     actions = sub.add_parser("actions", help="module-coalgebra actions")
     actions_sub = actions.add_subparsers(dest="subcommand", required=True)
-    enum = actions_sub.add_parser("enumerate", help="enumerate the action families")
+    enum = actions_sub.add_parser(
+        "enumerate", parents=[out], help="enumerate the action families",
+    )
     enum.add_argument("--side", choices=("left", "right"), required=True)
-    _add_common(enum)
     enum.set_defaults(func=cmd_actions_enumerate)
 
     mp = sub.add_parser("matched-pairs", help="matched pairs of actions")
     mp_sub = mp.add_subparsers(dest="subcommand", required=True)
-    find = mp_sub.add_parser("find", help="solve for all matched pairs")
+    find = mp_sub.add_parser("find", parents=[out], help="solve for all matched pairs")
     find.add_argument("--load", help="re-verify a stored matched-pair/v1 file instead")
-    _add_common(find)
     find.set_defaults(func=cmd_matched_pairs_find)
 
     product = sub.add_parser("product", help="bicrossed products")
     product_sub = product.add_subparsers(dest="subcommand", required=True)
-    build = product_sub.add_parser("build", help="build and check the four products")
-    _add_common(build)
+    build = product_sub.add_parser(
+        "build", parents=[out], help="build and check the four products",
+    )
     build.set_defaults(func=cmd_product_build)
 
     theorem = sub.add_parser("theorem", help="the full factorization statement")
     theorem_sub = theorem.add_subparsers(dest="subcommand", required=True)
-    check = theorem_sub.add_parser("check", help="run the whole pipeline")
-    _add_common(check)
+    check = theorem_sub.add_parser("check", parents=[report], help="run the whole pipeline")
     check.set_defaults(func=cmd_theorem_check)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

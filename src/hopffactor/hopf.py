@@ -20,7 +20,7 @@ from math import lcm
 from hopffactor.linalg import kernel
 from hopffactor.poly import Poly
 from hopffactor.scalar import ONE, ZERO, Scalar, join_signed, render_term
-from hopffactor.solver import _DEFAULT_BUDGET, solve
+from hopffactor.solver import solve
 
 
 class HopfAlgebraData:
@@ -657,17 +657,17 @@ def is_grouplike(H, x):
     return H.comultiply_dict(x) == outer
 
 
-def grouplikes(H, split_budget=_DEFAULT_BUDGET):
+def grouplikes(H):
     """The complete finite set of group-like elements, solver-enumerated."""
     cache_key = H.coalgebra_key()
     cached = _GROUPLIKE_CACHE.get(cache_key)
     if cached is None:
-        cached = _enumerate_grouplikes(H, split_budget)
+        cached = _enumerate_grouplikes(H)
         _GROUPLIKE_CACHE[cache_key] = cached
     return tuple(H.element(coords) for coords in cached)
 
 
-def _enumerate_grouplikes(H, split_budget):
+def _enumerate_grouplikes(H):
     d = H.dim
     width = len(str(d - 1))
     names = [f"x{i:0{width}d}" for i in range(d)]
@@ -688,7 +688,7 @@ def _enumerate_grouplikes(H, split_budget):
         for k in range(d):
             lhs = delta.get((j, k), Poly())
             system.append(lhs - xs[j] * xs[k])
-    solset = solve(system, split_budget=split_budget, var_universe=names)
+    solset = solve(system, var_universe=names)
     points = []
     for branch in solset:
         if not branch.is_point():

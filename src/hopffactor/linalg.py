@@ -88,16 +88,8 @@ class Mat:
     def _sparse_rows(self):
         return ({c: e for c, e in enumerate(row) if not e.is_zero()} for row in self.rows)
 
-    def rref(self):
-        """Reduced row echelon form; returns (Mat, pivot column list)."""
-        n = self.ncols
-        pivots = rref(self._sparse_rows(), range(n))
-        rows = [tuple(row.get(c, ZERO) for c in range(n)) for _, row in pivots]
-        rows += [(ZERO,) * n] * (self.nrows - len(rows))
-        return Mat(rows), [c for c, _ in pivots]
-
     def rank(self):
-        return len(self.rref()[1])
+        return len(rref(self._sparse_rows(), range(self.ncols)))
 
     def kernel(self):
         """Basis of the right null space, one vector per free column."""

@@ -46,7 +46,7 @@ class Presentation:
         return "".join(word) if word else "1"
 
 
-def normalize(pres, combo, budget=_REWRITE_BUDGET):
+def normalize(pres, combo):
     """Rewrite a word (or {word: Scalar} combination) to normal form.
 
     The result maps normal-form words to coefficients; normalizing again is
@@ -66,9 +66,9 @@ def normalize(pres, combo, budget=_REWRITE_BUDGET):
         if target is None:
             return dict(work)
         steps += 1
-        if steps > budget:
+        if steps > _REWRITE_BUDGET:
             raise RewriteError(
-                f"rewriting exceeded {budget} steps in {pres.name}; rules do not terminate"
+                f"rewriting exceeded {_REWRITE_BUDGET} steps in {pres.name}; rules do not terminate"
             )
         word, (pos, lhs, rhs) = target
         coeff = work.pop(word)
@@ -85,11 +85,11 @@ def _find_redex(pres, word):
     return None
 
 
-def check_local_confluence(pres, max_len=4):
-    """All one-step reducts of every word up to max_len must share one
-    normal form; raises RewriteError with a witness otherwise."""
+def check_local_confluence(pres):
+    """All one-step reducts of every word of up to four letters must share
+    one normal form; raises RewriteError with a witness otherwise."""
     words = [()]
-    for _ in range(max_len):
+    for _ in range(4):
         words = [w + (g,) for w in words for g in pres.generators]
         for word in words:
             reducts = []

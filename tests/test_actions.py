@@ -185,7 +185,7 @@ def test_right_enumeration_reports_irreducible():
     # covers: the honest outcome of the standalone enumeration is the
     # irreducible-system error, carrying the residual
     with pytest.raises(IrreducibleSystemError) as err:
-        enumerate_right_actions(split_budget=100_000)
+        enumerate_right_actions()
     assert err.value.residual
     assert err.value.reason in ("no-applicable-rule", "budget-exhausted")
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
+import functools
 import json
 import os
 
@@ -116,19 +117,22 @@ def test_actions_enumerate_right_exits_irreducible(tmp_path):
     assert payload["residual_count"] > 0
 
 
-def test_budget_flag_exhausts_the_split_search(tmp_path):
+def tiny_split_budget(monkeypatch):
+    """The action layer's searches get a split budget of one node and a
+    memo of their own, so the warm search result stays for later tests."""
+    from hopffactor import actions, solver
+
+    monkeypatch.setattr(actions, "solve", functools.partial(solver.solve, split_budget=1))
+    monkeypatch.setattr(actions, "_SEARCH_CACHE", [])
+
+
+def test_exhausted_split_budget_writes_the_residual(tmp_path, monkeypatch):
+    tiny_split_budget(monkeypatch)
     out = tmp_path / "tiny"
-    code = main(["actions", "enumerate", "--side", "left", "--budget", "1", "--out", str(out)])
+    code = main(["actions", "enumerate", "--side", "left", "--out", str(out)])
     assert code == EXIT_IRREDUCIBLE
     payload = read_json(out / "actions-left.solutions.json")
     assert payload["reason"] == "budget-exhausted"
-
-
-def test_invalid_budget(tmp_path):
-    code = main(
-        ["actions", "enumerate", "--side", "left", "--budget", "-3", "--out", str(tmp_path / "x")]
-    )
-    assert code == EXIT_CHECK_FAILED
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +363,21 @@ def test_catalog_load_named_like_a_built_target(tmp_path, capsys, name, basis):
 # -- one error path: every subcommand reports through main --------------------------
 
 
+def forbid_work(monkeypatch):
+    """Fail the test if a search, enumeration, axiom battery or pair check runs."""
+    from hopffactor import actions, cli
+
+    for module, name in (
+        (actions, "matched_pair_search"),
+        (actions, "enumerate_left_actions"),
+        (actions, "enumerate_right_actions"),
+        (actions, "check_module_coalgebras"),
+        (actions, "check_matched_pair"),
+        (cli, "verify_axioms"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -380,20 +399,10 @@ def test_catalog_load_named_like_a_built_target(tmp_path, capsys, name, basis):
 def test_out_is_a_regular_file_exits_io(tmp_path, capsys, monkeypatch, argv):
     """--out is checked before any work: no search, enumeration, axiom
     battery or pair check runs when it or an ancestor is a regular file."""
-    from hopffactor import actions, cli
-
     jsonio.write_json(str(tmp_path / "h4.hopf.json"), jsonio.algebra_to_json(build_H4()))
     cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
     jsonio.write_json(str(tmp_path / "pair.json"), jsonio.matched_pair_to_json(cand))
-    for module, name in (
-        (actions, "matched_pair_search"),
-        (actions, "enumerate_left_actions"),
-        (actions, "enumerate_right_actions"),
-        (actions, "check_module_coalgebras"),
-        (actions, "check_matched_pair"),
-        (cli, "verify_axioms"),
-    ):
-        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    forbid_work(monkeypatch)
     out = tmp_path / "out"
     out.write_text("not a directory\n", encoding="utf-8")
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -406,11 +415,39 @@ def test_out_is_a_regular_file_exits_io(tmp_path, capsys, monkeypatch, argv):
     "argv", [["matched-pairs", "find"], ["product", "build"], ["theorem", "check"]],
     ids=("matched-pairs-find", "product-build", "theorem-check"),
 )
-def test_search_out_of_budget_exits_irreducible(tmp_path, capsys, argv):
+def test_search_out_of_budget_exits_irreducible(tmp_path, capsys, monkeypatch, argv):
+    tiny_split_budget(monkeypatch)
     out = tmp_path / "o"
-    assert main(argv + ["--budget", "1", "--out", str(out)]) == EXIT_IRREDUCIBLE
+    assert main(argv + ["--out", str(out)]) == EXIT_IRREDUCIBLE
     assert_one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "verify", "--budget", "5"],
+        ["actions", "enumerate", "--side", "left", "--budget", "5"],
+        ["matched-pairs", "find", "--budget", "5"],
+        ["product", "build", "--budget", "5"],
+        ["theorem", "check", "--budget", "5"],
+        ["actions", "enumerate", "--side", "left", "--format", "json"],
+        ["matched-pairs", "find", "--format", "json"],
+        ["product", "build", "--format", "json"],
+    ],
+    ids=(
+        "catalog-verify-budget", "actions-enumerate-budget", "matched-pairs-find-budget",
+        "product-build-budget", "theorem-check-budget", "actions-enumerate-format",
+        "matched-pairs-find-format", "product-build-format",
+    ),
+)
+def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    """A subcommand takes only the flags it reads; any other is a usage
+    error (exit 1, one `error:` line) raised before any work or write."""
+    forbid_work(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+    assert_one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 json_values = st.recursive(
