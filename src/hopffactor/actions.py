@@ -230,43 +230,6 @@ class RightActionTable(_ActionTable):
     module_law_witness = "x <| (ab) != (x <| a) <| b"
     product_rule_witness = "(xy) <| a != (x<|(y1|>a1))(y2<|a2)"
 
-    @classmethod
-    def from_components(cls, grouplike_g_images, grouplike_x_images, a_matrix, b_matrix):
-        """Table from: images of g, h, gh under <|G (H8 basis labels), their
-        <|X images (8-tuples), and the two 4x4 z-block matrices (column j =
-        coordinates of basis_j <| G resp. <| X on (z, gz, hz, ghz)).  Values
-        may be Scalars or Polys.  They become the rows of the generators G
-        and X; `from_generators` forces x <| GX = (x <| G) <| X."""
-        h8, h4 = build_H8(), build_H4()
-        G, X = h4.index["G"], h4.index["X"]
-        images = {}
-        for label in ("g", "h", "gh"):
-            xi, target = h8.index[label], h8.index[grouplike_g_images[label]]
-            images[(G, xi)] = tuple(ONE if k == target else ZERO for k in range(h8.dim))
-            images[(X, xi)] = grouplike_x_images[label]
-        for col, xi in enumerate((4, 5, 6, 7)):
-            for g, matrix in ((G, a_matrix), (X, b_matrix)):
-                images[(g, xi)] = tuple(
-                    matrix[k - 4][col] if k >= 4 else ZERO for k in range(h8.dim)
-                )
-        return cls.from_generators(images)
-
-    def matrix_G(self):
-        """The 4x4 block A with (z<|G, gz<|G, hz<|G, ghz<|G) = (z,gz,hz,ghz) A."""
-        return self._zblock_matrix("G")
-
-    def matrix_X(self):
-        """The 4x4 block B with (z<|X, gz<|X, hz<|X, ghz<|X) = (z,gz,hz,ghz) B."""
-        return self._zblock_matrix("X")
-
-    def _zblock_matrix(self, col_label):
-        scalars = self.scalar_entries()
-        ai = self.h4.index[col_label]
-        rows = []
-        for k in (4, 5, 6, 7):
-            rows.append(tuple(scalars[(xj, ai)][k] for xj in (4, 5, 6, 7)))
-        return tuple(rows)
-
 
 # -- constraint generation -------------------------------------------------------
 #
@@ -884,34 +847,24 @@ def classify_left_table(L):
     return xf, gx_name, alpha, beta
 
 
-def _fixed_grouplike_right_table(a_matrix, b_matrix):
-    """g, h, gh fixed by G and killed by X; z-blocks A and B."""
-    return RightActionTable.from_components(
-        {"g": "g", "h": "h", "gh": "gh"},
-        {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
-        a_matrix,
-        b_matrix,
-    )
-
-
-_ZERO_BLOCK = tuple((ZERO,) * 4 for _ in range(4))
-
-
-def trivial_right_table():
-    """A = E, B = 0, group-likes fixed."""
-    E = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
-    return _fixed_grouplike_right_table(E, _ZERO_BLOCK)
-
-
-def antidiagonal_right_table():
-    """A = antidiagonal (z<|G = ghz, ..., ghz<|G = z), B = 0, group-likes fixed."""
-    A = tuple(
-        tuple(ONE if i + j == 3 else ZERO for j in range(4)) for i in range(4)
-    )
-    return _fixed_grouplike_right_table(A, _ZERO_BLOCK)
-
-
 # -- the small published equation systems ------------------------------------------
+
+
+def _fixed_grouplike_right_table(a_matrix, b_matrix):
+    """The right table with g, h, gh fixed by G and killed by X and the
+    z-blocks A and B: column j of A (of B) holds the coordinates of
+    (z, gz, hz, ghz)[j] <| G (<| X) on (z, gz, hz, ghz).  Entries may be
+    Scalars or Polys."""
+    h4 = build_H4()
+    G, X = h4.index["G"], h4.index["X"]
+    images = {}
+    for xi in (1, 2, 3):  # g, h, gh
+        images[(G, xi)] = tuple(ONE if k == xi else ZERO for k in range(8))
+        images[(X, xi)] = (ZERO,) * 8
+    for col, xi in enumerate((4, 5, 6, 7)):
+        for g, matrix in ((G, a_matrix), (X, b_matrix)):
+            images[(g, xi)] = (ZERO,) * 4 + tuple(row[col] for row in matrix)
+    return RightActionTable.from_generators(images)
 
 
 def _circulant(names_or_values):

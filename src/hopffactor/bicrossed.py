@@ -1,5 +1,5 @@
 """Bicrossed products of a matched pair, presentation checks, and
-distinguishing-invariant reports.
+invariant reports.
 
 The product lives on the basis a (x) x (H4 factor first, matching the
 action directions |> : H8 (x) H4 -> H4 and <| : H8 (x) H4 -> H8) with
@@ -39,10 +39,6 @@ class BicrossedProduct:
     algebra: HopfAlgebraData
     pair: object  # MatchedPairCandidate provenance
     axiom_report: AxiomReport  # the battery run at construction, all passed
-
-    @property
-    def dim(self):
-        return self.algebra.dim
 
     def embed_h4(self, element):
         """iota_A: a -> a (x) 1."""
@@ -159,7 +155,8 @@ _CROSS_RELATIONS = {
 
 PRESENTATION_NAMES = tuple(_CROSS_RELATIONS)
 
-# each presentation's z.X right side: the four shapes that tell the products apart
+# each presentation's z.X right side; the four are pairwise distinct, but
+# they are presentation data, not an isomorphism invariant
 _ZX_RHS = {name: dict(relations)["z.X"] for name, relations in _CROSS_RELATIONS.items()}
 
 
@@ -240,7 +237,8 @@ def presentation_for(product):
 
 
 def zx_signature(product):
-    """Which of the four zX relation shapes holds: the product's fingerprint."""
+    """The zX relation of the presentation whose z.X relation holds in the
+    product, as text, or zX=other(...) when none does."""
     name = presentation_for(product)
     if name is None:
         zx = product.generator("z") * product.generator("X")

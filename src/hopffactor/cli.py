@@ -94,14 +94,16 @@ def cmd_catalog_verify(args):
         ok = report.all_passed and all(p for _, p in extra)
         all_ok = all_ok and ok
         jsonio.write_json(os.path.join(args.out, f"{name}.hopf.json"), jsonio.algebra_to_json(H))
-        payload = jsonio.axiom_report_to_json(report, extra)
         if args.format == "markdown":
             jsonio.write_text(
                 os.path.join(args.out, f"{name}.axiom-report.md"),
                 jsonio.axiom_report_to_markdown(report, extra),
             )
         else:
-            jsonio.write_json(os.path.join(args.out, f"{name}.axiom-report.json"), payload)
+            jsonio.write_json(
+                os.path.join(args.out, f"{name}.axiom-report.json"),
+                jsonio.axiom_report_to_json(report, extra),
+            )
         verdict = "ok" if ok else "FAILED"
         print(f"{name}: dim {H.dim}, axiom checks {verdict}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

@@ -124,9 +124,6 @@ class HopfAlgebraData:
         i = self.index[which] if isinstance(which, str) else which
         return Element(self, tuple(ONE if j == i else ZERO for j in range(self.dim)))
 
-    def el(self, which):
-        return self.basis_element(which)
-
     def one(self):
         return Element(self, self.unit)
 

@@ -195,7 +195,7 @@ def axiom_report_to_markdown(report, extra_checks=()):
         report.all_passed and all(p for _, p in extra_checks)
     ) else "FAILURES PRESENT"
     lines.append(f"Verdict: {verdict}")
-    failing = [c for c in report.checks if not c.passed]
+    failing = report.failing()
     if failing:
         lines.append("")
         lines.append("## Witnesses")

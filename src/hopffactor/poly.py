@@ -8,7 +8,7 @@ coefficient of m is (re + im*i)/den.  Zero is {} over 1.  That form is
 canonical, so polynomials compare structurally, and arithmetic makes no
 Scalar objects: it multiplies and adds ints and reduces once per result.
 Scalars appear only at the boundary (`const`, `coeff`, `const_value`,
-`coefficients`, `eval`, `*` by a Scalar).
+`*` by a Scalar).
 
 The canonical term order is graded lexicographic, highest degree first,
 which makes rendering and `key()` deterministic and lets whole solution
@@ -122,10 +122,6 @@ class Poly:
         c = self.terms.get(tuple(sorted(mono_parts)))
         return ZERO if c is None else Scalar(c[0], self.den, c[1], self.den)
 
-    def coefficients(self):
-        """(monomial, Scalar coefficient) pairs in the canonical term order."""
-        return [(m, Scalar(*parts)) for m, parts in self.key()]
-
     def key(self):
         """((monomial, (rn, rd, imn, imd)), ...) in the canonical term
         order, built anew on each call."""
@@ -162,12 +158,6 @@ class Poly:
             return NotImplemented
         return self._plus(other, -1)
 
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._plus(self, -1)
-
     def _plus(self, other, sign):
         """self + sign*other."""
         if not other.terms:
@@ -197,15 +187,7 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = Poly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    # -- substitution & evaluation -------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
     def subst_many(self, mapping):
         """Substitute several variables (var -> Poly) in one rebuild."""
@@ -213,16 +195,6 @@ class Poly:
         if not relevant:
             return self
         return _Batch({v: mapping[v] for v in relevant}).apply(self)
-
-    def eval(self, assignment):
-        """Evaluate at a full Scalar assignment of every variable."""
-        acc = ZERO
-        for m, (re, im) in self.terms.items():
-            v = Scalar(re, self.den, im, self.den)
-            for x in m:
-                v = v * assignment[x]
-            acc = acc + v
-        return acc
 
     # -- solver helpers --------------------------------------------------------
 

@@ -120,9 +120,6 @@ class Scalar:
     def is_zero(self):
         return self.rn == 0 and self.imn == 0
 
-    def is_real(self):
-        return self.imn == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -157,11 +154,6 @@ class Scalar:
             self.imd * other.imd,
         )
 
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return Scalar(other).__sub__(self)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = Scalar(other)
@@ -183,18 +175,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        if isinstance(other, int):
-            return Scalar(other).__truediv__(self)
-        return NotImplemented
-
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
@@ -208,23 +188,6 @@ class Scalar:
             self.rn * self.rd * dd, nn * self.rd * self.rd,
             -self.imn * self.imd * dd, nn * self.imd * self.imd,
         )
-
-    def conj(self):
-        return Scalar(self.rn, self.rd, -self.imn, self.imd)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        out = Scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- comparison & hashing ----------------------------------------------
 

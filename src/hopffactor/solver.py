@@ -76,8 +76,8 @@ def gaussian_sqrt(s):
     x = _rat_sqrt(*_red(x2_n, x2_d))
     if x is None or x[0] == 0:
         return None
-    # y = im(s)/(2x), purely imaginary contribution
-    t = Scalar(x[0], x[1]) + Scalar(0, 1, s.imn, s.imd) / Scalar(2 * x[0], x[1])
+    # t = x + yi with y = im(s)/(2x)
+    t = Scalar(x[0], x[1], s.imn * x[1], 2 * s.imd * x[0])
     if t * t == s:
         return t
     return None
@@ -114,17 +114,10 @@ def poly_sqrt(p):
     if not c0.is_zero():
         terms[()] = c0 * half_inv
     cand = Poly(terms)
-    if cand * cand == p:
-        return _canonical_sign(cand)
-    return None
-
-
-def _canonical_sign(p):
-    lead = p.key()[0][1]  # sort_key of the leading coefficient
-    rn, _, imn, _ = lead
-    if rn > 0 or (rn == 0 and imn >= 0):
-        return p
-    return -p
+    # every unknown of a root has a nonzero square in p and the anchor is
+    # the first such, so a root's leading coefficient is la, to which
+    # gaussian_sqrt gives the canonical sign
+    return cand if cand * cand == p else None
 
 
 # -- branches ----------------------------------------------------------------
@@ -176,23 +169,6 @@ class Branch:
             raise ValueError("branch has free unknowns")
         return {v: e.const_value() for v, e in self.subst.items()}
 
-    def sample(self, values=None):
-        """A concrete solution: free unknowns get 1, 2, 3, ... by default."""
-        if values is None:
-            values = {v: Scalar(k + 1) for k, v in enumerate(self.free)}
-        out = dict(values)
-        for v, e in self.subst.items():
-            out[v] = e.eval(values)
-        return out
-
-    def contains_point(self, assignment):
-        """Does the concrete assignment (var -> Scalar, all unknowns) lie on
-        this branch?"""
-        for v, e in self.subst.items():
-            if e.eval(assignment) != assignment[v]:
-                return False
-        return True
-
     def contains(self, other):
         """Variety containment: other is a subvariety of self."""
         batch = _Batch(other.subst)
@@ -217,9 +193,6 @@ class SolutionSet:
     def __init__(self, branches, provenance):
         self.branches = tuple(branches)
         self.provenance = tuple(provenance)
-
-    def __len__(self):
-        return len(self.branches)
 
     def __iter__(self):
         return iter(self.branches)

@@ -1,0 +1,96 @@
+"""Test-only builders and evaluators that the pipeline itself never runs.
+
+The right action tables of the paper's examples, read from their z-block
+matrices, and plain Scalar evaluation of polynomials and solver branches.
+They stand apart from the engine's own paths (`from_generators` builds the
+tables, `_Batch` substitutes), so tests can check those paths against
+them.
+"""
+
+from hopffactor.actions import RightActionTable
+from hopffactor.presentations import build_H4, build_H8
+from hopffactor.scalar import ONE, ZERO, Scalar
+
+# -- right action tables ----------------------------------------------------------
+
+
+def right_table_from_components(grouplike_g_images, grouplike_x_images, a_matrix, b_matrix):
+    """Right table from: images of g, h, gh under <|G (H8 basis labels),
+    their <|X images (8-tuples), and the two 4x4 z-block matrices (column
+    j = coordinates of basis_j <| G resp. <| X on (z, gz, hz, ghz)).
+    Values may be Scalars or Polys.  They become the rows of the
+    generators G and X; `from_generators` forces x <| GX = (x <| G) <| X."""
+    h8, h4 = build_H8(), build_H4()
+    G, X = h4.index["G"], h4.index["X"]
+    images = {}
+    for label in ("g", "h", "gh"):
+        xi, target = h8.index[label], h8.index[grouplike_g_images[label]]
+        images[(G, xi)] = tuple(ONE if k == target else ZERO for k in range(h8.dim))
+        images[(X, xi)] = grouplike_x_images[label]
+    for col, xi in enumerate((4, 5, 6, 7)):
+        for g, matrix in ((G, a_matrix), (X, b_matrix)):
+            images[(g, xi)] = tuple(
+                matrix[k - 4][col] if k >= 4 else ZERO for k in range(h8.dim)
+            )
+    return RightActionTable.from_generators(images)
+
+
+IDENTITY_BLOCK = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+ANTIDIAGONAL_BLOCK = tuple(tuple(ONE if i + j == 3 else ZERO for j in range(4)) for i in range(4))
+ZERO_BLOCK = tuple((ZERO,) * 4 for _ in range(4))
+FIXED_GROUPLIKES = {"g": "g", "h": "h", "gh": "gh"}
+KILLED_GROUPLIKES = {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8}
+
+
+def trivial_right_table():
+    """A = E, B = 0, group-likes fixed."""
+    return right_table_from_components(
+        FIXED_GROUPLIKES, KILLED_GROUPLIKES, IDENTITY_BLOCK, ZERO_BLOCK
+    )
+
+
+def antidiagonal_right_table():
+    """A = antidiagonal (z<|G = ghz, ..., ghz<|G = z), B = 0, group-likes fixed."""
+    return right_table_from_components(
+        FIXED_GROUPLIKES, KILLED_GROUPLIKES, ANTIDIAGONAL_BLOCK, ZERO_BLOCK
+    )
+
+
+def zblock_matrix(table, col_label):
+    """The 4x4 block M of a concrete right table with
+    (z, gz, hz, ghz) <| col_label = (z, gz, hz, ghz) M, col_label "G" or "X"."""
+    scalars = table.scalar_entries()
+    ai = table.h4.index[col_label]
+    return tuple(
+        tuple(scalars[(xj, ai)][k] for xj in (4, 5, 6, 7)) for k in (4, 5, 6, 7)
+    )
+
+
+# -- evaluation --------------------------------------------------------------------
+
+
+def evaluate(p, assignment):
+    """The value of Poly p at a Scalar assignment of every unknown."""
+    acc = ZERO
+    for m, (re, im) in p.terms.items():
+        v = Scalar(re, p.den, im, p.den)
+        for x in m:
+            v = v * assignment[x]
+        acc = acc + v
+    return acc
+
+
+def sample(branch, values=None):
+    """A concrete solution on a branch: free unknowns get 1, 2, 3, ... by
+    default."""
+    if values is None:
+        values = {v: Scalar(k + 1) for k, v in enumerate(branch.free)}
+    out = dict(values)
+    for v, e in branch.subst.items():
+        out[v] = evaluate(e, values)
+    return out
+
+
+def contains_point(branch, assignment):
+    """Whether a Scalar assignment of every unknown lies on the branch."""
+    return all(evaluate(e, assignment) == assignment[v] for v, e in branch.subst.items())

@@ -14,7 +14,6 @@ import pytest
 
 from hopffactor.actions import (
     MatchedPairCandidate,
-    antidiagonal_right_table,
     check_matched_pair,
     check_module_coalgebra,
     check_module_coalgebras,
@@ -23,7 +22,6 @@ from hopffactor.actions import (
     left_family_instance,
     left_module_coalgebra_system,
     matched_pair_search,
-    trivial_right_table,
     x_action_circulant_system,
 )
 from hopffactor.bicrossed import (
@@ -44,6 +42,7 @@ from hopffactor.hopf import (
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import HALF, ONE, ZERO, Scalar
 from hopffactor.solver import solve
+from oracles import antidiagonal_right_table, trivial_right_table
 
 
 @contextmanager
@@ -95,13 +94,13 @@ def test_criterion_1_axiom_suite(H4, H8):
 
 def test_criterion_2_presentation_facts(H4, H8):
     with criterion(2, "z^2, z^4 in H8 and S(X), XG in H4 hold exactly"):
-        z = H8.el("z")
+        z = H8.basis_element("z")
         assert z * z == HALF * (
-            H8.el("1") + H8.el("g") + H8.el("h") - H8.el("gh")
+            H8.basis_element("1") + H8.basis_element("g") + H8.basis_element("h") - H8.basis_element("gh")
         )
         assert z ** 4 == H8.one()
-        assert H4.antipode_of(H4.el("X")) == H4.el("GX")
-        assert H4.el("X") * H4.el("G") == -(H4.el("G") * H4.el("X"))
+        assert H4.antipode_of(H4.basis_element("X")) == H4.basis_element("GX")
+        assert H4.basis_element("X") * H4.basis_element("G") == -(H4.basis_element("G") * H4.basis_element("X"))
 
 
 def test_criterion_3_grouplikes_and_skew_spaces(H4, H8):
@@ -122,7 +121,7 @@ def test_criterion_3_grouplikes_and_skew_spaces(H4, H8):
                     assert basis[0] * lead.inv() == diff * dlead.inv()
         gl4 = grouplikes(H4)
         assert {repr(g) for g in gl4} == {"1", "G"}
-        assert len(skew_primitives(H4, H4.el("G"), H4.one())) == 2
+        assert len(skew_primitives(H4, H4.basis_element("G"), H4.one())) == 2
 
 
 def test_criterion_4_left_action_enumeration():
@@ -157,7 +156,7 @@ def test_criterion_5_published_equation_systems():
             ("1/2", "1/2", "1/2", "-1/2"),
         ]
         solx = solve(x_action_circulant_system((HALF, HALF, HALF, -HALF)))
-        assert len(solx) == 1
+        assert len(solx.branches) == 1
         assert all(c == ZERO for c in solx.branches[0].point().values())
 
 
@@ -173,7 +172,7 @@ def test_criterion_7_products_and_presentations(pairs, products):
     with criterion(7, "four 32-dim Hopf products; presentations verify; trivial = tensor"):
         signatures = set()
         for E in products:
-            assert E.dim == 32
+            assert E.algebra.dim == 32
             assert verify_axioms(E.algebra).all_passed
             sig = zx_signature(E)
             signatures.add(sig)
@@ -184,7 +183,8 @@ def test_criterion_7_products_and_presentations(pairs, products):
         trivial = next(E for E in products if zx_signature(E) == "zX=Xz")
         T = tensor_product(build_H4(), build_H8())
         assert trivial.algebra.structure_key() == T.structure_key()
-        # distinguishing-invariant reports in lieu of isomorphism testing
+        # the invariant reports carry the four pairwise distinct zX
+        # relations; those are presentation data, not an isomorphism test
         sigs = [invariant_report(E).zx for E in products]
         assert len(set(sigs)) == 4
 

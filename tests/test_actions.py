@@ -6,7 +6,7 @@ from hopffactor.actions import (
     LeftActionTable,
     MatchedPairCandidate,
     RightActionTable,
-    antidiagonal_right_table,
+    _fixed_grouplike_right_table,
     check_matched_pair,
     check_module_coalgebra,
     check_module_coalgebras,
@@ -20,12 +20,24 @@ from hopffactor.actions import (
     matched_pair_system,
     right_module_coalgebra_system,
     settle_status,
-    trivial_right_table,
     x_action_circulant_system,
 )
 from hopffactor.poly import Poly
 from hopffactor.scalar import HALF, I, ONE, ZERO, Scalar
 from hopffactor.solver import Branch, IrreducibleSystemError, solve
+from oracles import (
+    ANTIDIAGONAL_BLOCK,
+    FIXED_GROUPLIKES,
+    IDENTITY_BLOCK,
+    KILLED_GROUPLIKES,
+    ZERO_BLOCK,
+    antidiagonal_right_table,
+    contains_point,
+    right_table_from_components,
+    sample,
+    trivial_right_table,
+    zblock_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +52,8 @@ def search_result():
 
 def concrete_table_from_branch(branch):
     L = LeftActionTable.symbolic()
-    sample = branch.sample()
-    return L.substitute(Branch({v: Poly.const(c) for v, c in sample.items()}, []))
+    point = sample(branch)
+    return L.substitute(Branch({v: Poly.const(c) for v, c in point.items()}, []))
 
 
 # -- the sixteen published left families ------------------------------------------
@@ -88,7 +100,7 @@ def test_trivial_action_is_a_branch(left_solutions):
         h8b, h4b = trivial.h8.basis, trivial.h4.basis
         for k, c in enumerate(coords):
             point[f"l_{h8b[xi]}_{h4b[ai]}_{h4b[k]}"] = c
-    assert any(br.contains_point(point) for br in left_solutions.branches)
+    assert any(contains_point(br, point) for br in left_solutions.branches)
 
 
 def test_gamma_squared_branch_point_in_provenance(left_solutions):
@@ -149,20 +161,24 @@ def test_published_right_examples_are_valid():
 
 
 def test_antidiagonal_matrix_shape():
-    A = antidiagonal_right_table().matrix_G()
-    assert A == tuple(
-        tuple(ONE if i + j == 3 else ZERO for j in range(4)) for i in range(4)
-    )
-    assert all(c.is_zero() for row in antidiagonal_right_table().matrix_X() for c in row)
+    table = antidiagonal_right_table()
+    assert zblock_matrix(table, "G") == ANTIDIAGONAL_BLOCK
+    assert zblock_matrix(table, "X") == ZERO_BLOCK
+
+
+@pytest.mark.parametrize("a_matrix", [IDENTITY_BLOCK, ANTIDIAGONAL_BLOCK], ids=("E", "antidiag"))
+def test_fixed_grouplike_table_matches_the_component_oracle(a_matrix):
+    # the circulant systems' builder, against the table read from its components
+    b_matrix = tuple(tuple(Poly.var(f"b{i}{j}") for j in range(4)) for i in range(4))
+    built = _fixed_grouplike_right_table(a_matrix, b_matrix)
+    oracle = right_table_from_components(FIXED_GROUPLIKES, KILLED_GROUPLIKES, a_matrix, b_matrix)
+    assert built.table_key() == oracle.table_key()
 
 
 def test_grouplike_action_case_constraints():
     # g<|G = h forces h<|G = g and gh<|G = gh; breaking that fails the axioms
-    valid = RightActionTable.from_components(
-        {"g": "h", "h": "g", "gh": "gh"},
-        {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
-        tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)),
-        tuple((ZERO,) * 4 for _ in range(4)),
+    valid = right_table_from_components(
+        {"g": "h", "h": "g", "gh": "gh"}, KILLED_GROUPLIKES, IDENTITY_BLOCK, ZERO_BLOCK
     )
     module_failures = [
         f for f in check_module_coalgebra(valid)
@@ -170,11 +186,8 @@ def test_grouplike_action_case_constraints():
     ]
     assert module_failures == []
 
-    invalid = RightActionTable.from_components(
-        {"g": "h", "h": "h", "gh": "gh"},
-        {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
-        tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)),
-        tuple((ZERO,) * 4 for _ in range(4)),
+    invalid = right_table_from_components(
+        {"g": "h", "h": "h", "gh": "gh"}, KILLED_GROUPLIKES, IDENTITY_BLOCK, ZERO_BLOCK
     )
     assert check_module_coalgebra(invalid) != []
 
@@ -218,7 +231,7 @@ def test_g_action_circulant_system_solutions():
 )
 def test_x_action_circulant_system_forces_zero(a_values):
     solset = solve(x_action_circulant_system(a_values))
-    assert len(solset) == 1
+    assert len(solset.branches) == 1
     point = solset.branches[0].point()
     assert all(point[v] == ZERO for v in ("p", "q", "r", "s"))
 
@@ -230,6 +243,23 @@ def test_exactly_four_matched_pairs(search_result):
     pairs, _ = search_result
     assert len(pairs) == 4
     assert all(p.status == "matched" for p in pairs)
+
+
+def test_search_rejects_a_pair_the_direct_checks_fail(search_result, monkeypatch):
+    # the search re-checks every branch it turns into a pair and stops on the
+    # first failure, naming it
+    from hopffactor import actions
+
+    _pairs, sol = search_result
+    monkeypatch.setattr(actions, "_search_system", lambda L, R: [])
+    monkeypatch.setattr(actions, "solve", lambda system, var_universe: sol)
+    planted = actions.CheckFailure("exchange-compatibility", ("z", "X"), "planted")
+    monkeypatch.setattr(actions, "check_matched_pair", lambda cand: [planted])
+    with pytest.raises(AssertionError) as err:
+        actions._matched_pair_search_uncached()
+    assert str(err.value) == (
+        "solver emitted an unmatched pair: exchange-compatibility fails at (z, X): planted"
+    )
 
 
 def test_matched_pairs_recheck_directly(search_result):
@@ -245,16 +275,9 @@ def test_matched_pair_families(search_result):
     for pair in pairs:
         xf, gf, alpha, beta = classify_left_table(pair.left)
         assert alpha == ZERO and beta == ZERO
-        A = pair.right.matrix_G()
-        B = pair.right.matrix_X()
-        assert all(c.is_zero() for row in B for c in row)
-        identity = tuple(
-            tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)
-        )
-        antidiag = tuple(
-            tuple(ONE if i + j == 3 else ZERO for j in range(4)) for i in range(4)
-        )
-        a_kind = "E" if A == identity else ("antidiag" if A == antidiag else "other")
+        A = zblock_matrix(pair.right, "G")
+        assert zblock_matrix(pair.right, "X") == ZERO_BLOCK
+        a_kind = "E" if A == IDENTITY_BLOCK else ("antidiag" if A == ANTIDIAGONAL_BLOCK else "other")
         classified.add((xf, gf, a_kind))
     assert classified == {
         (1, "a", "E"),
@@ -268,7 +291,7 @@ def test_matched_pair_emergent_facts(search_result):
     # row sums of A equal one and the group-likes stay fixed, as consequences
     pairs, _ = search_result
     for pair in pairs:
-        A = pair.right.matrix_G()
+        A = zblock_matrix(pair.right, "G")
         colsum = A[0][0] + A[1][0] + A[2][0] + A[3][0]
         assert colsum == ONE
         scalars = pair.right.scalar_entries()

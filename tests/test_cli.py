@@ -16,9 +16,10 @@ from hopffactor.cli import (
     EXIT_OK,
     main,
 )
-from hopffactor.actions import MatchedPairCandidate, left_family_instance, trivial_right_table
+from hopffactor.actions import MatchedPairCandidate, left_family_instance
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import Scalar
+from oracles import trivial_right_table
 
 
 def read_json(path):

@@ -31,7 +31,6 @@ from hopffactor.actions import (
     RightActionTable,
     _canonical_system,
     _search_system,
-    antidiagonal_right_table,
     check_matched_pair,
     check_module_coalgebras,
     g_action_circulant_system,
@@ -40,13 +39,20 @@ from hopffactor.actions import (
     matched_pair_system,
     module_coalgebra_system,
     right_module_coalgebra_system,
-    trivial_right_table,
     x_action_circulant_system,
 )
 from hopffactor.hopf import grouplikes, skew_primitives, tensor_product
 from hopffactor.poly import Poly
 from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import HALF, ONE, ZERO
+from hopffactor.scalar import HALF, ONE
+from oracles import (
+    IDENTITY_BLOCK,
+    KILLED_GROUPLIKES,
+    ZERO_BLOCK,
+    antidiagonal_right_table,
+    right_table_from_components,
+    trivial_right_table,
+)
 
 
 def _sha256(obj):
@@ -196,11 +202,8 @@ def _corrupt(table, *spots):
 
 def _grouplike_swap_right():
     # g <| G = h without h <| G = g: the invalid table of the group-like case test
-    return RightActionTable.from_components(
-        {"g": "h", "h": "h", "gh": "gh"},
-        {"g": (ZERO,) * 8, "h": (ZERO,) * 8, "gh": (ZERO,) * 8},
-        tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)),
-        tuple((ZERO,) * 4 for _ in range(4)),
+    return right_table_from_components(
+        {"g": "h", "h": "h", "gh": "gh"}, KILLED_GROUPLIKES, IDENTITY_BLOCK, ZERO_BLOCK
     )
 
 

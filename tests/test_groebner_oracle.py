@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from hopffactor.actions import g_action_circulant_system, x_action_circulant_system
 from hopffactor.hopf import grouplikes
 from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import HALF, ONE, ZERO
+from hopffactor.scalar import HALF, ONE, ZERO, Scalar
 from hopffactor.solver import solve
 
 
@@ -51,7 +51,7 @@ def _solver_matches_groebner(polys):
     syms = sympy.symbols(names)
     by_name = dict(zip(names, syms))
     eqs = [
-        sum(_number(c) * sympy.Mul(*(by_name[v] for v in m)) for m, c in p.coefficients())
+        sum(_number(Scalar(*c)) * sympy.Mul(*(by_name[v] for v in m)) for m, c in p.key())
         for p in polys
     ]
     expected = _oracle_points(eqs, syms)

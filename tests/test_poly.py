@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hopffactor.poly import Poly, acc_add, acc_mul, from_acc
 from hopffactor.scalar import Scalar
+from oracles import evaluate
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
 
@@ -23,7 +24,7 @@ def test_const_and_var():
 def test_arithmetic():
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert (x + 1) ** 2 == x * x + 2 * x + 1
+    assert (x + 1) * (x + 1) == x * x + 2 * x + 1
     assert (x * y).degree() == 2
     assert -(x - y) == y - x
 
@@ -63,7 +64,7 @@ def test_subst_many_matches_sequential():
 
 def test_eval():
     p = x * x + y
-    val = p.eval({"x": Scalar(2), "y": Scalar(1, 2)})
+    val = evaluate(p, {"x": Scalar(2), "y": Scalar(1, 2)})
     assert val == Scalar(9, 2)
 
 
@@ -108,5 +109,5 @@ def test_eval_hom(coeffs, point):
     p = a * x + b * y + Poly.const(Scalar(c))
     q = x * y
     assign = {"x": Scalar(point[0]), "y": Scalar(point[1])}
-    assert (p * q).eval(assign) == p.eval(assign) * q.eval(assign)
-    assert (p + q).eval(assign) == p.eval(assign) + q.eval(assign)
+    assert evaluate(p * q, assign) == evaluate(p, assign) * evaluate(q, assign)
+    assert evaluate(p + q, assign) == evaluate(p, assign) + evaluate(q, assign)

@@ -83,16 +83,16 @@ def test_bad_rules_detected():
 def test_build_h4_presentation_facts():
     H4 = build_H4()
     assert H4.basis == ("1", "G", "X", "GX")
-    assert H4.antipode_of(H4.el("X")) == H4.el("GX")
+    assert H4.antipode_of(H4.basis_element("X")) == H4.basis_element("GX")
     assert H4.counit == (ONE, ONE, Scalar(0), Scalar(0))
-    assert H4.el("X") * H4.el("G") == -H4.el("GX")
+    assert H4.basis_element("X") * H4.basis_element("G") == -H4.basis_element("GX")
 
 
 def test_build_h8_presentation_facts():
     H8 = build_H8()
     assert H8.basis == ("1", "g", "h", "gh", "z", "gz", "hz", "ghz")
-    assert H8.el("z") ** 4 == H8.one()
-    assert H8.el("g") * H8.el("z") == H8.el("z") * H8.el("h")
+    assert H8.basis_element("z") ** 4 == H8.one()
+    assert H8.basis_element("g") * H8.basis_element("z") == H8.basis_element("z") * H8.basis_element("h")
     idx = H8.index
     assert {(j, k): c for c, j, k in H8.comul[idx["z"]]} == {
         (idx["z"], idx["z"]): HALF,
@@ -112,6 +112,25 @@ def test_structure_constants_are_dyadic_rationals():
         for c in scalars:
             assert c.imn == 0
             assert c.rd in (1, 2)
+
+
+def test_presentation_violating_the_axioms_is_rejected():
+    pres = h4_presentation()
+    # S(X) = X instead of GX: S(X)G + S(1)X = XG + X is not eps(X) 1 = 0
+    bad = type(pres)(
+        name="H4-bad-antipode",
+        generators=pres.generators,
+        rules=pres.rules,
+        basis_words=pres.basis_words,
+        coproduct=pres.coproduct,
+        counit=pres.counit,
+        antipode={**pres.antipode, "X": ((ONE, ("X",)),)},
+    )
+    from hopffactor.presentations import tabulate
+
+    with pytest.raises(RewriteError) as err:
+        tabulate(bad)
+    assert str(err.value) == "presentation H4-bad-antipode violates Hopf axioms: antipode"
 
 
 def test_basis_words_in_normal_form_guard():
