@@ -19,7 +19,7 @@ search: they must emerge from the solver, and the tests pin that they do.
 
 from dataclasses import dataclass
 
-from hopffactor.hopf import _acc as _sacc
+from hopffactor.hopf import _acc as _sacc, acc_outer
 from hopffactor.poly import Poly, _Batch, _num, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
@@ -584,11 +584,8 @@ def check_module_coalgebra(T):
             failures.append(CheckFailure(f"{side}-unit-action", at(u, 0), acted_unit))
     for xi in range(h8.dim):
         for ai in range(h4.dim):
-            val = scalars[(xi, ai)]
-            eps = ZERO
-            for k, c in enumerate(val):
-                if not c.is_zero():
-                    eps = eps + c * acted.counit[k]
+            val = acted.element(scalars[(xi, ai)])
+            eps = acted.counit_of(val)
             if eps != h8.counit[xi] * h4.counit[ai]:
                 failures.append(
                     CheckFailure(
@@ -597,25 +594,11 @@ def check_module_coalgebra(T):
                         f"eps(x {s} a) = {eps}",
                     )
                 )
-            lhs = {}
-            for k, c in enumerate(val):
-                if c.is_zero():
-                    continue
-                for cc, jj, kk in acted.comul[k]:
-                    _sacc(lhs, (jj, kk), c * cc)
             rhs = {}
             for c8, x1, x2 in h8.comul[xi]:
                 for c4, a1, a2 in h4.comul[ai]:
-                    f = c8 * c4
-                    first_leg = scalars[(x1, a1)]
-                    second_leg = scalars[(x2, a2)]
-                    for p_idx, cp in enumerate(first_leg):
-                        if cp.is_zero():
-                            continue
-                        for q_idx, cq in enumerate(second_leg):
-                            if not cq.is_zero():
-                                _sacc(rhs, (p_idx, q_idx), f * cp * cq)
-            if lhs != rhs:
+                    acc_outer(rhs, c8 * c4, scalars[(x1, a1)], scalars[(x2, a2)])
+            if acted.comultiply_dict(val) != rhs:
                 failures.append(
                     CheckFailure(
                         f"{side}-comultiplication-compatibility",
@@ -747,13 +730,8 @@ def check_matched_pair(cand):
             for c8, h1, h2 in h8.comul[hi]:
                 for c4, a1, a2 in h4.comul[ai]:
                     f = c8 * c4
-                    for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (-f, (h2, a2), (h1, a1))):
-                        for q_idx, cq in enumerate(rsc[r_key]):
-                            if cq.is_zero():
-                                continue
-                            for p_idx, cp in enumerate(lsc[l_key]):
-                                if not cp.is_zero():
-                                    _sacc(diff, (q_idx, p_idx), sign * cq * cp)
+                    acc_outer(diff, f, rsc[(h1, a1)], lsc[(h2, a2)])
+                    acc_outer(diff, -f, rsc[(h2, a2)], lsc[(h1, a1)])
             if diff:
                 failures.append(
                     CheckFailure(

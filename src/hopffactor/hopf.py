@@ -17,7 +17,7 @@ memoized on its canonical key.
 from functools import cached_property
 from math import lcm
 
-from hopffactor.linalg import kernel
+from hopffactor.linalg import Mat, kernel
 from hopffactor.poly import Poly
 from hopffactor.scalar import ONE, ZERO, Scalar, join_signed, render_term
 from hopffactor.solver import solve
@@ -122,6 +122,8 @@ class HopfAlgebraData:
 
     def basis_element(self, which):
         i = self.index[which] if isinstance(which, str) else which
+        if i not in range(self.dim):
+            raise ValueError(f"basis index {i} outside range({self.dim})")
         return Element(self, tuple(ONE if j == i else ZERO for j in range(self.dim)))
 
     def one(self):
@@ -267,6 +269,17 @@ def _acc(acc, key, val):
             del acc[key]
         else:
             acc[key] = s
+
+
+def acc_outer(acc, f, u, v):
+    """acc[(p, q)] += f * u[p] * v[q] over the nonzero coordinates of the
+    Scalar sequences u and v, zero sums dropped."""
+    for p, cp in enumerate(u):
+        if cp.is_zero():
+            continue
+        for q, cq in enumerate(v):
+            if not cq.is_zero():
+                _acc(acc, (p, q), f * cp * cq)
 
 
 def _dense(acc, dim):
@@ -634,6 +647,45 @@ def tensor_product(H1, H2):
     return _twisted_product(H1, H2, flip, f"{H1.name}⊗{H2.name}")
 
 
+# -- Hopf algebra maps ------------------------------------------------------------
+
+
+def check_hopf_map(A, B, images):
+    """Failure strings (empty when all hold) of the linear map A -> B that
+    sends e_i to images[i], an Element of B: it preserves the unit, the
+    multiplication of every basis pair, the comultiplication and the
+    counit, and it is injective (rank dim A)."""
+
+    def image(coords):
+        acc = {}
+        for i, c in enumerate(coords):
+            if not c.is_zero():
+                for q, e in enumerate(images[i].coords):
+                    if not e.is_zero():
+                        _acc(acc, q, c * e)
+        return Element(B, _dense(acc, B.dim))
+
+    failures = []
+    if image(A.unit) != B.one():
+        failures.append("does not preserve the unit")
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if images[i] * images[j] != image(A.mul[i][j]):
+                failures.append(f"is not an algebra map at ({A.basis[i]}, {A.basis[j]})")
+    for i in range(A.dim):
+        delta = {}
+        for c, j, k in A.comul[i]:
+            acc_outer(delta, c, images[j].coords, images[k].coords)
+        if delta != B.comultiply_dict(images[i]):
+            failures.append(f"is not a coalgebra map at {A.basis[i]}")
+    for i in range(A.dim):
+        if A.counit[i] != B.counit_of(images[i]):
+            failures.append(f"does not preserve the counit at {A.basis[i]}")
+    if Mat([img.coords for img in images]).rank() != A.dim:
+        failures.append("is not injective")
+    return failures
+
+
 # -- group-likes and skew-primitives -----------------------------------------------
 
 _GROUPLIKE_CACHE = {}
@@ -645,12 +697,7 @@ def is_grouplike(H, x):
     if H.counit_of(x) != ONE:
         return False
     outer = {}
-    for i, ci in enumerate(x.coords):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(x.coords):
-            if not cj.is_zero():
-                outer[(i, j)] = ci * cj
+    acc_outer(outer, ONE, x.coords, x.coords)
     return H.comultiply_dict(x) == outer
 
 

@@ -18,9 +18,10 @@ from hopffactor.bicrossed import (
     verify_presentation,
     zx_signature,
 )
-from hopffactor.hopf import tensor_product, verify_axioms
+from hopffactor.hopf import check_hopf_map, tensor_product, verify_axioms
+from hopffactor.linalg import kernel
 from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import I
+from hopffactor.scalar import HALF, I
 from oracles import antidiagonal_right_table
 
 
@@ -139,6 +140,65 @@ def test_unknown_presentation_rejected(products):
 def test_embeddings_and_factorization(products):
     for E in products.values():
         assert check_embeddings(E) == []
+
+
+# -- isomorphism classes -----------------------------------------------------------
+#
+# phi_12 : tensor -> H32_1 and phi_34 : H32_2 -> H32_3, given by the images
+# of g, h, z, G, X in the target's generators; both fix the H4 factor.
+
+
+def _phi_12(g, h, z, G, X):
+    return {"g": g, "h": h, "z": G * z, "G": G, "X": X}
+
+
+def _phi_34(g, h, z, G, X):
+    return {"g": h, "h": g, "z": HALF * (G * (z - g * z + h * z + g * h * z)), "G": G, "X": X}
+
+
+def _phi_34_unswapped(g, h, z, G, X):
+    return dict(_phi_34(g, h, z, G, X), g=g, h=h)
+
+
+def _basis_images(source, target, phi):
+    """The images of source's basis a⊗x as phi(a)·phi(x), each label read
+    one letter at a time."""
+    gens = phi(*(target.generator(n) for n in "ghzGX"))
+
+    def word(label):
+        acc = target.algebra.one()
+        for letter in "" if label == "1" else label:
+            acc = acc * gens[letter]
+        return acc
+
+    return [word(a) * word(x) for a, x in (label.split("⊗") for label in source.algebra.basis)]
+
+
+def _center_dimension(product):
+    E = product.algebra
+    rows = [
+        {i: E.mul[i][j][k] - E.mul[j][i][k] for i in range(E.dim)
+         if E.mul[i][j][k] != E.mul[j][i][k]}
+        for j in range(E.dim) for k in range(E.dim)
+    ]
+    return len(kernel(rows, E.dim))
+
+
+def test_four_products_form_two_isomorphism_classes(products):
+    by_name = {presentation_for(E): E for E in products.values()}
+
+    def failures(source, target, phi):
+        A, B = by_name[source], by_name[target]
+        return check_hopf_map(A.algebra, B.algebra, _basis_images(A, B, phi))
+
+    # bijective Hopf maps between 32-dimensional algebras are isomorphisms
+    assert failures("tensor", "H32_1", _phi_12) == []
+    assert failures("H32_2", "H32_3", _phi_34) == []
+    # controls: phi_12 into H32_2, and phi_34 without the g <-> h swap
+    assert len(failures("tensor", "H32_2", _phi_12)) == 320
+    assert len(failures("H32_2", "H32_3", _phi_34_unswapped)) == 144
+    # the center tells the two classes apart
+    assert [_center_dimension(by_name[n]) for n in PRESENTATION_NAMES] == [5, 5, 8, 8]
 
 
 def test_non_matched_candidate_fails_construction():

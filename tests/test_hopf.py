@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hopffactor.hopf import (
     HopfAlgebraData,
+    check_hopf_map,
     grouplikes,
     is_grouplike,
     skew_primitives,
@@ -31,6 +32,38 @@ def H8():
 @pytest.fixture(scope="module")
 def T(H8, H4):
     return tensor_product(H8, H4)
+
+
+# -- basis and protocol methods --------------------------------------------------
+
+
+def test_basis_element_rejects_an_index_outside_the_basis(H8):
+    assert H8.basis_element(7) == H8.basis_element("ghz")
+    for bad in (8, 99, -1):
+        with pytest.raises(ValueError):
+            H8.basis_element(bad)
+
+
+def test_element_hash_agrees_with_equality(H8):
+    g, h, z = (H8.basis_element(label) for label in ("g", "h", "z"))
+    # z^2 = (1 + g + h - gh)/2, built two ways
+    assert hash(z * z) == hash(HALF * (H8.one() + g + h - g * h))
+    basis = [H8.basis_element(i) for i in range(H8.dim)]
+    assert len(set(basis) | {H8.one()}) == H8.dim
+    assert len({hash(e) for e in basis}) == H8.dim
+
+
+def test_reprs(H8, T):
+    assert repr(H8) == "HopfAlgebraData(H8, dim=8)"
+    assert repr(T) == "HopfAlgebraData(H8⊗H4, dim=32)"
+    assert repr(HopfAlgebraData(None, H8.basis, H8.mul, H8.unit, H8.comul, H8.counit,
+                                H8.antipode)) == "HopfAlgebraData(unnamed, dim=8)"
+    report = verify_axioms(H8)
+    assert repr(report) == "AxiomReport(H8, dim=8: all axioms hold)"
+    assert repr(report.checks[0]) == "AxiomCheck(associativity: ok)"
+    bad = verify_axioms(_mutate(H8, 4, 4, 0, ONE))
+    assert repr(bad) == "AxiomReport(H8-mutated, dim=8: AXIOM FAILURES)"
+    assert repr(bad.failing()[0]) == "AxiomCheck(associativity: 24 failures)"
 
 
 # -- multiplication ------------------------------------------------------------
@@ -363,3 +396,55 @@ def test_antipode_convolution(H8):
 def test_structure_key_detects_difference(H8):
     mutated = _mutate(H8, 1, 1, 0, ONE)
     assert mutated.structure_key() != H8.structure_key()
+
+
+# -- Hopf algebra maps -------------------------------------------------------------
+
+
+def _h4_map(H4, **images):
+    """The images of H4's basis 1, G, X, GX, the identity unless given."""
+    return [images.get(label, H4.basis_element(label)) for label in ("1", "G", "X", "GX")]
+
+
+def test_identity_and_scaling_are_hopf_maps(H4):
+    assert check_hopf_map(H4, H4, _h4_map(H4)) == []
+    X, GX = H4.basis_element("X"), H4.basis_element("GX")
+    assert check_hopf_map(H4, H4, _h4_map(H4, X=I * X, GX=I * GX)) == []
+
+
+def _planted(H4):
+    one, G, X, GX = (H4.basis_element(label) for label in ("1", "G", "X", "GX"))
+    shifted = X + one - G
+    return {
+        # the zero map: neither the unit nor the counit survives
+        "unit": (
+            [H4.zero()] * 4,
+            ["does not preserve the unit", "does not preserve the counit at 1",
+             "does not preserve the counit at G", "is not injective"],
+        ),
+        # X -> X + 1 - G keeps delta and eps, not X^2 = 0 or XG = -GX
+        "algebra": (
+            _h4_map(H4, X=shifted, GX=G * shifted),
+            [f"is not an algebra map at ({a}, {b})"
+             for a in ("X", "GX") for b in ("G", "X", "GX")],
+        ),
+        # swapping X and GX keeps the multiplication, not delta
+        "coalgebra": (
+            _h4_map(H4, X=GX, GX=X),
+            ["is not a coalgebra map at X", "is not a coalgebra map at GX"],
+        ),
+        # G -> -G is no group-like: eps(-G) = -1
+        "counit": (
+            _h4_map(H4, G=-G, GX=-GX),
+            ["is not a coalgebra map at G", "is not a coalgebra map at X",
+             "is not a coalgebra map at GX", "does not preserve the counit at G"],
+        ),
+        # the quotient onto kC2 = span(1, G), a Hopf map with a kernel
+        "injective": (_h4_map(H4, X=H4.zero(), GX=H4.zero()), ["is not injective"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["unit", "algebra", "coalgebra", "counit", "injective"])
+def test_planted_bad_maps_fail_with_their_witnesses(H4, kind):
+    images, expected = _planted(H4)[kind]
+    assert check_hopf_map(H4, H4, images) == expected

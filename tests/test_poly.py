@@ -42,6 +42,13 @@ def test_render_canonical():
     assert Poly().render() == "0"
 
 
+def test_str_and_repr_show_the_render():
+    p = Poly.var("x") * Poly.var("x") - Poly.var("y") * Scalar(1, 2) + Poly.const(Scalar(0, 1, 1, 1))
+    assert str(p) == "x^2 - 1/2*y + i"
+    assert repr(p) == "Poly(x^2 - 1/2*y + i)"
+    assert (str(Poly()), repr(Poly())) == ("0", "Poly(0)")
+
+
 def test_render_deterministic_ordering():
     p = z + y + x + x * y * z
     assert p.render() == "x*y*z + x + y + z"

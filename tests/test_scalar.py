@@ -110,6 +110,12 @@ def test_render_examples(S):
     assert str(S(1, 2, -1, 2)) == "1/2-1/2*i"
 
 
+def test_truth_is_nonzero(S):
+    assert [bool(S(n)) for n in (-1, 0, 1)] == [True, False, True]
+    assert not S(0, 5, 0, 3)
+    assert S(-1, 2) and S(0, 1, 1, 1) and S(0, 1, -1, 7)
+
+
 def test_selected_backend_consistent():
     assert scalar_mod.BACKEND == "python"
     assert Scalar(1, 2).to_json() == [1, 2, 0, 1]

@@ -214,6 +214,25 @@ def test_multivariate_quadratic_factorization():
         assert br.apply(p).is_zero()
 
 
+def test_branch_equality_hash_and_repr():
+    b = Branch({"x": y + ONE}, ["z", "y"])
+    same = Branch({"x": ONE + y}, ["y", "z"])
+    assert b == same and hash(b) == hash(same)
+    assert b != Branch({"x": y + ONE}, ["y"])
+    assert b != Branch({"x": y - ONE}, ["y", "z"])
+    assert b != repr(b)
+    other = Branch({"x": y}, ["y", "z"])
+    assert len({b, same, other}) == 2 and hash(b) != hash(other)
+    assert repr(b) == "Branch(x=y + 1; free: y, z)"
+    assert repr(Branch({"x": Poly.const(ONE)}, [])) == "Branch(x=1)"
+    assert repr(Branch({}, ["t"])) == "Branch(free: t)"
+
+
+def test_solution_set_repr():
+    assert repr(solve([x * x - 1])) == "SolutionSet(2 branches)"
+    assert repr(solve([x * x + 1, x])) == "SolutionSet(0 branches)"
+
+
 def test_provenance_records_splits():
     solset = solve([x * x + 1])
     assert len(solset.provenance) == 1
