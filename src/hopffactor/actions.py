@@ -20,17 +20,13 @@ search: they must emerge from the solver, and the tests pin that they do.
 from dataclasses import dataclass
 
 from hopffactor.hopf import _acc as _sacc, acc_outer
-from hopffactor.poly import Poly, _Batch, _num, acc_add, acc_mul, from_acc
+from hopffactor.poly import Poly, _Batch, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
 from hopffactor.solver import solve
 
 _P_ZERO = Poly()
 _P_ONE = Poly.const(ONE)
-
-
-def _pc(s):
-    return Poly.const(s)
 
 
 # -- action tables -------------------------------------------------------------
@@ -80,7 +76,7 @@ class _ActionTable:
         them is the unit: 1 . w = w and u . 1 = eps(u) 1."""
         if u == 0:
             return tuple(_P_ONE if k == w else _P_ZERO for k in range(self.acted.dim))
-        eps = _pc(self.acting.counit[u])
+        eps = Poly.const(self.acting.counit[u])
         return tuple(eps if k == 0 else _P_ZERO for k in range(self.acted.dim))
 
     @classmethod
@@ -114,7 +110,7 @@ class _ActionTable:
         acting, n_acted = table.acting, range(table.acted.dim)
         rows = {(g, 0): table.unit_row(g, 0) for g, _ in images}
         for key, row in images.items():
-            rows[key] = tuple(c if isinstance(c, Poly) else _pc(c) for c in row)
+            rows[key] = tuple(c if isinstance(c, Poly) else Poly.const(c) for c in row)
         for u in range(acting.dim):
             word = [acting.index[c] for c in acting.basis[u]] if u else []
             if cls.side == "left":
@@ -154,7 +150,7 @@ class _ActionTable:
             if (row[0], row[1]) in table.entries:
                 raise ValueError(f"{cls.side} action/v1 payload repeats the basis pair {row[:2]}")
             table.entries[(row[0], row[1])] = tuple(
-                _pc(Scalar.from_json(c)) for c in row[2]
+                Poly.const(Scalar.from_json(c)) for c in row[2]
             )
         wanted = {(xi, ai) for xi in range(table.h8.dim) for ai in range(table.h4.dim)}
         if set(table.entries) != wanted:
@@ -234,37 +230,13 @@ class RightActionTable(_ActionTable):
 # -- constraint generation -------------------------------------------------------
 #
 # The generators accumulate each law's lhs minus its rhs in one accumulator
-# of Gaussian-integer numerators (see `poly.acc_add`), reading the structure
-# constants as (re, im, den) factors.  The builders take the `intern` dict
-# of the system they contribute to, and `from_acc` shares the monomials and
-# numerator pairs of the constraints through it: the search's union of
-# ~180k terms then holds one tuple per distinct pair (six) and per distinct
-# monomial, not one per term.  The builders return raw lists;
+# of Gaussian-integer numerators (see `poly.acc_add`), with the algebras'
+# Scalar structure constants, their products and -1 as factors.  The
+# builders take the `intern` dict of the system they contribute to, and
+# `from_acc` shares the monomials and numerator pairs of the constraints
+# through it: the search's union of ~180k terms then holds one tuple per
+# distinct pair (six) and per distinct monomial, not one per term.  The builders return raw lists;
 # `_canonical_system` makes the system the solver sees.
-
-
-class _Factors:
-    """The structure constants of one algebra as accumulator factors:
-    mul[u][v] lists (k, f), comul[u] lists (f, j, k) and counit[u] is f."""
-
-    __slots__ = ("mul", "comul", "counit")
-
-    def __init__(self, H):
-        self.mul = tuple(
-            tuple(tuple((k, _num(c)) for k, c in row) for row in block) for block in H.mul_sparse
-        )
-        self.comul = tuple(tuple((_num(c), j, k) for c, j, k in t) for t in H.comul)
-        self.counit = tuple(_num(c) for c in H.counit)
-
-
-def _fmul(f, g, sign=1):
-    """The factor sign*f*g."""
-    a, b, d = f
-    e, h, k = g
-    return sign * (a * e - b * h), sign * (a * h + b * e), d * k
-
-
-_MINUS = (-1, 0, 1)
 
 
 def _canonical_system(polys):
@@ -290,30 +262,29 @@ def _unit_constraints(T):
 
 def _counit_constraints(T, keys, intern):
     """eps(x . a) = eps(x) eps(a) on the given (H8, H4) index pairs."""
-    h8, h4, counit = _Factors(T.h8), _Factors(T.h4), _Factors(T.acted).counit
     sys = []
     for xi, ai in keys:
         acc = {}
         for k, p in enumerate(T.entry(xi, ai)):
-            acc_add(acc, p, counit[k])
-        acc_add(acc, _P_ONE, _fmul(h8.counit[xi], h4.counit[ai], -1))
+            acc_add(acc, p, T.acted.counit[k])
+        acc_add(acc, _P_ONE, -(T.h8.counit[xi] * T.h4.counit[ai]))
         sys.append(from_acc(acc, intern))
     return sys
 
 
 def _comultiplication_constraints(T, intern):
     """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on every basis pair."""
-    h8, h4, acted = _Factors(T.h8), _Factors(T.h4), _Factors(T.acted)
+    h8, h4, acted = T.h8, T.h4, T.acted
     sys = []
-    for xi in range(T.h8.dim):
-        for ai in range(T.h4.dim):
+    for xi in range(h8.dim):
+        for ai in range(h4.dim):
             diff = {}
             for k, p in enumerate(T.entry(xi, ai)):
                 for c, jj, kk in acted.comul[k]:
                     acc_add(diff.setdefault((jj, kk), {}), p, c)
             for c8, x1, x2 in h8.comul[xi]:
                 for c4, a1, a2 in h4.comul[ai]:
-                    f = _fmul(c8, c4, -1)
+                    f = -(c8 * c4)
                     right_row = T.entry(x2, a2)
                     for p_idx, pp in enumerate(T.entry(x1, a1)):
                         if pp.is_zero():
@@ -329,7 +300,7 @@ def _module_law_constraints(T, intern):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
     right, for every acting pair (u, v) and acted w."""
     act = T.by_acting(T.entries)
-    mul, n_acting, n_acted = _Factors(T.acting).mul, range(T.acting.dim), range(T.acted.dim)
+    mul, n_acting, n_acted = T.acting.mul_sparse, range(T.acting.dim), range(T.acted.dim)
     sys = []
     for u in n_acting:
         for v in n_acting:
@@ -344,7 +315,7 @@ def _module_law_constraints(T, intern):
                         continue
                     for m, q in enumerate(act[(second, k)]):
                         if not q.is_zero():
-                            acc_mul(diff[m], p, q, _MINUS)
+                            acc_mul(diff[m], p, q, -1)
                 sys += [from_acc(d, intern) for d in diff]
     return sys
 
@@ -373,14 +344,14 @@ left_module_coalgebra_system = right_module_coalgebra_system = module_coalgebra_
 def _exchange_constraints(L, R, instances, intern):
     """h1 <| a1 (x) h2 |> a2 = h2 <| a2 (x) h1 |> a1, coordinatewise in
     H8 (x) H4."""
-    h8, h4 = _Factors(L.h8), _Factors(L.h4)
+    h8, h4 = L.h8, L.h4
     sys = []
     for hi, ai in instances:
         diff = {}
         for c8, h1, h2 in h8.comul[hi]:
             for c4, a1, a2 in h4.comul[ai]:
-                f, g = _fmul(c8, c4), _fmul(c8, c4, -1)
-                for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (g, (h2, a2), (h1, a1))):
+                f = c8 * c4
+                for sign, r_key, l_key in ((f, (h1, a1), (h2, a2)), (-f, (h2, a2), (h1, a1))):
                     for q_idx, qq in enumerate(R.entries[r_key]):
                         if qq.is_zero():
                             continue
@@ -399,18 +370,18 @@ def _product_constraints(T, O, instances, intern):
     the op-cop pair: the acted product is reversed and the comultiplication
     legs are swapped."""
     act, other = T.by_acting(T.entries), O.by_acting(O.entries)
-    acting, acted, n_acted = _Factors(T.acting), _Factors(T.acted), range(T.acted.dim)
+    acting, acted, n_acted = T.acting, T.acted, range(T.acted.dim)
     left = T.side == "left"
     passed = {}  # (uo, wo, v) -> coordinates of (uo . wo) . v, the leg through O
     sys = []
     for u, w, v in instances:
         diff = [dict() for _ in n_acted]
-        for m, c in acted.mul[w][v] if left else acted.mul[v][w]:
+        for m, c in acted.mul_sparse[w][v] if left else acted.mul_sparse[v][w]:
             for k, p in enumerate(act[(u, m)]):
                 acc_add(diff[k], p, c)
         for cu, u1, u2 in acting.comul[u]:
             for cw, w1, w2 in acted.comul[w]:
-                f = _fmul(cu, cw, -1)
+                f = -(cu * cw)
                 # one leg acts on w directly, the other passes through O to act on v
                 (ud, wd), (uo, wo) = ((u1, w1), (u2, w2)) if left else ((u2, w2), (u1, w1))
                 through = passed.get((uo, wo, v))
@@ -431,8 +402,8 @@ def _product_constraints(T, O, instances, intern):
                     for t, pt in enumerate(second):
                         if pt.is_zero():
                             continue
-                        for m, cm in acted.mul[s][t]:
-                            acc_mul(diff[m], ps, pt, _fmul(f, cm))
+                        for m, cm in acted.mul_sparse[s][t]:
+                            acc_mul(diff[m], ps, pt, f * cm)
         sys += [from_acc(d, intern) for d in diff]
     return sys
 

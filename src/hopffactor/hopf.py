@@ -121,9 +121,10 @@ class HopfAlgebraData:
         return Element(self, coords)
 
     def basis_element(self, which):
-        i = self.index[which] if isinstance(which, str) else which
-        if i not in range(self.dim):
-            raise ValueError(f"basis index {i} outside range({self.dim})")
+        """The basis element of a label in `index` or of an int in range(dim)."""
+        i = self.index.get(which) if isinstance(which, str) else which
+        if type(i) is not int or i not in range(self.dim):
+            raise ValueError(f"{which!r} names no basis element of {self.name}")
         return Element(self, tuple(ONE if j == i else ZERO for j in range(self.dim)))
 
     def one(self):
@@ -655,6 +656,8 @@ def check_hopf_map(A, B, images):
     sends e_i to images[i], an Element of B: it preserves the unit, the
     multiplication of every basis pair, the comultiplication and the
     counit, and it is injective (rank dim A)."""
+    if len(images) != A.dim:
+        raise ValueError(f"{len(images)} images for a map out of a {A.dim}-dimensional algebra")
 
     def image(coords):
         acc = {}

@@ -160,30 +160,18 @@ class Poly:
 
     def _plus(self, other, sign):
         """self + sign*other."""
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other if sign == 1 else -other
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den * sign
-        out = {m: (re * f, im * f) for m, (re, im) in self.terms.items()}
-        for m, (re, im) in other.terms.items():
-            cur = out.get(m)
-            out[m] = (re * g, im * g) if cur is None else (cur[0] + re * g, cur[1] + im * g)
-        return _build(out, den)
+        acc = {}
+        acc_add(acc, self)
+        acc_add(acc, other, sign)
+        return from_acc(acc)
 
     def __mul__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        for m1, (a, b) in self.terms.items():
-            for m2, (e, f) in other.terms.items():
-                m = _mono_mul(m1, m2)
-                cur = out.get(m)
-                re, im = a * e - b * f, a * f + b * e
-                out[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-        return _build(out, self.den * other.den)
+        acc = {}
+        acc_mul(acc, self, other)
+        return from_acc(acc)
 
     __rmul__ = __mul__
 
@@ -256,13 +244,10 @@ def _reduce(terms, den):
     return {m: (re // g, im // g) for m, (re, im) in terms.items()}, den // g
 
 
-def _build(raw, den, intern=None):
-    """The Poly of {monomial: (re, im)} sums over den, zero sums dropped and
-    the denominator reduced once.  With `intern` given, the numerator pairs
-    are shared through that dict."""
-    if intern is None:
-        terms = {m: c for m, c in raw.items() if c[0] or c[1]}
-        return Poly(*_reduce(terms, den))
+def _build(raw, den, intern):
+    """The Poly of {monomial: (re, im)} sums over den, zero sums dropped,
+    the denominator reduced once and the numerator pairs shared through
+    `intern`."""
     terms = {m: intern.setdefault(c, c) for m, c in raw.items() if c[0] or c[1]}
     terms, den2 = _reduce(terms, den)
     if den2 != den:
@@ -385,13 +370,13 @@ class _Batch:
         return _build(out, p.den * s, self.intern)
 
 
-# -- bulk accumulation (constraint generation avoids intermediate Poly objects)
+# -- bulk accumulation (Poly arithmetic and constraint generation) -------------
 #
 # An accumulator is a plain dict of {monomial: (re, im)} numerators over one
 # scale, which it keeps under the key None (absent means 1).  The scale is
 # lifted to the lcm only when a term over a new denominator arrives.  A
-# factor f is a Scalar, an int, or an (re, im, den) triple of numerators
-# over den, the form constraint generators convert their tables to once.
+# factor f is a Scalar or an int; Poly's `+`, `-` and `*` and the constraint
+# generators all build their results here.
 
 
 def _acc_term(acc, m, re, im, d):
@@ -415,15 +400,9 @@ def _scale(acc, d):
     return scale // d
 
 
-def _factor(f):
-    if f is None:
-        return 1, 0, 1
-    return f if type(f) is tuple else _num(f)
-
-
-def acc_add(acc, p, f=None):
+def acc_add(acc, p, f=1):
     """acc += f*p."""
-    fe, ff, fd = _factor(f)
+    fe, ff, fd = _num(f)
     if not (fe or ff) or not p.terms:
         return
     d = p.den * fd
@@ -437,9 +416,9 @@ def acc_add(acc, p, f=None):
         acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
 
-def acc_mul(acc, p, q, f=None):
+def acc_mul(acc, p, q, f=1):
     """acc += f*p*q."""
-    fe, ff, fd = _factor(f)
+    fe, ff, fd = _num(f)
     if not (fe or ff) or not p.terms or not q.terms:
         return
     d = p.den * q.den * fd

@@ -18,6 +18,7 @@ from hopffactor.actions import (
     left_module_coalgebra_system,
     matched_pair_search,
     matched_pair_system,
+    module_coalgebra_system,
     right_module_coalgebra_system,
     settle_status,
     x_action_circulant_system,
@@ -338,6 +339,28 @@ def test_from_generators_reads_a_label_in_module_law_order(
             for m, q in enumerate(act[(index[second], k)]):
                 expected[m] = expected[m] + p * q
         assert built[(index[compound], w)] == tuple(expected)
+
+
+def test_left_families_then_right_solve_reach_the_same_pairs(left_solutions, search_result):
+    # the second route: solve for the right action once per left family, with
+    # the family's free parameters as unknowns of the pairing system, instead
+    # of solving both tables in one union system
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    right_system = module_coalgebra_system(R)
+    counts, keys = [], set()
+    for branch in left_solutions.branches:
+        Lb = L.substitute(branch)
+        system = right_system + matched_pair_system(MatchedPairCandidate(Lb, R))
+        sol = solve(system, var_universe=list(branch.free) + R.variables())
+        counts.append(len(sol.branches))
+        for b in sol.branches:
+            pair = MatchedPairCandidate(Lb.substitute(b), R.substitute(b))
+            assert pair.left.is_concrete() and pair.right.is_concrete()
+            assert settle_status(pair) == []
+            keys.add((pair.left.table_key(), pair.right.table_key()))
+    assert counts == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+    pairs, _ = search_result
+    assert keys == {(p.left.table_key(), p.right.table_key()) for p in pairs}
 
 
 def test_matched_branch_points_are_concrete(search_result):

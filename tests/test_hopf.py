@@ -39,7 +39,9 @@ def T(H8, H4):
 
 def test_basis_element_rejects_an_index_outside_the_basis(H8):
     assert H8.basis_element(7) == H8.basis_element("ghz")
-    for bad in (8, 99, -1):
+    # True and 1.0 equal the index of g but are no index; an unknown label
+    # raises the same ValueError as a bad index
+    for bad in (8, 99, -1, True, 1.0, "q"):
         with pytest.raises(ValueError):
             H8.basis_element(bad)
 
@@ -442,6 +444,14 @@ def _planted(H4):
         # the quotient onto kC2 = span(1, G), a Hopf map with a kernel
         "injective": (_h4_map(H4, X=H4.zero(), GX=H4.zero()), ["is not injective"]),
     }
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_check_hopf_map_needs_one_image_per_basis_element(H4, count):
+    # five images would read as an injective Hopf map, three would index past the end
+    images = (_h4_map(H4) + [H4.zero()])[:count]
+    with pytest.raises(ValueError):
+        check_hopf_map(H4, H4, images)
 
 
 @pytest.mark.parametrize("kind", ["unit", "algebra", "coalgebra", "counit", "injective"])

@@ -9,8 +9,6 @@ order, and the numerators, denominator and `render()` those of a Poly
 built from the same Scalar dict.
 """
 
-from math import lcm
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,12 +100,6 @@ def assert_same(got, ref, point):
     assert evaluate(got, point) == ref_eval(ref, point)
 
 
-def triple(f):
-    """f as the (re, im, den) numerator factor the generators pass."""
-    den = lcm(f.rd, f.imd)
-    return f.rn * (den // f.rd), f.imn * (den // f.imd), den
-
-
 # -- properties ------------------------------------------------------------------
 
 
@@ -134,18 +126,20 @@ def test_accumulators_match_poly_arithmetic(x, y, z, f, g, point):
     acc = {}
     acc_add(acc, r)
     acc_mul(acc, p, q, f)
-    acc_add(acc, p, triple(g))
-    acc_mul(acc, q, r, triple(f))
+    acc_add(acc, p, g)
+    acc_mul(acc, q, r, f)
     acc_mul(acc, r, p)
     acc_add(acc, q, g)
+    acc_mul(acc, p, p, -2)
     got = from_acc(acc)
     ref = ref_add(z, ref_scale(ref_mul(x, y), f))
     ref = ref_add(ref, ref_scale(x, g))
     ref = ref_add(ref, ref_scale(ref_mul(y, z), f))
     ref = ref_add(ref, ref_mul(z, x))
     ref = ref_add(ref, ref_scale(y, g))
+    ref = ref_add(ref, ref_scale(ref_mul(x, x), Scalar(-2)))
     assert_same(got, ref, point)
-    assert got == r + p * q * f + p * g + q * r * f + r * p + q * g
+    assert got == r + p * q * f + p * g + q * r * f + r * p + q * g - 2 * p * p
 
 
 @settings(max_examples=300, deadline=None)
