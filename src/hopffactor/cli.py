@@ -74,7 +74,6 @@ def _structural_checks(name, H):
 
 
 def cmd_catalog_verify(args):
-    _config(args)
     targets = []
     if args.load:
         H = jsonio.algebra_from_json(jsonio.read_json(args.load))
@@ -112,7 +111,6 @@ def cmd_catalog_verify(args):
 def cmd_actions_enumerate(args):
     from hopffactor.actions import enumerate_left_actions, enumerate_right_actions
 
-    _config(args)
     side = args.side
     try:
         if side == "left":
@@ -158,7 +156,6 @@ def _pair_rows(pairs):
 def cmd_matched_pairs_find(args):
     from hopffactor.actions import matched_pair_search
 
-    _config(args)
     if args.load:
         return _replay_matched_pair(args.load, args.out)
     pairs, _sol = matched_pair_search()
@@ -213,7 +210,6 @@ def cmd_product_build(args):
     from hopffactor.actions import matched_pair_search
     from hopffactor.bicrossed import verify_presentation
 
-    _config(args)
     pairs, _sol = matched_pair_search()
     ok = len(pairs) == 4
     for n, (pair, product, sig, pres, _family) in enumerate(_pair_rows(pairs), start=1):
@@ -232,7 +228,6 @@ def cmd_theorem_check(args):
     from hopffactor.actions import matched_pair_search
     from hopffactor.bicrossed import check_embeddings, invariant_report, verify_presentation
 
-    _config(args)
     pairs, _sol = matched_pair_search()
     rows = _pair_rows(pairs)
 
@@ -372,6 +367,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        _config(args)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -261,9 +261,11 @@ class Element:
 
 
 def _acc(acc, key, val):
+    """acc[key] += val, zero sums and zero first terms dropped."""
     cur = acc.get(key)
     if cur is None:
-        acc[key] = val
+        if not val.is_zero():
+            acc[key] = val
     else:
         s = cur + val
         if s.is_zero():
@@ -338,60 +340,48 @@ def verify_axioms(H):
     T = _IntTables(H)
     checks = [
         AxiomCheck("associativity", _check_associativity(H, T)),
-        AxiomCheck("unit", _check_unit(H, T)),
-        AxiomCheck("coassociativity", _check_coassociativity(H, T)),
-        AxiomCheck("counit", _check_counit(H, T)),
+        AxiomCheck("unit", _check_unit(H)),
+        AxiomCheck("coassociativity", _check_coassociativity(H)),
+        AxiomCheck("counit", _check_counit(H)),
         AxiomCheck("comultiplication-multiplicative", _check_comul_mult(H, T)),
-        AxiomCheck("counit-multiplicative", _check_counit_mult(H, T)),
-        AxiomCheck("antipode", _check_antipode(H, T)),
+        AxiomCheck("counit-multiplicative", _check_counit_mult(H)),
+        AxiomCheck("antipode", _check_antipode(H)),
     ]
     return AxiomReport(H.name, H.dim, checks)
 
 
-# The battery runs on an integer view of the structure constants: every
-# constant of every table is a Gaussian-integer numerator (re, im) over one
-# common denominator D (the lcm of all their denominators), so no Scalar is
-# made per instance.  A side of a law that multiplies k constants is over D^k;
-# the two sides are brought to the same power and compared as dicts of
-# numerators, zero entries ignored, which is exact rational equality.
+# Associativity (d^3 instances) and delta-multiplicativity (d^2 instances,
+# each a product of two coproducts) are the battery's two long loops, so
+# they run on an integer view of the multiplication and comultiplication:
+# every constant is a Gaussian-integer numerator (re, im) over one common
+# denominator D (the lcm of their denominators), and no Scalar is made per
+# instance.  A side that multiplies k constants is over D^k; the two sides
+# are brought to the same power and compared as dicts of numerators, zero
+# entries ignored, which is exact rational equality.  The other checks
+# accumulate Scalars with `_acc`, which drops zeros, and compare with ==.
 
 
 class _IntTables:
     """The integer view of one algebra's tables over D, built per
-    verify_axioms call.  mul[i][j]: (k, re, im); unit: (i, re, im);
-    comul[i]: (j, k, re, im); counit[i]: (re, im); antipode[i]: (j, re, im)."""
+    verify_axioms call.  mul[i][j]: (k, re, im); comul[i]: (j, k, re, im)."""
 
-    __slots__ = ("D", "mul", "unit", "comul", "counit", "antipode")
+    __slots__ = ("D", "mul", "comul")
 
     def __init__(self, H):
         constants = [c for block in H.mul_sparse for row in block for _, c in row]
-        constants += [c for _, c in H.unit_sparse]
         constants += [c for triples in H.comul for c, _, _ in triples]
-        constants += H.counit
-        constants += [c for row in H.antipode_sparse for _, c in row]
         self.D = D = lcm(*{d for c in constants for d in (c.rd, c.imd)})
         self.mul = tuple(
             tuple(tuple((k, *_num(c, D)) for k, c in row) for row in block)
             for block in H.mul_sparse
         )
-        self.unit = tuple((i, *_num(c, D)) for i, c in H.unit_sparse)
         self.comul = tuple(
             tuple((j, k, *_num(c, D)) for c, j, k in triples) for triples in H.comul
-        )
-        self.counit = tuple(_num(c, D) for c in H.counit)
-        self.antipode = tuple(
-            tuple((j, *_num(c, D)) for j, c in row) for row in H.antipode_sparse
         )
 
 
 def _num(c, den):
     return c.rn * (den // c.rd), c.imn * (den // c.imd)
-
-
-def _gacc(acc, key, re, im):
-    """acc[key] += re + im*i; entries may sum to zero, which `_same` ignores."""
-    cur = acc.get(key)
-    acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
 
 def _same(x, y):
@@ -405,8 +395,8 @@ def _nonzero(acc):
 
 
 def _check_associativity(H, T):
-    # both sides over D^2; the accumulation is `_gacc` inlined, this being
-    # the battery's longest loop
+    # both sides over D^2, accumulated inline, this being the battery's
+    # longest loop
     witnesses = []
     mul = T.mul
     d = H.dim
@@ -434,78 +424,69 @@ def _check_associativity(H, T):
     return witnesses
 
 
-def _check_unit(H, T):
-    # both products over D^2
+def _check_unit(H):
     witnesses = []
-    mul = T.mul
-    expected = (T.D * T.D, 0)
+    mul = H.mul_sparse
     for i in range(H.dim):
         left = {}
         right = {}
-        for j, ur, ui in T.unit:
-            for k, c, e in mul[j][i]:
-                _gacc(left, k, ur * c - ui * e, ur * e + ui * c)
-            for k, c, e in mul[i][j]:
-                _gacc(right, k, ur * c - ui * e, ur * e + ui * c)
-        if not _same(left, {i: expected}):
+        for j, u in H.unit_sparse:
+            for k, c in mul[j][i]:
+                _acc(left, k, u * c)
+            for k, c in mul[i][j]:
+                _acc(right, k, u * c)
+        if left != {i: ONE}:
             witnesses.append(f"1*{H.basis[i]} != {H.basis[i]}")
-        if not _same(right, {i: expected}):
+        if right != {i: ONE}:
             witnesses.append(f"{H.basis[i]}*1 != {H.basis[i]}")
     return witnesses
 
 
-def _check_coassociativity(H, T):
-    # both sides over D^2
+def _check_coassociativity(H):
     witnesses = []
-    comul = T.comul
+    comul = H.comul
     for i in range(H.dim):
         lhs = {}
         rhs = {}
-        for j, k, a, b in comul[i]:
-            for p, q, c, e in comul[j]:
-                _gacc(lhs, (p, q, k), a * c - b * e, a * e + b * c)
-            for p, q, c, e in comul[k]:
-                _gacc(rhs, (j, p, q), a * c - b * e, a * e + b * c)
-        if not _same(lhs, rhs):
+        for a, j, k in comul[i]:
+            for c, p, q in comul[j]:
+                _acc(lhs, (p, q, k), a * c)
+            for c, p, q in comul[k]:
+                _acc(rhs, (j, p, q), a * c)
+        if lhs != rhs:
             witnesses.append(f"coassociativity fails on {H.basis[i]}")
     return witnesses
 
 
-def _check_counit(H, T):
-    # both sides over D^2
+def _check_counit(H):
     witnesses = []
-    eps = T.counit
-    expected = (T.D * T.D, 0)
+    eps = H.counit
     for i in range(H.dim):
         left = {}
         right = {}
-        for j, k, a, b in T.comul[i]:
-            c, e = eps[j]
-            _gacc(left, k, a * c - b * e, a * e + b * c)
-            c, e = eps[k]
-            _gacc(right, j, a * c - b * e, a * e + b * c)
-        if not _same(left, {i: expected}):
+        for a, j, k in H.comul[i]:
+            _acc(left, k, a * eps[j])
+            _acc(right, j, a * eps[k])
+        if left != {i: ONE}:
             witnesses.append(f"(eps (x) id) delta fails on {H.basis[i]}")
-        if not _same(right, {i: expected}):
+        if right != {i: ONE}:
             witnesses.append(f"(id (x) eps) delta fails on {H.basis[i]}")
     return witnesses
 
 
 def _check_comul_mult(H, T):
     witnesses = []
-    mul, comul = T.mul, T.comul
-    # delta(1) and 1 (x) 1 over D^2
     delta_unit = {}
+    for i, u in H.unit_sparse:
+        for c, j, k in H.comul[i]:
+            _acc(delta_unit, (j, k), u * c)
     unit_tensor = {}
-    for i, ur, ui in T.unit:
-        for j, k, c, e in comul[i]:
-            _gacc(delta_unit, (j, k), ur * c - ui * e, ur * e + ui * c)
-        for j, c, e in T.unit:
-            _gacc(unit_tensor, (i, j), ur * c - ui * e, ur * e + ui * c)
-    if not _same(delta_unit, unit_tensor):
+    acc_outer(unit_tensor, ONE, H.unit, H.unit)
+    if delta_unit != unit_tensor:
         witnesses.append("delta(1) != 1 (x) 1")
     # delta(e_i e_j) over D^2, lifted to D^4, against delta(e_i)delta(e_j)
-    # over D^4
+    # over D^4, both accumulated inline in the battery's costliest loop
+    mul, comul = T.mul, T.comul
     scale = T.D * T.D
     for i in range(H.dim):
         for j in range(H.dim):
@@ -513,8 +494,10 @@ def _check_comul_mult(H, T):
             for k, a, b in mul[i][j]:
                 a, b = a * scale, b * scale
                 for p, q, c, e in comul[k]:
-                    _gacc(lhs, (p, q), a * c - b * e, a * e + b * c)
-            rhs = {}  # `_gacc` inlined in the battery's costliest loop
+                    re, im = a * c - b * e, a * e + b * c
+                    cur = lhs.get((p, q))
+                    lhs[p, q] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            rhs = {}
             for a, b, ar, ai in comul[i]:
                 for p, q, pr, pi in comul[j]:
                     fr, fi = ar * pr - ai * pi, ar * pi + ai * pr
@@ -532,54 +515,41 @@ def _check_comul_mult(H, T):
     return witnesses
 
 
-def _check_counit_mult(H, T):
-    # every side over D^2
+def _check_counit_mult(H):
     witnesses = []
-    eps = T.counit
-    re = im = 0
-    for i, ur, ui in T.unit:
-        c, e = eps[i]
-        re += ur * c - ui * e
-        im += ur * e + ui * c
-    if (re, im) != (T.D * T.D, 0):
+    eps = H.counit
+    if sum((u * eps[i] for i, u in H.unit_sparse), ZERO) != ONE:
         witnesses.append("eps(1) != 1")
     for i in range(H.dim):
-        a, b = eps[i]
         for j in range(H.dim):
-            c, e = eps[j]
-            re = im = 0
-            for k, mr, mi in T.mul[i][j]:
-                f, g = eps[k]
-                re += mr * f - mi * g
-                im += mr * g + mi * f
-            if (re, im) != (a * c - b * e, a * e + b * c):
+            if sum((c * eps[k] for k, c in H.mul_sparse[i][j]), ZERO) != eps[i] * eps[j]:
                 witnesses.append(f"eps({H.basis[i]}*{H.basis[j]}) != eps*eps")
     return witnesses
 
 
-def _check_antipode(H, T):
-    # both convolutions over D^3 against eps(e_i)1 over D^2, lifted to D^3
+def _check_antipode(H):
     witnesses = []
-    mul, anti = T.mul, T.antipode
+    mul, anti = H.mul_sparse, H.antipode_sparse
     for i in range(H.dim):
         left = {}
         right = {}
-        for j, k, a, b in T.comul[i]:
+        for a, j, k in H.comul[i]:
             # S(x1) x2
-            for s, c, e in anti[j]:
-                fr, fi = a * c - b * e, a * e + b * c
-                for m, c2, e2 in mul[s][k]:
-                    _gacc(left, m, fr * c2 - fi * e2, fr * e2 + fi * c2)
+            for s, c in anti[j]:
+                f = a * c
+                for m, c2 in mul[s][k]:
+                    _acc(left, m, f * c2)
             # x1 S(x2)
-            for s, c, e in anti[k]:
-                fr, fi = a * c - b * e, a * e + b * c
-                for m, c2, e2 in mul[j][s]:
-                    _gacc(right, m, fr * c2 - fi * e2, fr * e2 + fi * c2)
-        a, b = T.counit[i][0] * T.D, T.counit[i][1] * T.D
-        expected = {j: (a * c - b * e, a * e + b * c) for j, c, e in T.unit}
-        if not _same(left, expected):
+            for s, c in anti[k]:
+                f = a * c
+                for m, c2 in mul[j][s]:
+                    _acc(right, m, f * c2)
+        expected = {}
+        for j, u in H.unit_sparse:
+            _acc(expected, j, H.counit[i] * u)
+        if left != expected:
             witnesses.append(f"m(S (x) id) delta != eps*1 on {H.basis[i]}")
-        if not _same(right, expected):
+        if right != expected:
             witnesses.append(f"m(id (x) S) delta != eps*1 on {H.basis[i]}")
     return witnesses
 

@@ -17,7 +17,7 @@ import pytest
 from hopffactor import jsonio
 from hopffactor.hopf import AXIOM_NAMES, HopfAlgebraData, tensor_product, verify_axioms
 from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import HALF, I, ONE, Scalar
+from hopffactor.scalar import HALF, I, ONE, ZERO, Scalar
 
 I_THIRD = I * Scalar(1, 3)
 
@@ -283,3 +283,74 @@ def test_every_check_tripped(reports):
 def test_report_bytes_pinned(reports):
     text = jsonio.dumps(jsonio.axiom_report_to_json(reports["t-comul-unit"]))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256
+
+
+def _nonzero(acc):
+    return {key: c for key, c in acc.items() if not c.is_zero()}
+
+
+def _element_witnesses(H):
+    """The witnesses of unit, coassociativity, counit, delta(1) = 1 (x) 1,
+    counit-multiplicativity and antipode, found with H.multiply,
+    comultiply_dict, counit_of and antipode_of on basis Elements only."""
+    e, b, one = [H.basis_element(n) for n in range(H.dim)], H.basis, H.one()
+    eps = [H.counit_of(x) for x in e]
+    delta = [H.comultiply_dict(x) for x in e]
+    out = {name: [] for name in AXIOM_NAMES}
+    for i in range(H.dim):
+        if one * e[i] != e[i]:
+            out["unit"].append(f"1*{b[i]} != {b[i]}")
+        if e[i] * one != e[i]:
+            out["unit"].append(f"{b[i]}*1 != {b[i]}")
+    for i in range(H.dim):
+        lhs, rhs = {}, {}
+        for (j, k), c in delta[i].items():
+            for (p, q), c2 in delta[j].items():
+                lhs[p, q, k] = lhs.get((p, q, k), ZERO) + c * c2
+            for (p, q), c2 in delta[k].items():
+                rhs[j, p, q] = rhs.get((j, p, q), ZERO) + c * c2
+        if _nonzero(lhs) != _nonzero(rhs):
+            out["coassociativity"].append(f"coassociativity fails on {b[i]}")
+    for i in range(H.dim):
+        left = sum((c * eps[j] * e[k] for (j, k), c in delta[i].items()), H.zero())
+        right = sum((c * eps[k] * e[j] for (j, k), c in delta[i].items()), H.zero())
+        if left != e[i]:
+            out["counit"].append(f"(eps (x) id) delta fails on {b[i]}")
+        if right != e[i]:
+            out["counit"].append(f"(id (x) eps) delta fails on {b[i]}")
+    unit_tensor = {
+        (p, q): cp * cq for p, cp in enumerate(one.coords) for q, cq in enumerate(one.coords)
+    }
+    if H.comultiply_dict(one) != _nonzero(unit_tensor):
+        out["comultiplication-multiplicative"].append("delta(1) != 1 (x) 1")
+    if H.counit_of(one) != ONE:
+        out["counit-multiplicative"].append("eps(1) != 1")
+    for i in range(H.dim):
+        for j in range(H.dim):
+            if H.counit_of(e[i] * e[j]) != eps[i] * eps[j]:
+                out["counit-multiplicative"].append(f"eps({b[i]}*{b[j]}) != eps*eps")
+    for i in range(H.dim):
+        expected = eps[i] * one
+        left = sum((c * (H.antipode_of(e[j]) * e[k]) for (j, k), c in delta[i].items()), H.zero())
+        right = sum((c * (e[j] * H.antipode_of(e[k])) for (j, k), c in delta[i].items()), H.zero())
+        if left != expected:
+            out["antipode"].append(f"m(S (x) id) delta != eps*1 on {b[i]}")
+        if right != expected:
+            out["antipode"].append(f"m(id (x) S) delta != eps*1 on {b[i]}")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MUTANTS if n.startswith("h8-")))
+def test_witnesses_match_element_arithmetic(reports, name):
+    """Every H8 mutant's witnesses for the Scalar checks equal those of an
+    independent evaluation through Element arithmetic; of
+    delta-multiplicativity only the delta(1) witness, which comes first."""
+    base, kw = MUTANTS[name]
+    oracle = _element_witnesses(_mutant(base(), **kw))
+    report = {c.name: c.witnesses for c in reports[name].checks}
+    for check in ("unit", "coassociativity", "counit", "counit-multiplicative", "antipode"):
+        assert report[check] == tuple(oracle[check]), check
+    comul = report["comultiplication-multiplicative"]
+    delta_unit = oracle["comultiplication-multiplicative"]
+    assert [w for w in comul if w == "delta(1) != 1 (x) 1"] == delta_unit
+    assert comul[: len(delta_unit)] == tuple(delta_unit)

@@ -256,6 +256,24 @@ def test_split_and_zero_coproduct_terms_pass():
     assert verify_axioms(split).all_passed
 
 
+@pytest.mark.parametrize(
+    "where, term", [("G", ("X", "G")), ("X", ("G", "G"))], ids=("in-delta-G", "in-delta-X"),
+)
+def test_stored_zero_coproduct_term_keeps_the_h4_answers(where, term):
+    # a zero term in delta(G) or delta(X) changes nothing: G stays
+    # group-like, and the skew-primitive kernel never pivots on the zero
+    H = build_H4()
+    comul = [list(t) for t in H.comul]
+    comul[H.index[where]].append((ZERO, *(H.index[label] for label in term)))
+    A = HopfAlgebraData("H4-zero-term", H.basis, H.mul, H.unit, comul, H.counit, H.antipode)
+    G = A.basis_element("G")
+    assert verify_axioms(A).all_passed
+    assert A.comultiply(G) == ((ONE, 1, 1),)
+    assert is_grouplike(A, G)
+    assert [repr(g) for g in grouplikes(A)] == ["G", "1"]
+    assert sorted(repr(b) for b in skew_primitives(A, G, A.one())) == ["-1 + G", "X"]
+
+
 # -- group-likes -------------------------------------------------------------------
 
 
