@@ -164,7 +164,7 @@ class _ActionTable:
         out = set()
         for row in self.entries.values():
             for p in row:
-                out |= p.variables()
+                out.update(p.variables())
         return sorted(out)
 
     def is_concrete(self):
@@ -241,14 +241,20 @@ class RightActionTable(_ActionTable):
 
 def _canonical_system(polys):
     """The nonzero constraints, one per key, ordered by degree, unknown
-    count and key.  Each key is computed once and dropped on return."""
-    seen = {}
+    count and key.  Equal keys share a degree and an unknown count, so the
+    constraints are sorted one (degree, unknown count) group at a time:
+    each key is computed once, and only one group's keys exist at once."""
+    groups = {}
     for p in polys:
-        if p.is_zero():
-            continue
-        seen.setdefault(p.key(), p)
-    order = sorted(seen.items(), key=lambda kp: (kp[1].degree(), len(kp[1].variables()), kp[0]))
-    return [p for _, p in order]
+        if p.terms:
+            groups.setdefault((p.degree(), len(p.variables())), []).append(p)
+    out = []
+    for shape in sorted(groups):
+        seen = {}
+        for p in groups.pop(shape):
+            seen.setdefault(p.key(), p)
+        out.extend(seen[k] for k in sorted(seen))
+    return out
 
 
 def _unit_constraints(T):

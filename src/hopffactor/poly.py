@@ -57,7 +57,8 @@ class Poly:
     `Poly({monomial: Scalar or int})` builds one from coefficients; with
     `den` given, `terms` must already be in the canonical numerator form.
     Many polynomials may share one monomial or numerator-pair tuple (see
-    `from_acc` and `_build`).  Degree and unknowns are cached; `key()` is
+    `from_acc` and `_build`).  Degree and unknowns are cached, the unknowns
+    as a sorted tuple, a quarter or less of a frozenset's size; `key()` is
     not, since a system of thousands of constraints would keep every key
     alive for the whole solve.  `_splits` holds the solver's split analyses
     of this polynomial."""
@@ -106,8 +107,9 @@ class Poly:
         raise ValueError(f"not a constant polynomial: {self}")
 
     def variables(self):
+        """The unknowns, as a sorted tuple."""
         if self._vars is None:
-            self._vars = frozenset().union(*self.terms)
+            self._vars = tuple(sorted(set().union(*self.terms)))
         return self._vars
 
     def degree(self):
@@ -179,7 +181,7 @@ class Poly:
 
     def subst_many(self, mapping):
         """Substitute several variables (var -> Poly) in one rebuild."""
-        relevant = self.variables() & mapping.keys()
+        relevant = mapping.keys() & self.variables()
         if not relevant:
             return self
         return _Batch({v: mapping[v] for v in relevant}).apply(self)
@@ -324,10 +326,11 @@ class _Batch:
         return prod
 
     def apply(self, p):
-        if self.keys.isdisjoint(p.variables()):
+        pvars = p.variables()
+        if self.keys.isdisjoint(pvars):
             return p
         keys, zeros, targets = self.keys, self.zeros, self.targets
-        if self.nonzero.isdisjoint(p.variables()):
+        if self.nonzero.isdisjoint(pvars):
             kept = {m: c for m, c in p.terms.items() if zeros.isdisjoint(m)}
             return _build(kept, p.den, self.intern)
         intern = self.intern.setdefault

@@ -93,7 +93,7 @@ def poly_sqrt(p):
     if p.degree() != 2:
         return None
     anchor = None
-    for v in sorted(p.variables()):
+    for v in p.variables():
         if not p.coeff((v, v)).is_zero():
             anchor = v
             break
@@ -104,7 +104,7 @@ def poly_sqrt(p):
         return None
     half_inv = (la + la).inv()
     terms = {(anchor,): la}
-    for w in sorted(p.variables()):
+    for w in p.variables():
         if w == anchor:
             continue
         c = p.coeff((anchor, w))
@@ -272,20 +272,21 @@ class _Node:
 
     def apply_batch(self, mapping):
         """Substitute a triangular batch everywhere; False when a nonzero
-        constant constraint appears (dead branch)."""
+        constant constraint appears (dead branch).  Each result is written
+        back into its constraint's slot, so the polynomial it replaces is
+        freed before the next one is built; a dead branch may keep its list
+        half substituted, which is harmless since the node is discarded."""
         batch = _Batch(mapping, self.intern)
         for v, e in list(self.subst.items()):
             self.subst[v] = batch.apply(e)
         self.subst.update(mapping)
-        out = []
-        for p in self.constraints:
+        constraints = self.constraints
+        for i, p in enumerate(constraints):
             q = batch.apply(p)
-            if not q.terms:
-                continue
-            if q.is_const():
+            if q.terms and q.is_const():
                 return False
-            out.append(q)
-        self.constraints = out
+            constraints[i] = q
+        self.constraints = [p for p in constraints if p.terms]
         return True
 
     def apply_case(self, case):
@@ -312,6 +313,7 @@ class _Node:
             if mapping is None:
                 return False
             self.constraints = rest
+            linear = rest = p = None  # the node's list is then the only holder
             if not self.apply_batch(mapping):
                 return False
 
@@ -362,7 +364,7 @@ def _split_options(p, full):
     content; the full tier adds the expensive discriminant analysis.
     """
     options = []
-    pvars = sorted(p.variables())
+    pvars = p.variables()
     univariate = len(pvars) == 1
     if full or univariate:
         for var in pvars:
@@ -414,7 +416,7 @@ def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
     polys = [p if isinstance(p, Poly) else Poly.const(p) for p in system]
     universe = set(var_universe or ())
     for p in polys:
-        universe |= p.variables()
+        universe.update(p.variables())
 
     for p in polys:
         if p.is_const() and not p.is_zero():

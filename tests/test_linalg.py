@@ -188,7 +188,7 @@ def test_solve_linear_recovers_planted_point(data):
     assert mapping is not None
     free = set(names) - mapping.keys()
     for v, e in mapping.items():
-        assert e.variables() <= free  # solved over the free unknowns only
+        assert set(e.variables()) <= free  # solved over the free unknowns only
         assert evaluate(e, point) == point[v]
     for p in rows:
         assert p.subst_many(mapping).is_zero()

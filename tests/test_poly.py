@@ -21,6 +21,12 @@ def test_const_and_var():
     assert x.degree() == 1 and x.degree_in("x") == 1
 
 
+def test_variables_are_a_sorted_tuple():
+    # sorted, so no hash-seed order reaches a caller
+    assert (z * y + x * z - 1).variables() == ("x", "y", "z")
+    assert Poly.const(Scalar(3)).variables() == ()
+
+
 def test_arithmetic():
     p = (x + y) * (x - y)
     assert p == x * x - y * y

@@ -1,9 +1,12 @@
 """Case-splitting solver: square roots, branch semantics, determinism."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopffactor import solver
 from hopffactor.poly import Poly
 from hopffactor.scalar import HALF, I, ONE, Scalar
 from hopffactor.solver import (
@@ -248,3 +251,39 @@ def test_solution_set_json_shape():
     assert [s["substitution"] for s in payload["solutions"]] == [
         {"x": "0"}, {"x": "1"}
     ]
+
+
+# -- batch substitution on a search node -------------------------------------------
+
+
+def test_apply_batch_keeps_order_and_drops_zeros():
+    node = solver._Node({}, [a + x, x, b + 1, x * y, c * x + c], {"d": x + 1}, 0)
+    assert node.apply_batch({"x": Poly()})
+    assert node.constraints == [a, b + 1, c]
+    assert node.subst == {"d": Poly.const(ONE), "x": Poly()}
+
+
+def test_apply_batch_reports_a_nonzero_constant():
+    node = solver._Node({}, [a + x, x - 1, b], {}, 0)
+    assert not node.apply_batch({"x": Poly()})
+
+
+def test_apply_batch_releases_each_constraint_it_replaces(monkeypatch):
+    olds = [x * y + k for k in range(1, 5)]
+    node = solver._Node({}, list(olds), {}, 0)
+    before = [sys.getrefcount(p) for p in olds]
+    during = []
+
+    class Spy(solver._Batch):
+        def apply(self, p):
+            during.append([sys.getrefcount(q) for q in olds])
+            return super().apply(p)
+
+    monkeypatch.setattr(solver, "_Batch", Spy)
+    assert node.apply_batch({"x": y})
+    # while constraint k is substituted, every earlier one has left the
+    # node's list: only the test still holds it
+    for k, counts in enumerate(during):
+        assert counts[:k] == [n - 1 for n in before[:k]]
+    assert [sys.getrefcount(p) for p in olds] == [n - 1 for n in before]
+    assert node.constraints == [y * y + k for k in range(1, 5)]
