@@ -2,13 +2,19 @@
 
 A monomial is a sorted tuple of variable names with repetition (so x^2*y
 is ("x", "x", "y")).  A polynomial holds Gaussian-integer numerators over
-one denominator: `terms` maps monomials to nonzero (re, im) int pairs and
-`den` is a positive int sharing no factor with all of them, so the
-coefficient of m is (re + im*i)/den.  Zero is {} over 1.  That form is
-canonical, so polynomials compare structurally, and arithmetic makes no
-Scalar objects: it multiplies and adds ints and reduces once per result.
-Scalars appear only at the boundary (`const`, `coeff`, `const_value`,
-`*` by a Scalar).
+one denominator, as two parallel tuples: `terms` holds the monomials and
+`nums` their nonzero (re, im) int pairs, and `den` is a positive int
+sharing no factor with all of them, so the coefficient of terms[j] is
+(nums[j][0] + nums[j][1]*i)/den.  Zero is () and () over 1.  That form
+is canonical up to the order of the terms, so polynomials compare as
+unordered mappings, and arithmetic makes no Scalar objects: it multiplies
+and adds ints and reduces once per result.  Scalars appear only at the
+boundary (`const`, `coeff`, `const_value`, `*` by a Scalar).
+
+Two tuples take less than half the memory of a {monomial: pair} dict, and
+a solve holds hundreds of thousands of terms.  Dicts remain only where
+terms are summed: the accumulators (`acc_add`, `acc_mul`, `from_acc`) and
+the output of one batch substitution (`_Batch.apply`).
 
 The canonical term order is graded lexicographic, highest degree first,
 which makes rendering and `key()` deterministic and lets whole solution
@@ -51,27 +57,32 @@ def _num(c):
 
 
 class Poly:
-    """Immutable polynomial: `terms` maps monomials to nonzero (re, im)
-    numerators over the shared denominator `den`.
+    """Immutable polynomial: the monomials `terms` and, in the same order,
+    their nonzero (re, im) numerators `nums` over the shared denominator
+    `den`.  The term order is the order in which the terms were summed, not
+    a canonical one: `==` compares the terms as a mapping and `key()`
+    sorts them.
 
-    `Poly({monomial: Scalar or int})` builds one from coefficients; with
-    `den` given, `terms` must already be in the canonical numerator form.
-    Many polynomials may share one monomial or numerator-pair tuple (see
-    `from_acc` and `_build`).  Degree and unknowns are cached, the unknowns
-    as a sorted tuple, a quarter or less of a frozenset's size; `key()` is
-    not, since a system of thousands of constraints would keep every key
-    alive for the whole solve.  `_splits` holds the solver's split analyses
-    of this polynomial."""
+    `Poly({monomial: Scalar or int})` builds one from coefficients;
+    `Poly(terms, nums, den)` takes tuples already in the reduced numerator
+    form.  Many polynomials may share one monomial or numerator-pair tuple
+    (see `from_acc` and `_build`).  Degree and unknowns are cached, the
+    unknowns as a sorted tuple, a quarter or less of a frozenset's size;
+    `key()` is not, since a system of thousands of constraints would keep
+    every key alive for the whole solve.  `_splits` holds the solver's
+    split analyses of this polynomial."""
 
-    __slots__ = ("terms", "den", "_vars", "_degree", "_splits")
+    __slots__ = ("terms", "nums", "den", "_vars", "_degree", "_splits")
 
-    def __init__(self, terms=None, den=None):
-        if den is None:
+    def __init__(self, terms=None, nums=None, den=1):
+        if nums is None:
             acc = {}
             for m, c in (terms or {}).items():
                 _acc_term(acc, tuple(sorted(m)), *_num(c))
-            terms, den = _settle(acc)
+            p = from_acc(acc)
+            terms, nums, den = p.terms, p.nums, p.den
         self.terms = terms
+        self.nums = nums
         self.den = den
         self._vars = None
         self._degree = None
@@ -83,12 +94,12 @@ class Poly:
     def const(cls, c):
         re, im, den = _num(c)
         if not (re or im):
-            return cls({}, 1)
-        return cls({(): (re, im)}, den)
+            return cls((), (), 1)
+        return cls(((),), ((re, im),), den)
 
     @classmethod
     def var(cls, name):
-        return cls({(name,): (1, 0)}, 1)
+        return cls(((name,),), ((1, 0),), 1)
 
     # -- structure -----------------------------------------------------------
 
@@ -96,13 +107,15 @@ class Poly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and terms[0] == ())
 
     def const_value(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return ZERO
-        if len(self.terms) == 1 and () in self.terms:
-            re, im = self.terms[()]
+        if len(terms) == 1 and terms[0] == ():
+            re, im = self.nums[0]
             return Scalar(re, self.den, im, self.den)
         raise ValueError(f"not a constant polynomial: {self}")
 
@@ -121,22 +134,29 @@ class Poly:
         return max((m.count(var) for m in self.terms), default=0)
 
     def coeff(self, mono_parts):
-        c = self.terms.get(tuple(sorted(mono_parts)))
-        return ZERO if c is None else Scalar(c[0], self.den, c[1], self.den)
+        try:
+            j = self.terms.index(tuple(sorted(mono_parts)))
+        except ValueError:
+            return ZERO
+        re, im = self.nums[j]
+        return Scalar(re, self.den, im, self.den)
 
     def key(self):
         """((monomial, (rn, rd, imn, imd)), ...) in the canonical term
         order, built anew on each call."""
-        terms, den = self.terms, self.den
+        den = self.den
         # the reduced (rn, rd, imn, imd) of each distinct (re + im*i)/den
-        parts = {c: _red(c[0], den) + _red(c[1], den) for c in set(terms.values())}
-        order = _grlex(terms)
-        return tuple(zip(order, map(parts.__getitem__, map(terms.__getitem__, order))))
+        parts = {c: _red(c[0], den) + _red(c[1], den) for c in set(self.nums)}
+        part_of = dict(zip(self.terms, map(parts.__getitem__, self.nums)))
+        order = _grlex(self.terms)
+        return tuple(zip(order, map(part_of.__getitem__, order)))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.den == other.den and self.terms == other.terms
+        # the tuples keep the order in which the terms were summed
+        mine, theirs = zip(self.terms, self.nums), zip(other.terms, other.nums)
+        return self.den == other.den and dict(mine) == dict(theirs)
 
     def __hash__(self):
         return hash(self.key())
@@ -152,7 +172,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.den)
+        return Poly(self.terms, tuple([(-re, -im) for re, im in self.nums]), self.den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -202,24 +222,24 @@ class Poly:
 
     def divide_by_var(self, var):
         """Exact division by var; every monomial must contain it."""
-        out = {}
-        for m, c in self.terms.items():
+        terms = []
+        for m in self.terms:
             parts = list(m)
             parts.remove(var)
-            out[tuple(parts)] = c
-        return Poly(out, self.den)
+            terms.append(tuple(parts))
+        return Poly(tuple(terms), self.nums, self.den)
 
     def as_quadratic_in(self, var):
         """Split self = A*var^2 + B*var + C; A is a Poly (callers usually
         need it constant), B and C are Polys free of var.  None if the
         degree in var exceeds 2."""
         parts = ({}, {}, {})
-        for m, c in self.terms.items():
+        for m, c in zip(self.terms, self.nums):
             k = m.count(var)
             if k > 2:
                 return None
             parts[2 - k][tuple(x for x in m if x != var)] = c
-        return tuple(Poly(*_reduce(p, self.den)) for p in parts)
+        return tuple(_build(p, self.den) for p in parts)
 
     # -- rendering -----------------------------------------------------------
 
@@ -233,28 +253,30 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def _reduce(terms, den):
-    """(terms, den) of nonzero numerators over den > 0, divided by their
-    common factor with den."""
-    if not terms:
-        return terms, 1
-    g = den
-    for re, im in terms.values():
-        g = gcd(g, re, im)
-        if g == 1:
-            return terms, den
-    return {m: (re // g, im // g) for m, (re, im) in terms.items()}, den // g
-
-
-def _build(raw, den, intern):
-    """The Poly of {monomial: (re, im)} sums over den, zero sums dropped,
-    the denominator reduced once and the numerator pairs shared through
-    `intern`."""
-    terms = {m: intern.setdefault(c, c) for m, c in raw.items() if c[0] or c[1]}
-    terms, den2 = _reduce(terms, den)
-    if den2 != den:
-        terms = {m: intern.setdefault(c, c) for m, c in terms.items()}
-    return Poly(terms, den2)
+def _build(raw, den, intern=None):
+    """The Poly of {monomial: (re, im)} sums over den > 0: zero sums
+    dropped, den and the numerators divided by their common factor and,
+    with `intern` given, the numerator pairs shared through it.  The
+    monomials are taken as they are, and the tuples come straight from the
+    dict unless some sum cancelled."""
+    if (0, 0) in raw.values():
+        raw = {m: c for m, c in raw.items() if c[0] or c[1]}
+    if not raw:
+        return Poly((), (), 1)
+    nums = raw.values()
+    if den != 1:
+        g = den
+        for re, im in nums:
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            den //= g
+            nums = [(re // g, im // g) for re, im in nums]
+    if intern is None:
+        return Poly(tuple(raw), tuple(nums), den)
+    share = intern.setdefault
+    return Poly(tuple(raw), tuple(map(share, nums, nums)), den)
 
 
 def _as_poly(x):
@@ -304,7 +326,7 @@ class _Batch:
         self.targets = {}  # unknown -> ((monomial, numerators over scale), ...)
         for v, e in nonzero.items():
             f = self.scale // e.den
-            self.targets[v] = tuple((m, (re * f, im * f)) for m, (re, im) in e.terms.items())
+            self.targets[v] = tuple((m, (re * f, im * f)) for m, (re, im) in zip(e.terms, e.nums))
         self.intern = {} if intern is None else intern
         self._products = {}
 
@@ -331,7 +353,7 @@ class _Batch:
             return p
         keys, zeros, targets = self.keys, self.zeros, self.targets
         if self.nonzero.isdisjoint(pvars):
-            kept = {m: c for m, c in p.terms.items() if zeros.isdisjoint(m)}
+            kept = {m: c for m, c in zip(p.terms, p.nums) if zeros.isdisjoint(m)}
             return _build(kept, p.den, self.intern)
         intern = self.intern.setdefault
         products = self._products
@@ -340,7 +362,7 @@ class _Batch:
         s = powers[top]
         out = {}
         get = out.get
-        for m, c in p.terms.items():
+        for m, c in zip(p.terms, p.nums):
             if keys.isdisjoint(m):
                 if s != 1:
                     c = (c[0] * s, c[1] * s)
@@ -413,7 +435,7 @@ def acc_add(acc, p, f=1):
     k = scale // d if scale % d == 0 else _scale(acc, d)
     fe, ff = fe * k, ff * k
     get = acc.get
-    for m, (a, b) in p.terms.items():
+    for m, (a, b) in zip(p.terms, p.nums):
         re, im = a * fe - b * ff, a * ff + b * fe
         cur = get(m)
         acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
@@ -429,28 +451,35 @@ def acc_mul(acc, p, q, f=1):
     k = scale // d if scale % d == 0 else _scale(acc, d)
     fe, ff = fe * k, ff * k
     get = acc.get
-    qterms = q.terms.items()
-    for m1, (a, b) in p.terms.items():
+    qterms, qnums = q.terms, q.nums
+    if len(qterms) == 1:
+        # q is one term, as an action-table entry usually is: fold its
+        # coefficient into the factor and make one pass over p
+        m2 = qterms[0]
+        e, f = qnums[0]
+        fe, ff = fe * e - ff * f, fe * f + ff * e
+        for m1, (a, b) in zip(p.terms, p.nums):
+            m = _mono_mul(m1, m2)
+            re, im = a * fe - b * ff, a * ff + b * fe
+            cur = get(m)
+            acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+        return
+    for m1, (a, b) in zip(p.terms, p.nums):
         a, b = a * fe - b * ff, a * ff + b * fe
-        for m2, (e, f) in qterms:
+        for m2, (e, f) in zip(qterms, qnums):
             m = _mono_mul(m1, m2)
             re, im = a * e - b * f, a * f + b * e
             cur = get(m)
             acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
 
-def _settle(acc):
-    """The reduced (terms, den) of an accumulator, zero sums dropped."""
-    terms = {m: c for m, c in acc.items() if m is not None and (c[0] or c[1])}
-    return _reduce(terms, acc.get(None, 1))
-
-
 def from_acc(acc, intern=None):
-    """The Poly of an accumulator.  With `intern` given, its monomials and
-    numerator pairs are shared through that dict, which a generator keeps
-    for every constraint of one system."""
-    terms, den = _settle(acc)
+    """The Poly of a finished accumulator, which is spent: its scale entry
+    is taken out.  With `intern` given, its monomials and numerator pairs
+    are shared through that dict, which a generator keeps for every
+    constraint of one system."""
+    den = acc.pop(None, 1)
     if intern is not None:
         share = intern.setdefault
-        terms = {share(m, m): share(c, c) for m, c in terms.items()}
-    return Poly(terms, den)
+        acc = {share(m, m): c for m, c in acc.items() if c[0] or c[1]}
+    return _build(acc, den, intern)

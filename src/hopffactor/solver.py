@@ -246,7 +246,7 @@ def _solve_linear(linear):
     when the rows are inconsistent.  Fully deterministic: columns in sorted
     variable order, then the constant."""
     rows = [
-        {m: Scalar(re, p.den, im, p.den) for m, (re, im) in p.terms.items()}
+        {m: Scalar(re, p.den, im, p.den) for m, (re, im) in zip(p.terms, p.nums)}
         for p in linear
     ]
     columns = sorted({m for row in rows for m in row if m}) + [()]

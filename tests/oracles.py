@@ -72,7 +72,7 @@ def zblock_matrix(table, col_label):
 def evaluate(p, assignment):
     """The value of Poly p at a Scalar assignment of every unknown."""
     acc = ZERO
-    for m, (re, im) in p.terms.items():
+    for m, (re, im) in zip(p.terms, p.nums):
         v = Scalar(re, p.den, im, p.den)
         for x in m:
             v = v * assignment[x]

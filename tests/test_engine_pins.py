@@ -8,7 +8,7 @@ solutions.  The union system the matched-pair search solves is also pinned
 in its canonical order, by its rendered text and its keys, both as the
 union of the public systems and as the search builds it; the latter must
 also share its monomials and numerator pairs and stay under a traced-memory
-ceiling.  The checker is
+ceiling, and so must the solver's root round on it.  The checker is
 pinned by the exact `CheckFailure` list (order, condition, `at` tuple and
 witness text) on corrupted tables of both sides; the matched-pair checker
 by count, per-condition counts and a sha256 of the ordered list, on valid
@@ -45,6 +45,7 @@ from hopffactor.hopf import grouplikes, skew_primitives, tensor_product
 from hopffactor.poly import Poly
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import HALF, ONE
+from hopffactor.solver import _Node
 from oracles import (
     IDENTITY_BLOCK,
     KILLED_GROUPLIKES,
@@ -122,11 +123,12 @@ def test_union_system_order_render_and_keys_pinned():
 # The search builds the same union from the raw generators with one sharing
 # dict: 45.7 MB traced with a pair tuple per term and a cached key per
 # constraint, about 15 MB with shared monomials and pairs and the unknowns
-# cached as sorted tuples.  Canonicalising one (degree, unknown count) group
-# at a time keeps the traced peak of the build near 22 MB (37 MB when all
-# keys were sorted at once).
-UNION_TRACED_CEILING = 30_000_000
-UNION_TRACED_PEAK_CEILING = 25_000_000
+# cached as sorted tuples, and 10.3-10.8 MB with each Poly's terms in two
+# parallel tuples instead of a dict.  Canonicalising one (degree, unknown
+# count) group at a time keeps the traced peak of the build near 18 MB
+# (22 MB with per-Poly dicts, 37 MB when all keys were sorted at once).
+UNION_TRACED_CEILING = 13_000_000
+UNION_TRACED_PEAK_CEILING = 20_000_000
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +155,7 @@ def test_search_system_is_the_pinned_union(search_union):
 
 def test_search_system_shares_pairs_and_monomials(search_union):
     system = search_union[0]
-    pairs = [c for p in system for c in p.terms.values()]
+    pairs = [c for p in system for c in p.nums]
     assert len({id(c) for c in pairs}) == len(set(pairs)) == 6
     monos = [m for p in system for m in p.terms]
     assert len({id(m) for m in monos}) == len(set(monos))
@@ -165,6 +167,28 @@ def test_search_system_traced_size_under_ceiling(search_union):
 
 def test_search_system_traced_peak_under_ceiling(search_union):
     assert search_union[2] < UNION_TRACED_PEAK_CEILING
+
+
+# The solver's root round on the union: the first linear batch grows the
+# system from ~177k to 330,477 terms, held together with the input, which
+# the soundness pass keeps.  That output held 20.2 MB traced with per-Poly
+# dicts and 12.9 MB with parallel tuples; this is where `theorem check`
+# peaks.
+ROOT_ROUND_TRACED_CEILING = 16_000_000
+
+
+def test_root_round_traced_size_under_ceiling(search_union):
+    system = search_union[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        node = _Node({}, list(system), {}, 0)
+        assert node.propagate()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(len(p.terms) for p in node.constraints) == 330_477
+    assert held < ROOT_ROUND_TRACED_CEILING
 
 
 def test_poly_key_is_recomputed_not_cached():

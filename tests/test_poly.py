@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopffactor.poly import Poly, acc_add, acc_mul, from_acc
+from hopffactor.poly import Poly, _Batch, acc_add, acc_mul, from_acc
 from hopffactor.scalar import Scalar
 from oracles import evaluate
 
@@ -103,6 +103,40 @@ def test_key_is_canonical():
     assert p1.key() == p2.key()
     assert hash(p1) == hash(p2)
     assert p1 == p2
+
+
+def _assert_same(a, b):
+    """a and b are one polynomial whose terms are stored in different orders."""
+    assert a.terms != b.terms
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a.key() == b.key()
+    assert a.render() == b.render()
+    for m in a.terms + ((), ("w",)):
+        assert a.coeff(m) == b.coeff(m)
+
+
+def test_equality_does_not_depend_on_term_order():
+    # the tuples keep the order in which the terms were summed
+    _assert_same(x * y + x, x + y * x)
+    _assert_same(
+        Poly({("x", "y"): Scalar(1, 2), ("y",): Scalar(0, 1), (): 3}),
+        Poly({(): 3, ("y",): Scalar(0, 1), ("y", "x"): Scalar(1, 2)}),
+    )
+    acc = {}
+    acc_add(acc, Poly.const(Scalar(1)))
+    acc_add(acc, x)
+    acc_mul(acc, x, y)
+    _assert_same(_Batch({"z": 1 + x}).apply(x * y + z), from_acc(acc))
+    # a constant has one term, so its value is read the same way
+    c = Poly({(): Scalar(1, 2), ("x",): 1}) - x
+    assert c == Poly.const(Scalar(1, 2)) and c.const_value() == Scalar(1, 2)
+
+
+def test_equality_compares_the_denominator():
+    half = x * Scalar(1, 2)
+    assert (half.terms, half.nums) == (x.terms, x.nums)
+    assert half != x and half.key() != x.key()
 
 
 def test_accumulators():
