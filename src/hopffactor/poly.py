@@ -24,14 +24,15 @@ flat-tuple monomial encoding is both the simplest and the fastest choice.
 """
 
 from math import gcd, lcm
+from operator import itemgetter
 
 from hopffactor.scalar import ZERO, Scalar, _red, join_signed, render_term
 
 
-def _grlex(monos):
-    """Monomials in the canonical term order: higher degree first, then
-    lexicographic (the stable descending sort keeps the name order)."""
-    return sorted(sorted(monos), key=len, reverse=True)
+def _degree_of(term):
+    """The degree of a (monomial, coefficient) term: the canonical term
+    order is higher degree first, then lexicographic."""
+    return len(term[0])
 
 
 def _mono_mul(m1, m2):
@@ -147,9 +148,11 @@ class Poly:
         den = self.den
         # the reduced (rn, rd, imn, imd) of each distinct (re + im*i)/den
         parts = {c: _red(c[0], den) + _red(c[1], den) for c in set(self.nums)}
-        part_of = dict(zip(self.terms, map(parts.__getitem__, self.nums)))
-        order = _grlex(self.terms)
-        return tuple(zip(order, map(part_of.__getitem__, order)))
+        # the monomials are distinct, so the terms sort by monomial alone;
+        # the stable descending sort by degree keeps the name order
+        terms = sorted(zip(self.terms, map(parts.__getitem__, self.nums)), key=itemgetter(0))
+        terms.sort(key=_degree_of, reverse=True)
+        return tuple(terms)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -311,9 +314,10 @@ class _Batch:
     any arithmetic; the other targets are brought to one common
     denominator, so a term with k substituted factors is scaled by the rest
     of that denominator's power up to the polynomial's degree.  Products of
-    targets are cached for the batch.  Monomials and numerator pairs of the
-    results are shared through `intern`, which a caller applying many
-    batches (the solver) keeps for all of them."""
+    targets are cached for the batch.  The monomials of the targets and
+    of the results, and the numerator pairs of the results, are shared
+    through `intern`, which a caller applying many batches (the solver)
+    keeps for all of them and seeds with the monomials of its input."""
 
     __slots__ = ("keys", "zeros", "nonzero", "targets", "scale", "intern", "_products")
 
@@ -323,11 +327,14 @@ class _Batch:
         nonzero = {v: e for v, e in mapping.items() if e.terms}
         self.nonzero = frozenset(nonzero)
         self.scale = lcm(*(e.den for e in nonzero.values()))
+        self.intern = {} if intern is None else intern
+        share = self.intern.setdefault
         self.targets = {}  # unknown -> ((monomial, numerators over scale), ...)
         for v, e in nonzero.items():
             f = self.scale // e.den
-            self.targets[v] = tuple((m, (re * f, im * f)) for m, (re, im) in zip(e.terms, e.nums))
-        self.intern = {} if intern is None else intern
+            self.targets[v] = tuple(
+                (share(m, m), (re * f, im * f)) for m, (re, im) in zip(e.terms, e.nums)
+            )
         self._products = {}
 
     def _product(self, factors):

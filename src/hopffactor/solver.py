@@ -212,15 +212,17 @@ class SolutionSet:
 
 
 def _cached_split_options(p, full):
-    """`_split_options` of p, cached on p per tier.  The analysis is skipped
-    when no split can apply: no tier-relevant squared unknown and no
-    unknown common to every monomial."""
-    cache = p._splits
-    if cache is None:
-        cache = p._splits = {}
-    if full not in cache:
-        cache[full] = _split_options(p, full) if _may_split(p, full) else ()
-    return cache[full]
+    """`_split_options` of p, cached on p per tier.  `p._splits` is the
+    pair (cheap, full), None for a tier not yet analysed, so a tier is
+    analysed at most once and asking for one leaves the other alone.  The
+    analysis is skipped when no split can apply: no tier-relevant squared
+    unknown and no unknown common to every monomial."""
+    cache = p._splits or (None, None)
+    options = cache[full]
+    if options is None:
+        options = _split_options(p, full) if _may_split(p, full) else ()
+        p._splits = (cache[0], options) if full else (options, cache[1])
+    return options
 
 
 def _may_split(p, full):
@@ -258,7 +260,29 @@ def _solve_linear(linear):
     return mapping
 
 
+def _seed(intern, constraints, unknowns):
+    """Put into an empty table every monomial of `constraints` free of
+    `unknowns` and every numerator pair.  The first batch of a solve
+    removes its unknowns for good, so these are the only input monomials
+    that a later substitution can produce again; the search then makes no
+    value-copy of them.  The input stays alive for the soundness pass."""
+    share = intern.setdefault
+    for p in constraints:
+        for m in p.terms:
+            if unknowns.isdisjoint(m):
+                share(m, m)
+        for c in p.nums:
+            share(c, c)
+
+
 class _Node:
+    """A search node: constraints still to solve and the substitution made
+    so far.  All nodes of one solve share `intern`, the table through which
+    every batch shares its monomials and numerator pairs.  The first batch
+    of the solve finds the table empty and seeds it from the node's
+    constraints (see `_seed`), so the search holds one object per distinct
+    monomial, the input's own where the input has it."""
+
     __slots__ = ("intern", "constraints", "subst", "depth")
 
     def __init__(self, intern, constraints, subst, depth):
@@ -275,7 +299,10 @@ class _Node:
         constant constraint appears (dead branch).  Each result is written
         back into its constraint's slot, so the polynomial it replaces is
         freed before the next one is built; a dead branch may keep its list
-        half substituted, which is harmless since the node is discarded."""
+        half substituted, which is harmless since the node is discarded.
+        The first batch of a solve seeds the shared table first."""
+        if not self.intern:
+            _seed(self.intern, self.constraints, mapping.keys())
         batch = _Batch(mapping, self.intern)
         for v, e in list(self.subst.items()):
             self.subst[v] = batch.apply(e)

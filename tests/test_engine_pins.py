@@ -172,12 +172,18 @@ def test_search_system_traced_peak_under_ceiling(search_union):
 # The solver's root round on the union: the first linear batch grows the
 # system from ~177k to 330,477 terms, held together with the input, which
 # the soundness pass keeps.  That output held 20.2 MB traced with per-Poly
-# dicts and 12.9 MB with parallel tuples; this is where `theorem check`
-# peaks.
-ROOT_ROUND_TRACED_CEILING = 16_000_000
+# dicts, 12.9 MB with parallel tuples, and 8.6 MB once the solver's table
+# starts from the input's monomials, so the batch shares them instead of
+# making value-copies (68,160 of them otherwise).  `theorem check` peaks
+# later: its traced live peak comes at depth 1 of the search, and its
+# high-water mark rises further by the soundness pass.
+ROOT_ROUND_TRACED_CEILING = 10_000_000
 
 
-def test_root_round_traced_size_under_ceiling(search_union):
+@pytest.fixture(scope="module")
+def root_round(search_union):
+    """The node after the solver's root round on the search's union, and
+    the traced memory it holds above the input."""
     system = search_union[0]
     tracemalloc.start()
     try:
@@ -187,8 +193,22 @@ def test_root_round_traced_size_under_ceiling(search_union):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return node, held
+
+
+def test_root_round_traced_size_under_ceiling(root_round):
+    node, held = root_round
     assert sum(len(p.terms) for p in node.constraints) == 330_477
     assert held < ROOT_ROUND_TRACED_CEILING
+
+
+def test_root_round_makes_no_copy_of_an_input_monomial(search_union, root_round):
+    inputs = {m: m for p in search_union[0] for m in p.terms}
+    node = root_round[0]
+    copies = {
+        id(m): m for p in node.constraints for m in p.terms if inputs.get(m, m) is not m
+    }
+    assert len(copies) == 0
 
 
 def test_poly_key_is_recomputed_not_cached():

@@ -287,3 +287,34 @@ def test_apply_batch_releases_each_constraint_it_replaces(monkeypatch):
         assert counts[:k] == [n - 1 for n in before[:k]]
     assert [sys.getrefcount(p) for p in olds] == [n - 1 for n in before]
     assert node.constraints == [y * y + k for k in range(1, 5)]
+
+
+# -- split analyses cached on the constraint ------------------------------------
+
+
+def test_split_analyses_are_cached_per_tier(monkeypatch):
+    calls = []
+    analyse = solver._split_options
+    monkeypatch.setattr(
+        solver, "_split_options", lambda p, full: calls.append(full) or analyse(p, full)
+    )
+    # both tiers apply to x^2 + x*y: content x in each, and the full tier
+    # adds the quadratic in x with discriminant y^2
+    p = x * x + x * y
+    cheap = solver._cached_split_options(p, False)
+    assert [opt[1] for opt in cheap] == ["content"]
+    assert type(p._splits) is tuple
+    assert p._splits[0] is cheap and p._splits[1] is None
+    assert solver._cached_split_options(p, False) is cheap
+    full = solver._cached_split_options(p, True)
+    assert sorted(opt[1] for opt in full) == ["content", "quadratic"]
+    assert p._splits[0] is cheap and p._splits[1] is full
+    assert solver._cached_split_options(p, True) is full
+    assert solver._cached_split_options(p, False) is cheap
+    assert calls == [False, True]
+    # the full tier first leaves the cheap one unanalysed
+    q = x * x + x * y
+    assert solver._cached_split_options(q, True) == full
+    assert type(q._splits) is tuple
+    assert q._splits[0] is None and q._splits[1] is not None
+    assert calls == [False, True, True]
