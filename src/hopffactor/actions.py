@@ -306,7 +306,7 @@ def _module_law_constraints(T, intern):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
     right, for every acting pair (u, v) and acted w."""
     act = T.by_acting(T.entries)
-    mul, n_acting, n_acted = T.acting.mul_sparse, range(T.acting.dim), range(T.acted.dim)
+    mul, n_acting, n_acted = T.acting.mul, range(T.acting.dim), range(T.acted.dim)
     sys = []
     for u in n_acting:
         for v in n_acting:
@@ -382,7 +382,7 @@ def _product_constraints(T, O, instances, intern):
     sys = []
     for u, w, v in instances:
         diff = [dict() for _ in n_acted]
-        for m, c in acted.mul_sparse[w][v] if left else acted.mul_sparse[v][w]:
+        for m, c in acted.mul[w][v] if left else acted.mul[v][w]:
             for k, p in enumerate(act[(u, m)]):
                 acc_add(diff[k], p, c)
         for cu, u1, u2 in acting.comul[u]:
@@ -408,7 +408,7 @@ def _product_constraints(T, O, instances, intern):
                     for t, pt in enumerate(second):
                         if pt.is_zero():
                             continue
-                        for m, cm in acted.mul_sparse[s][t]:
+                        for m, cm in acted.mul[s][t]:
                             acc_mul(diff[m], ps, pt, f * cm)
         sys += [from_acc(d, intern) for d in diff]
     return sys
@@ -591,7 +591,7 @@ def check_module_coalgebra(T):
         instances = [(u, v, w) for w in n_acted for u in n_acting for v in n_acting]
     for u, v, w in instances:
         lhs = {}
-        for m, c in acting.mul_sparse[u][v]:
+        for m, c in acting.mul[u][v]:
             for k, e in enumerate(act[(m, w)]):
                 if not e.is_zero():
                     _sacc(lhs, k, c * e)
@@ -633,7 +633,7 @@ def _check_product_rule(T, O):
     failures = []
     for u, w, v in instances:
         lhs = {}
-        for m, c in acted.mul_sparse[w][v] if left else acted.mul_sparse[v][w]:
+        for m, c in acted.mul[w][v] if left else acted.mul[v][w]:
             for k, e in enumerate(act[(u, m)]):
                 if not e.is_zero():
                     _sacc(lhs, k, c * e)
@@ -653,7 +653,7 @@ def _check_product_rule(T, O):
                 first, second = (direct, through) if left else (through, direct)
                 for s, cs in first.items():
                     for t, ct in second.items():
-                        for m, cm in acted.mul_sparse[s][t]:
+                        for m, cm in acted.mul[s][t]:
                             _sacc(rhs, m, f * cs * ct * cm)
         if lhs != rhs:
             spot = (acting.basis[u], acted.basis[w], acted.basis[v])

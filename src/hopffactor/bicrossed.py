@@ -335,5 +335,7 @@ def invariant_report(product):
         commutative=commutative,
         cocommutative=cocommutative,
         zx=zx_signature(product),
-        antipode_invertible=Mat(E.antipode).is_invertible(),
+        antipode_invertible=Mat(
+            [E.antipode_of(E.basis_element(i)).coords for i in range(E.dim)]
+        ).is_invertible(),
     )

@@ -1,8 +1,8 @@
 """Finite-dimensional Hopf algebras as exact structure constants.
 
-An algebra is a frozen bundle of tables over Q(i): the multiplication
-tensor, unit and counit vectors, a sparse comultiplication (triples per
-basis element) and the antipode matrix.  Axioms are never assumed: the
+An algebra is a frozen bundle of tables over Q(i): sparse rows of the
+multiplication and the antipode, unit and counit vectors, and a sparse
+comultiplication (triples per basis element).  Axioms are never assumed: the
 full battery (associativity, unit, coassociativity, counit, the bialgebra
 compatibilities and both antipode convolution identities) is checked
 exactly on every basis tuple, and failures are reported with witnesses so
@@ -16,6 +16,7 @@ memoized on its canonical key.
 
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 from hopffactor.linalg import Mat, kernel
 from hopffactor.poly import Poly
@@ -26,35 +27,35 @@ from hopffactor.solver import solve
 class HopfAlgebraData:
     """Structure constants of a finite-dimensional Hopf algebra.
 
-    Conventions: mul[i][j] is the coordinate vector of e_i * e_j; comul[i]
-    lists (c, j, k) with delta(e_i) = sum c * e_j (x) e_k; antipode[i] is
-    the coordinate vector of S(e_i).
+    Conventions: mul[i][j] is the row of e_i * e_j and antipode[i] the row
+    of S(e_i), each a tuple of (index, nonzero coefficient) pairs in index
+    order; unit and counit are coordinate vectors; comul[i] lists (c, j, k)
+    with delta(e_i) = sum c * e_j (x) e_k.  The constructor takes each
+    row of mul and antipode as an {index: coefficient} mapping or as
+    (index, coefficient) pairs; it drops zero coefficients and sorts.
     """
 
     def __init__(self, name, basis, mul, unit, comul, counit, antipode):
         self.name = name
         self.basis = tuple(basis)
-        self.dim = len(self.basis)
-        if len(set(self.basis)) != self.dim:
+        self.dim = d = len(self.basis)
+        if len(set(self.basis)) != d:
             raise ValueError("basis labels must be unique")
-        self.mul = tuple(tuple(tuple(row) for row in block) for block in mul)
+        self.mul = tuple(tuple(_row(r, d) for r in block) for block in mul)
         self.unit = tuple(unit)
         self.comul = tuple(
             tuple(sorted(((c, j, k) for (c, j, k) in triples), key=lambda t: (t[1], t[2])))
             for triples in comul
         )
         self.counit = tuple(counit)
-        self.antipode = tuple(tuple(row) for row in antipode)
-        d = self.dim
+        self.antipode = tuple(_row(r, d) for r in antipode)
         if (
             len(self.mul) != d
             or any(len(b) != d for b in self.mul)
-            or any(len(r) != d for b in self.mul for r in b)
             or len(self.unit) != d
             or len(self.comul) != d
             or len(self.counit) != d
             or len(self.antipode) != d
-            or any(len(r) != d for r in self.antipode)
         ):
             raise ValueError("structure constant tables have inconsistent dimensions")
 
@@ -65,41 +66,18 @@ class HopfAlgebraData:
         return {label: i for i, label in enumerate(self.basis)}
 
     @cached_property
-    def mul_sparse(self):
-        return tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
-                for row in block
-            )
-            for block in self.mul
-        )
-
-    @cached_property
     def unit_sparse(self):
         return tuple((i, c) for i, c in enumerate(self.unit) if not c.is_zero())
-
-    @cached_property
-    def antipode_sparse(self):
-        return tuple(
-            tuple((j, c) for j, c in enumerate(row) if not c.is_zero())
-            for row in self.antipode
-        )
 
     def structure_key(self):
         """Canonical tuple of every structure constant (name excluded)."""
         return (
             self.basis,
             tuple(c.sort_key() for c in self.unit),
-            tuple(c.sort_key() for c in self.counit),
-            tuple(
-                tuple(tuple(c.sort_key() for c in row) for row in block)
-                for block in self.mul
-            ),
-            tuple(
-                tuple((j, k, c.sort_key()) for (c, j, k) in triples)
-                for triples in self.comul
-            ),
-            tuple(tuple(c.sort_key() for c in row) for row in self.antipode),
+            tuple(tuple(tuple((k, c.sort_key()) for k, c in row) for row in block)
+                  for block in self.mul),
+            tuple(tuple((k, c.sort_key()) for k, c in row) for row in self.antipode),
+            self.coalgebra_key(),
         )
 
     def coalgebra_key(self):
@@ -139,7 +117,6 @@ class HopfAlgebraData:
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("elements belong to a different algebra")
         acc = {}
-        sparse = self.mul_sparse
         for i, ci in enumerate(x.coords):
             if ci.is_zero():
                 continue
@@ -147,7 +124,7 @@ class HopfAlgebraData:
                 if cj.is_zero():
                     continue
                 f = ci * cj
-                for k, c in sparse[i][j]:
+                for k, c in self.mul[i][j]:
                     _acc(acc, k, f * c)
         return Element(self, _dense(acc, self.dim))
 
@@ -182,7 +159,7 @@ class HopfAlgebraData:
         for i, ci in enumerate(x.coords):
             if ci.is_zero():
                 continue
-            for j, c in self.antipode_sparse[i]:
+            for j, c in self.antipode[i]:
                 _acc(acc, j, ci * c)
         return Element(self, _dense(acc, self.dim))
 
@@ -289,6 +266,17 @@ def _dense(acc, dim):
     return tuple(acc.get(i, ZERO) for i in range(dim))
 
 
+def _row(row, dim):
+    """A row of mul or antipode, given as {index: coefficient} or as
+    (index, coefficient) pairs, as (index, nonzero coefficient) pairs in
+    index order."""
+    pairs = row.items() if isinstance(row, dict) else row
+    out = tuple(sorted(((k, c) for k, c in pairs if not c.is_zero()), key=itemgetter(0)))
+    if any(k not in range(dim) for k, _ in out) or len({k for k, _ in out}) != len(out):
+        raise ValueError(f"a structure constant row repeats an index or leaves range({dim})")
+    return out
+
+
 # -- axiom verification --------------------------------------------------------
 
 AXIOM_NAMES = (
@@ -368,12 +356,12 @@ class _IntTables:
     __slots__ = ("D", "mul", "comul")
 
     def __init__(self, H):
-        constants = [c for block in H.mul_sparse for row in block for _, c in row]
+        constants = [c for block in H.mul for row in block for _, c in row]
         constants += [c for triples in H.comul for c, _, _ in triples]
         self.D = D = lcm(*{d for c in constants for d in (c.rd, c.imd)})
         self.mul = tuple(
             tuple(tuple((k, *_num(c, D)) for k, c in row) for row in block)
-            for block in H.mul_sparse
+            for block in H.mul
         )
         self.comul = tuple(
             tuple((j, k, *_num(c, D)) for c, j, k in triples) for triples in H.comul
@@ -426,7 +414,7 @@ def _check_associativity(H, T):
 
 def _check_unit(H):
     witnesses = []
-    mul = H.mul_sparse
+    mul = H.mul
     for i in range(H.dim):
         left = {}
         right = {}
@@ -522,14 +510,14 @@ def _check_counit_mult(H):
         witnesses.append("eps(1) != 1")
     for i in range(H.dim):
         for j in range(H.dim):
-            if sum((c * eps[k] for k, c in H.mul_sparse[i][j]), ZERO) != eps[i] * eps[j]:
+            if sum((c * eps[k] for k, c in H.mul[i][j]), ZERO) != eps[i] * eps[j]:
                 witnesses.append(f"eps({H.basis[i]}*{H.basis[j]}) != eps*eps")
     return witnesses
 
 
 def _check_antipode(H):
     witnesses = []
-    mul, anti = H.mul_sparse, H.antipode_sparse
+    mul, anti = H.mul, H.antipode
     for i in range(H.dim):
         left = {}
         right = {}
@@ -593,21 +581,21 @@ def _twisted_product(A, H, twist, name):
                 for y in range(dH):
                     acc = {}
                     for c, b2, x2 in twist[(x, b)]:
-                        for m, cm in A.mul_sparse[a][b2]:
-                            for n, cn in H.mul_sparse[x2][y]:
+                        for m, cm in A.mul[a][b2]:
+                            for n, cn in H.mul[x2][y]:
                                 _acc(acc, m * dH + n, c * cm * cn)
-                    block.append(_dense(acc, dim))
+                    block.append(acc)
             mul.append(block)
 
     antipode = []
     for a in range(dA):
         for x in range(dH):
             acc = {}
-            for n, cn in H.antipode_sparse[x]:
-                for m, cm in A.antipode_sparse[a]:
+            for n, cn in H.antipode[x]:
+                for m, cm in A.antipode[a]:
                     for c, b2, x2 in twist[(n, m)]:
                         _acc(acc, b2 * dH + x2, cn * cm * c)
-            antipode.append(_dense(acc, dim))
+            antipode.append(acc)
 
     return HopfAlgebraData(name, basis, mul, unit, comul, counit, antipode)
 
@@ -629,17 +617,16 @@ def check_hopf_map(A, B, images):
     if len(images) != A.dim:
         raise ValueError(f"{len(images)} images for a map out of a {A.dim}-dimensional algebra")
 
-    def image(coords):
+    def image(pairs):
         acc = {}
-        for i, c in enumerate(coords):
-            if not c.is_zero():
-                for q, e in enumerate(images[i].coords):
-                    if not e.is_zero():
-                        _acc(acc, q, c * e)
+        for i, c in pairs:
+            for q, e in enumerate(images[i].coords):
+                if not e.is_zero():
+                    _acc(acc, q, c * e)
         return Element(B, _dense(acc, B.dim))
 
     failures = []
-    if image(A.unit) != B.one():
+    if image(A.unit_sparse) != B.one():
         failures.append("does not preserve the unit")
     for i in range(A.dim):
         for j in range(A.dim):

@@ -64,21 +64,15 @@ def read_json(path):
 
 
 def algebra_to_json(H):
-    mul = []
-    for i in range(H.dim):
-        for j in range(H.dim):
-            for k, c in enumerate(H.mul[i][j]):
-                if not c.is_zero():
-                    mul.append([i, j, k, c.to_json()])
+    mul = [
+        [i, j, k, c.to_json()]
+        for i, block in enumerate(H.mul) for j, row in enumerate(block) for k, c in row
+    ]
     comul = []
     for i in range(H.dim):
         for c, j, k in H.comul[i]:
             comul.append([i, j, k, c.to_json()])
-    antipode = []
-    for i in range(H.dim):
-        for j, c in enumerate(H.antipode[i]):
-            if not c.is_zero():
-                antipode.append([i, j, c.to_json()])
+    antipode = [[i, j, c.to_json()] for i, row in enumerate(H.antipode) for j, c in row]
     return {
         "schema": "hopf-algebra/v1",
         "name": H.name,
@@ -136,21 +130,24 @@ def algebra_from_json(data):
     # the name becomes an output file stem, so it must not leave --out
     if "/" in name or "\\" in name or name in (".", ".."):
         raise ValueError(f"{schema}: 'name' {name!r} is not a plain file name")
-    # an entry listed more than once is summed, in every table
+    # an entry listed more than once is summed, in every table; mul rows
+    # are held only for the (i, j) a file lists, so memory follows the
+    # file's size and not dim^3
     zero = Scalar(0)
-    mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    mul = {}
     for i, j, k, c in _sparse(data, "mul", 3, dim, schema):
-        mul[i][j][k] = mul[i][j][k] + c
+        row = mul.setdefault((i, j), {})
+        row[k] = row.get(k, zero) + c
     comul = [{} for _ in range(dim)]
     for i, j, k, c in _sparse(data, "comul", 3, dim, schema):
         comul[i][(j, k)] = comul[i].get((j, k), zero) + c
-    antipode = [[zero] * dim for _ in range(dim)]
+    antipode = [{} for _ in range(dim)]
     for i, j, c in _sparse(data, "antipode", 2, dim, schema):
-        antipode[i][j] = antipode[i][j] + c
+        antipode[i][j] = antipode[i].get(j, zero) + c
     return HopfAlgebraData(
         name,
         basis,
-        mul,
+        [[mul.get((i, j), ()) for j in range(dim)] for i in range(dim)],
         _vector(data, "unit", dim, schema),
         [[(c, j, k) for (j, k), c in terms.items() if not c.is_zero()] for terms in comul],
         _vector(data, "counit", dim, schema),

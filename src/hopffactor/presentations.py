@@ -15,7 +15,7 @@ rules is checked exhaustively on all words up to length four.
 
 from functools import lru_cache
 
-from hopffactor.hopf import HopfAlgebraData, _acc, verify_axioms
+from hopffactor.hopf import HopfAlgebraData, _acc, _dense, verify_axioms
 from hopffactor.scalar import HALF, NEG_ONE, ONE, Scalar
 
 _REWRITE_BUDGET = 10_000
@@ -111,15 +111,14 @@ def check_local_confluence(pres):
                     )
 
 
-def _as_coords(pres, combo, index):
-    coords = [Scalar(0)] * len(pres.basis_words)
-    for word, c in combo.items():
+def _as_row(pres, combo, index):
+    """A normal form as {basis index: coefficient}."""
+    for word in combo:
         if word not in index:
             raise RewriteError(
                 f"normal form {''.join(word) or '1'} outside the declared basis of {pres.name}"
             )
-        coords[index[word]] = c
-    return tuple(coords)
+    return {index[word]: c for word, c in combo.items()}
 
 
 def tabulate(pres):
@@ -133,14 +132,11 @@ def tabulate(pres):
         if nf != {word: ONE}:
             raise RewriteError(f"declared basis word {''.join(word)} is not in normal form")
 
-    mul = []
-    for wi in pres.basis_words:
-        block = []
-        for wj in pres.basis_words:
-            block.append(_as_coords(pres, normalize(pres, wi + wj), index))
-        mul.append(block)
-
-    unit = _as_coords(pres, normalize(pres, ()), index)
+    mul = [
+        [_as_row(pres, normalize(pres, wi + wj), index) for wj in pres.basis_words]
+        for wi in pres.basis_words
+    ]
+    unit = _dense(_as_row(pres, normalize(pres, ()), index), dim)
 
     comul = []
     for wi in pres.basis_words:
@@ -175,7 +171,7 @@ def tabulate(pres):
                 for cg, im in pres.antipode[g]:
                     _acc(new_combo, word + im, c * cg)
             combo = new_combo
-        antipode.append(_as_coords(pres, normalize(pres, combo), index))
+        antipode.append(_as_row(pres, normalize(pres, combo), index))
 
     H = HopfAlgebraData(pres.name, [pres.label(w) for w in pres.basis_words],
                         mul, unit, comul, counit, antipode)

@@ -84,8 +84,8 @@ def test_criterion_1_axiom_suite(H4, H8):
         rng = random.Random(421)
         for trial in range(20):
             i, j, k = (rng.randrange(8) for _ in range(3))
-            mul = [[list(row) for row in block] for block in H8.mul]
-            mul[i][j][k] = mul[i][j][k] + Scalar(rng.choice([1, -1, 2]))
+            mul = [[dict(row) for row in block] for block in H8.mul]
+            mul[i][j][k] = mul[i][j].get(k, ZERO) + Scalar(rng.choice([1, -1, 2]))
             mutated = HopfAlgebraData(
                 "H8-mutant", H8.basis, mul, H8.unit, H8.comul, H8.counit, H8.antipode
             )

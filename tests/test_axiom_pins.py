@@ -31,9 +31,9 @@ def _mutant(H, mul=(), unit=(), comul=(), counit=(), antipode=()):
     """H with each listed entry increased: mul (i, j, k, delta), unit and
     counit (i, delta), comul (i, j, k, delta) on the (j, k) triple of
     delta(e_i), added when absent, antipode (i, j, delta)."""
-    m = [[list(row) for row in block] for block in H.mul]
+    m = [[dict(row) for row in block] for block in H.mul]
     for i, j, k, delta in mul:
-        m[i][j][k] = m[i][j][k] + delta
+        m[i][j][k] = m[i][j].get(k, ZERO) + delta
     u = list(H.unit)
     for i, delta in unit:
         u[i] = u[i] + delta
@@ -43,9 +43,9 @@ def _mutant(H, mul=(), unit=(), comul=(), counit=(), antipode=()):
     e = list(H.counit)
     for i, delta in counit:
         e[i] = e[i] + delta
-    s = [list(row) for row in H.antipode]
+    s = [dict(row) for row in H.antipode]
     for i, j, delta in antipode:
-        s[i][j] = s[i][j] + delta
+        s[i][j] = s[i].get(j, ZERO) + delta
     comul_triples = [[(c, j, k) for (j, k), c in d.items() if not c.is_zero()] for d in cm]
     return HopfAlgebraData(f"{H.name}-mutant", H.basis, m, u, comul_triples, e, s)
 

@@ -21,7 +21,7 @@ from hopffactor.bicrossed import (
 from hopffactor.hopf import check_hopf_map, tensor_product, verify_axioms
 from hopffactor.linalg import kernel
 from hopffactor.presentations import build_H4, build_H8
-from hopffactor.scalar import HALF, I
+from hopffactor.scalar import HALF, I, ZERO
 from oracles import antidiagonal_right_table
 
 
@@ -176,9 +176,10 @@ def _basis_images(source, target, phi):
 
 def _center_dimension(product):
     E = product.algebra
+    mul = [[dict(row) for row in block] for block in E.mul]
     rows = [
-        {i: E.mul[i][j][k] - E.mul[j][i][k] for i in range(E.dim)
-         if E.mul[i][j][k] != E.mul[j][i][k]}
+        {i: mul[i][j].get(k, ZERO) - mul[j][i].get(k, ZERO) for i in range(E.dim)
+         if mul[i][j].get(k, ZERO) != mul[j][i].get(k, ZERO)}
         for j in range(E.dim) for k in range(E.dim)
     ]
     return len(kernel(rows, E.dim))

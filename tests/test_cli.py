@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, exit codes, reproducibility."""
 
 import functools
+import gzip
 import json
 import os
 
@@ -506,3 +507,66 @@ def test_matched_pair_load_fuzzed_payload_never_crashes(tmp_path, capsys, data):
     cand = MatchedPairCandidate(left_family_instance(1, "a"), trivial_right_table())
     payload = mutate(jsonio.matched_pair_to_json(cand), data)
     run_mutated(tmp_path, capsys, ["matched-pairs", "find", "--load"], payload)
+
+
+STORED_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "inputs")
+
+
+@functools.lru_cache(maxsize=None)
+def stored_text(name):
+    with gzip.open(os.path.join(STORED_INPUTS, name), "rt", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def mutate_leaf(payload, data):
+    """Change one leaf of a JSON payload, reached by a uniform choice of key
+    at each level: give it another type, delete it, make it a huge int, or
+    cut short or grow (by repeating the last item) one list on its path."""
+    node, lists = payload, []
+    while True:
+        if isinstance(node, list):
+            lists.append(node)
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child):
+            break
+        node = child
+    kind = data.draw(st.sampled_from(["type", "delete", "huge", "resize"]))
+    if kind == "resize" and lists:
+        items = data.draw(st.sampled_from(lists))
+        n = data.draw(st.integers(0, len(items) + 2))
+        items[:] = items[:n] + items[-1:] * (n - len(items))
+    elif kind == "delete":
+        del node[key]
+    elif kind == "huge":
+        node[key] = data.draw(st.sampled_from([2**63, -(2**64), 10**100]))
+    else:
+        node[key] = data.draw(st.sampled_from(["x", None, 1.5, True, [], {}]))
+    return payload
+
+
+@pytest.mark.parametrize(
+    "stored, argv",
+    [
+        ("product-1.hopf.json.gz", ["catalog", "verify", "--load"]),
+        ("matched-pair-1.json.gz", ["matched-pairs", "find", "--load"]),
+    ],
+    ids=("catalog-verify", "matched-pairs-find"),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_stored_file_exits_0_or_1_with_at_most_one_error_line(
+    tmp_path, capsys, stored, argv, data
+):
+    """One leaf of a stored product or matched pair changed: the command
+    ends in exit 0 or 1, never in a traceback, and stderr is empty or one
+    `error:` line."""
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(mutate_leaf(json.loads(stored_text(stored)), data)),
+                    encoding="utf-8")
+    code = main(argv + [str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err

@@ -149,9 +149,29 @@ def test_tensor_factors_commute(T, H8, H4):
     assert g1 * one_g == one_g * g1
 
 
+@pytest.mark.parametrize(
+    "table, row",
+    [
+        ("mul", {8: ONE}),
+        ("mul", ((-1, ONE),)),
+        ("mul", ((2, ONE), (2, HALF))),
+        ("antipode", {8: ONE}),
+    ],
+    ids=("mul-past-dim", "mul-negative", "mul-repeated", "antipode-past-dim"),
+)
+def test_constructor_rejects_a_row_index_outside_range_dim_or_repeated(H8, table, row):
+    mul, antipode = [list(block) for block in H8.mul], list(H8.antipode)
+    if table == "mul":
+        mul[1][2] = row
+    else:
+        antipode[3] = row
+    with pytest.raises(ValueError, match=r"range\(8\)"):
+        HopfAlgebraData("H8-bad", H8.basis, mul, H8.unit, H8.comul, H8.counit, antipode)
+
+
 def _mutate(H, i, j, k, delta):
-    mul = [[list(row) for row in block] for block in H.mul]
-    mul[i][j][k] = mul[i][j][k] + delta
+    mul = [[dict(row) for row in block] for block in H.mul]
+    mul[i][j][k] = mul[i][j].get(k, ZERO) + delta
     return HopfAlgebraData(
         f"{H.name}-mutated", H.basis, mul, H.unit, H.comul, H.counit, H.antipode
     )
@@ -220,13 +240,13 @@ def _rescaled(H, lam):
     d = H.dim
     inv = [c.inv() for c in lam]
     mul = [
-        [[lam[i] * lam[j] * H.mul[i][j][k] * inv[k] for k in range(d)] for j in range(d)]
+        [{k: lam[i] * lam[j] * c * inv[k] for k, c in H.mul[i][j]} for j in range(d)]
         for i in range(d)
     ]
     unit = [H.unit[i] * inv[i] for i in range(d)]
     comul = [[(c * lam[i] * inv[j] * inv[k], j, k) for c, j, k in H.comul[i]] for i in range(d)]
     counit = [H.counit[i] * lam[i] for i in range(d)]
-    antipode = [[lam[i] * H.antipode[i][j] * inv[j] for j in range(d)] for i in range(d)]
+    antipode = [{j: lam[i] * c * inv[j] for j, c in H.antipode[i]} for i in range(d)]
     return HopfAlgebraData(f"{H.name}-rescaled", H.basis, mul, unit, comul, counit, antipode)
 
 

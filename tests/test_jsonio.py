@@ -1,11 +1,15 @@
 """Byte-reproducible file output: atomic writes through a unique temp file;
-and the `hopf-algebra/v1` loader's rule for repeated entries."""
+and the `hopf-algebra/v1` loader's rule for repeated entries and the
+memory it holds."""
 
+import json
 import os
+import tracemalloc
 
 import pytest
 
 from hopffactor import jsonio
+from hopffactor.cli import EXIT_CHECK_FAILED, main
 from hopffactor.presentations import build_H4
 
 
@@ -40,3 +44,44 @@ def test_repeated_entries_are_summed(table):
     payload[table] = payload[table][:-1] + [half, half]
     loaded = jsonio.algebra_from_json(payload)
     assert loaded.structure_key() == H4.structure_key()
+
+
+def empty_tables(dim):
+    """A hopf-algebra/v1 payload of a few KB whose mul, comul and antipode
+    tables are empty: it names dim^3 multiplication slots and fills none."""
+    one, zero = [1, 1, 0, 1], [0, 1, 0, 1]
+    return {
+        "schema": "hopf-algebra/v1",
+        "name": "empty",
+        "dim": dim,
+        "basis": [f"e{i}" for i in range(dim)],
+        "unit": [one] + [zero] * (dim - 1),
+        "counit": [one] * dim,
+        "mul": [],
+        "comul": [],
+        "antipode": [],
+    }
+
+
+def test_loader_memory_follows_the_file_not_dim_cubed():
+    # 34.1 MB traced peak when the loader filled a dense dim^3 table
+    payload = empty_tables(128)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        H = jsonio.algebra_from_json(payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert H.dim == 128
+    assert peak < 2_000_000, peak
+
+
+def test_verify_load_of_empty_tables_fails_the_axioms(tmp_path, capsys):
+    path = tmp_path / "empty.hopf.json"
+    path.write_text(json.dumps(empty_tables(128)), encoding="utf-8")
+    code = main(["catalog", "verify", "--load", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED
+    assert captured.out == "empty: dim 128, axiom checks FAILED\n"
+    assert captured.err == ""

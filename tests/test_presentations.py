@@ -105,9 +105,9 @@ def test_build_h8_presentation_facts():
 def test_structure_constants_are_dyadic_rationals():
     # every constant of both presentations is real with denominator 1 or 2
     for H in (build_H4(), build_H8()):
-        scalars = [c for block in H.mul for row in block for c in row]
+        scalars = [c for block in H.mul for row in block for _, c in row]
         scalars += list(H.unit) + list(H.counit)
-        scalars += [c for row in H.antipode for c in row]
+        scalars += [c for row in H.antipode for _, c in row]
         scalars += [c for triples in H.comul for (c, _, _) in triples]
         for c in scalars:
             assert c.imn == 0
