@@ -8,6 +8,18 @@ substituted special case, so one constraint generator serves both the
 symbolic enumeration (solver input) and residual checks of concrete
 tables.
 
+The matched-pair search fixes the left action first, as the paper does.
+The left enumeration gives all 16 left families.  Per family, stage 1
+solves the right table's module-coalgebra system with the pairing
+conditions that are linear in the right entries once the left table is
+fixed (the left product rule and the exchange condition); stage 2
+generates the right product rule, quadratic in the right entries, on the
+tables each stage-1 branch substitutes, and solves it.  Each step returns
+a complete solution set of its part of the system, so together they give
+every solution of the whole: no pair is lost.  The search never builds
+the right product rule on a symbolic right table, the costly part of the
+pairing system to generate.
+
 Two independent code paths guard against constraint-generation bugs: the
 polynomial systems drive the solver, while `check_*` functions re-evaluate
 every axiom instance on concrete tables with plain scalar arithmetic and
@@ -23,7 +35,7 @@ from hopffactor.hopf import _acc as _sacc, acc_outer
 from hopffactor.poly import Poly, _Batch, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
-from hopffactor.solver import solve
+from hopffactor.solver import Branch, SolutionSet, _canonicalize_branches, solve
 
 _P_ZERO = Poly()
 _P_ONE = Poly.const(ONE)
@@ -414,17 +426,20 @@ def _product_constraints(T, O, instances, intern):
     return sys
 
 
-def _matched_pair_constraints(L, R, intern):
-    sys = []
-    for T, O in ((L, R), (R, L)):
-        n_acting, n_acted = range(T.acting.dim), range(T.acted.dim)
-        sys += _product_constraints(
-            T, O, [(u, w, v) for u in n_acting for w in n_acted for v in n_acted], intern
-        )
-    sys += _exchange_constraints(
-        L, R, [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)], intern
+def _rule_instances(T):
+    """Every instance (u, w, v) of T's product rule, u acting, w and v acted."""
+    n_acting, n_acted = range(T.acting.dim), range(T.acted.dim)
+    return [(u, w, v) for u in n_acting for w in n_acted for v in n_acted]
+
+
+def _left_pairing_constraints(L, R, intern):
+    """The pairing conditions that multiply no two right entries: the left
+    product rule and the exchange condition on every basis instance.  Once
+    L is fixed they are linear in R's entries."""
+    exchange = [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)]
+    return _product_constraints(L, R, _rule_instances(L), intern) + _exchange_constraints(
+        L, R, exchange, intern
     )
-    return sys
 
 
 def matched_pair_system(cand):
@@ -432,7 +447,11 @@ def matched_pair_system(cand):
     rules for |> and <| and the exchange condition, compiled on every basis
     instance.  Facts like the circulant shape of the G-action matrix are
     consequences of this system, never inputs."""
-    return _canonical_system(_matched_pair_constraints(cand.left, cand.right, {}))
+    L, R, intern = cand.left, cand.right, {}
+    return _canonical_system(
+        _left_pairing_constraints(L, R, intern)
+        + _product_constraints(R, L, _rule_instances(R), intern)
+    )
 
 
 # -- candidates, enumeration & search ---------------------------------------------
@@ -468,32 +487,65 @@ _SEARCH_CACHE = []  # the one (pairs, solution set) result, once the search has 
 
 
 def matched_pair_search():
-    """Solve the union of both module-coalgebra systems and the pairing
-    constraints; returns (verified candidates, solution set).  The search
-    is deterministic, so its result is memoized."""
+    """All matched pairs, found family by family; returns (verified
+    candidates, solution set).  The search is deterministic, so its result
+    is memoized.
+
+    The left enumeration gives every left action, as 16 families with free
+    parameters.  For each family, stage 1 solves the right table's
+    module-coalgebra system together with the two conditions that do not
+    multiply right entries once the left table is the family's: the left
+    product rule and the exchange condition.  Its unknowns are the family's
+    parameters and the right table's entries.  Stage 2 generates the right
+    product rule, quadratic in the right entries, on the tables that each
+    stage-1 branch substitutes, and solves it.  The left enumeration and
+    every solve return complete solution sets, and a stage-2 solve on a
+    stage-1 branch gives exactly the points of that branch that satisfy the
+    rest of the system, so the composed branches are the solutions of the
+    whole system: no pair is lost.  Every pair is then re-checked directly.
+
+    The solution set holds the composed branches over both tables'
+    unknowns, in canonical order, and the provenance of the left
+    enumeration followed by that of the per-family solves."""
     if not _SEARCH_CACHE:
         _SEARCH_CACHE.append(_matched_pair_search_uncached())
     pairs, sol = _SEARCH_CACHE[0]
     return list(pairs), sol
 
 
-def _search_system(L, R):
-    """The union of both module-coalgebra systems and the pairing system,
-    canonicalised once, with one `intern` dict for all three."""
-    intern = {}
-    return _canonical_system(
-        _module_coalgebra_constraints(L, intern)
-        + _module_coalgebra_constraints(R, intern)
-        + _matched_pair_constraints(L, R, intern)
-    )
+def _then(outer, inner):
+    """The branch `outer` followed by `inner`, a branch over outer's free
+    unknowns."""
+    batch = _Batch(inner.subst)
+    subst = {v: batch.apply(e) for v, e in outer.subst.items()}
+    subst.update(inner.subst)
+    return Branch(subst, inner.free)
 
 
 def _matched_pair_search_uncached():
     L = LeftActionTable.symbolic()
     R = RightActionTable.symbolic()
-    system = _search_system(L, R)
-    universe = L.variables() + R.variables()
-    sol = solve(system, var_universe=universe)
+    left = enumerate_left_actions()
+    intern = {}
+    right_module = _module_coalgebra_constraints(R, intern)
+    right_rule = _rule_instances(R)
+    branches, provenance = [], list(left.provenance)
+    for family in left.branches:
+        Lf = L.substitute(family)
+        first = solve(
+            _canonical_system(right_module + _left_pairing_constraints(Lf, R, intern)),
+            var_universe=list(family.free) + R.variables(),
+        )
+        provenance += first.provenance
+        for stage1 in first.branches:
+            Rs, Ls = R.substitute(stage1), Lf.substitute(stage1)
+            second = solve(
+                _canonical_system(_product_constraints(Rs, Ls, right_rule, intern)),
+                var_universe=stage1.free,
+            )
+            provenance += second.provenance
+            branches += [_then(_then(family, stage1), b) for b in second.branches]
+    sol = SolutionSet(_canonicalize_branches(branches), provenance)
     pairs = []
     for branch in sol.branches:
         Lc = L.substitute(branch)

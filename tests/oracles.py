@@ -1,15 +1,30 @@
-"""Test-only builders and evaluators that the pipeline itself never runs.
+"""Test-only builders, evaluators and routes that the pipeline itself never
+runs.
 
 The right action tables of the paper's examples, read from their z-block
 matrices, and plain Scalar evaluation of polynomials and solver branches.
 They stand apart from the engine's own paths (`from_generators` builds the
 tables, `_Batch` substitutes), so tests can check those paths against
-them.
+them.  The union route of the matched-pair search solves both tables'
+systems and the whole pairing system as one system; the tests hold the
+per-family search to it.
 """
 
-from hopffactor.actions import RightActionTable
+import functools
+
+from hopffactor.actions import (
+    LeftActionTable,
+    MatchedPairCandidate,
+    RightActionTable,
+    _canonical_system,
+    _left_pairing_constraints,
+    _module_coalgebra_constraints,
+    _product_constraints,
+    _rule_instances,
+)
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import ONE, ZERO, Scalar
+from hopffactor.solver import solve
 
 # -- right action tables ----------------------------------------------------------
 
@@ -94,3 +109,36 @@ def sample(branch, values=None):
 def contains_point(branch, assignment):
     """Whether a Scalar assignment of every unknown lies on the branch."""
     return all(evaluate(e, assignment) == assignment[v] for v, e in branch.subst.items())
+
+
+# -- the union route of the matched-pair search ----------------------------------
+
+
+def search_system(L, R):
+    """The union of both module-coalgebra systems and the pairing system
+    (4,998 constraints, 177,730 terms on the symbolic tables), canonicalised
+    once, with one `intern` dict for all of it."""
+    intern = {}
+    return _canonical_system(
+        _module_coalgebra_constraints(L, intern)
+        + _module_coalgebra_constraints(R, intern)
+        + _left_pairing_constraints(L, R, intern)
+        + _product_constraints(R, L, _rule_instances(R), intern)
+    )
+
+
+def union_solve():
+    """The solution set of the union system over both tables' unknowns."""
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    return solve(search_system(L, R), var_universe=L.variables() + R.variables())
+
+
+@functools.cache
+def union_route():
+    """The union route's (candidates, solution set), solved once per
+    session: each branch substituted into both symbolic tables, in branch
+    order and with the status still "unchecked"."""
+    sol = union_solve()
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    pairs = tuple(MatchedPairCandidate(L.substitute(b), R.substitute(b)) for b in sol.branches)
+    return pairs, sol

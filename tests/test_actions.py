@@ -18,14 +18,13 @@ from hopffactor.actions import (
     left_module_coalgebra_system,
     matched_pair_search,
     matched_pair_system,
-    module_coalgebra_system,
     right_module_coalgebra_system,
     settle_status,
     x_action_circulant_system,
 )
 from hopffactor.poly import Poly
 from hopffactor.scalar import HALF, I, ONE, ZERO, Scalar
-from hopffactor.solver import Branch, IrreducibleSystemError, solve
+from hopffactor.solver import Branch, IrreducibleSystemError, SolutionSet, solve
 from oracles import (
     ANTIDIAGONAL_BLOCK,
     FIXED_GROUPLIKES,
@@ -37,6 +36,7 @@ from oracles import (
     right_table_from_components,
     sample,
     trivial_right_table,
+    union_route,
     zblock_matrix,
 )
 
@@ -246,14 +246,13 @@ def test_exactly_four_matched_pairs(search_result):
     assert all(p.status == "matched" for p in pairs)
 
 
-def test_search_rejects_a_pair_the_direct_checks_fail(search_result, monkeypatch):
+def test_search_rejects_a_pair_the_direct_checks_fail(left_solutions, monkeypatch):
     # the search re-checks every branch it turns into a pair and stops on the
-    # first failure, naming it
+    # first failure, naming it; the first left family gives a pair
     from hopffactor import actions
 
-    _pairs, sol = search_result
-    monkeypatch.setattr(actions, "_search_system", lambda L, R: [])
-    monkeypatch.setattr(actions, "solve", lambda system, var_universe: sol)
+    first_family = SolutionSet(left_solutions.branches[:1], [])
+    monkeypatch.setattr(actions, "enumerate_left_actions", lambda: first_family)
     planted = actions.CheckFailure("exchange-compatibility", ("z", "X"), "planted")
     monkeypatch.setattr(actions, "check_matched_pair", lambda cand: [planted])
     with pytest.raises(AssertionError) as err:
@@ -341,26 +340,77 @@ def test_from_generators_reads_a_label_in_module_law_order(
         assert built[(index[compound], w)] == tuple(expected)
 
 
-def test_left_families_then_right_solve_reach_the_same_pairs(left_solutions, search_result):
-    # the second route: solve for the right action once per left family, with
-    # the family's free parameters as unknowns of the pairing system, instead
-    # of solving both tables in one union system
-    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
-    right_system = module_coalgebra_system(R)
-    counts, keys = [], set()
-    for branch in left_solutions.branches:
-        Lb = L.substitute(branch)
-        system = right_system + matched_pair_system(MatchedPairCandidate(Lb, R))
-        sol = solve(system, var_universe=list(branch.free) + R.variables())
-        counts.append(len(sol.branches))
-        for b in sol.branches:
-            pair = MatchedPairCandidate(Lb.substitute(b), R.substitute(b))
-            assert pair.left.is_concrete() and pair.right.is_concrete()
-            assert settle_status(pair) == []
-            keys.add((pair.left.table_key(), pair.right.table_key()))
-    assert counts == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
-    pairs, _ = search_result
+def _recording_solve(monkeypatch, replace=None):
+    """Route the action layer's solves through a wrapper that records each
+    (unknown universe, solution set), after `replace` may swap the result."""
+    from hopffactor import actions
+
+    calls = []
+
+    def recording(system, var_universe):
+        sol = solve(system, var_universe=var_universe)
+        if replace is not None:
+            sol = replace(tuple(var_universe), sol)
+        calls.append((tuple(var_universe), sol))
+        return sol
+
+    monkeypatch.setattr(actions, "solve", recording)
+    return calls
+
+
+def test_left_families_then_right_solve_reach_the_same_pairs(search_result, monkeypatch):
+    # the second route: one solve of the union of both tables' systems and the
+    # whole pairing system, instead of the search's two stages per left family
+    from hopffactor import actions
+
+    union_pairs, union_sol = union_route()
+    keys = set()
+    for pair in union_pairs:
+        assert pair.left.is_concrete() and pair.right.is_concrete()
+        assert settle_status(pair) == []
+        keys.add((pair.left.table_key(), pair.right.table_key()))
+    pairs, sol = search_result
+    assert len(keys) == 4
     assert keys == {(p.left.table_key(), p.right.table_key()) for p in pairs}
+    assert [b.key() for b in union_sol.branches] == [b.key() for b in sol.branches]
+    # per family: twelve stage-1 systems die at input, four end in one point,
+    # and each point's stage 2 has nothing left to solve
+    calls = _recording_solve(monkeypatch)
+    actions._matched_pair_search_uncached()
+    right = set(RightActionTable.symbolic().variables())
+    stages = [len(s.branches) for universe, s in calls[1:] if right <= set(universe)]
+    assert stages == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+    assert [(u, len(s.branches)) for u, s in calls[1:] if not right <= set(u)] == [((), 1)] * 4
+
+
+def test_stage_two_fixes_a_right_unknown_that_stage_one_left_free(search_result, monkeypatch):
+    # every stage-1 branch of the search is a point, so here one family's
+    # stage-1 point comes back with z <| G's ghz coordinate free; stage 2, the
+    # right product rule on the substituted tables, must fix it to 1
+    from hopffactor import actions
+
+    freed, done = "r_z_G_ghz", []
+
+    def free_one_unknown(universe, sol):
+        if done or freed not in universe or not sol.branches:
+            return sol
+        (point,) = sol.branches
+        if point.subst[freed].is_zero():
+            return sol
+        done.append(point)
+        subst = {v: e for v, e in point.subst.items() if v != freed}
+        return SolutionSet([Branch(subst, (freed,))], sol.provenance)
+
+    calls = _recording_solve(monkeypatch, free_one_unknown)
+    pairs, sol = actions._matched_pair_search_uncached()
+    (stage2,) = [s for universe, s in calls if universe == (freed,)]
+    (branch,) = stage2.branches
+    assert branch.is_point() and branch.point() == {freed: ONE}
+    expected_pairs, expected_sol = search_result
+    assert [b.key() for b in sol.branches] == [b.key() for b in expected_sol.branches]
+    assert [(p.left.table_key(), p.right.table_key()) for p in pairs] == [
+        (p.left.table_key(), p.right.table_key()) for p in expected_pairs
+    ]
 
 
 def test_matched_branch_points_are_concrete(search_result):

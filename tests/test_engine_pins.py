@@ -4,10 +4,10 @@ failure lists.
 The systems are pinned by size and by a sha256 over their sorted
 `Poly.key()`s, so any change to constraint generation that alters a single
 coefficient shows up here, even when the solver would still reach the same
-solutions.  The union system the matched-pair search solves is also pinned
-in its canonical order, by its rendered text and its keys, both as the
-union of the public systems and as the search builds it; the latter must
-also share its monomials and numerator pairs and stay under a traced-memory
+solutions.  The union system that the union route of the matched-pair
+search solves (`oracles.search_system`) is also pinned in its canonical
+order, by its rendered text and its keys, both as the union of the public
+systems and as the route builds it; the latter must also share its monomials and numerator pairs and stay under a traced-memory
 ceiling, and so must the solver's root round on it.  The checker is
 pinned by the exact `CheckFailure` list (order, condition, `at` tuple and
 witness text) on corrupted tables of both sides; the matched-pair checker
@@ -30,7 +30,6 @@ from hopffactor.actions import (
     MatchedPairCandidate,
     RightActionTable,
     _canonical_system,
-    _search_system,
     check_matched_pair,
     check_module_coalgebras,
     g_action_circulant_system,
@@ -52,6 +51,7 @@ from oracles import (
     ZERO_BLOCK,
     antidiagonal_right_table,
     right_table_from_components,
+    search_system,
     trivial_right_table,
 )
 
@@ -100,7 +100,7 @@ def test_compiled_system_keys_pinned(name):
     assert _sha256(sorted(p.key() for p in system)) == digest
 
 
-# The union system that the matched-pair search solves, pinned in its
+# The union system that the union route solves, pinned in its
 # canonical order: the rendered constraints and their keys both feed the
 # solver's provenance, so neither may change.
 UNION_SIZE = 4998
@@ -120,7 +120,7 @@ def test_union_system_order_render_and_keys_pinned():
     assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
 
 
-# The search builds the same union from the raw generators with one sharing
+# The union route builds the same union from the raw generators with one sharing
 # dict: 45.7 MB traced with a pair tuple per term and a cached key per
 # constraint, about 15 MB with shared monomials and pairs and the unknowns
 # cached as sorted tuples, and 10.3-10.8 MB with each Poly's terms in two
@@ -133,13 +133,13 @@ UNION_TRACED_PEAK_CEILING = 20_000_000
 
 @pytest.fixture(scope="module")
 def search_union():
-    """The search's union system, the traced memory it holds and the traced
+    """The union route's system, the traced memory it holds and the traced
     peak of its build, both above what was traced before the build."""
     L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        system = _search_system(L, R)
+        system = search_system(L, R)
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -174,15 +174,15 @@ def test_search_system_traced_peak_under_ceiling(search_union):
 # the soundness pass keeps.  That output held 20.2 MB traced with per-Poly
 # dicts, 12.9 MB with parallel tuples, and 8.6 MB once the solver's table
 # starts from the input's monomials, so the batch shares them instead of
-# making value-copies (68,160 of them otherwise).  `theorem check` peaks
-# later: its traced live peak comes at depth 1 of the search, and its
+# making value-copies (68,160 of them otherwise).  The union route peaks
+# later: its traced live peak comes at depth 1 of the solve, and its
 # high-water mark rises further by the soundness pass.
 ROOT_ROUND_TRACED_CEILING = 10_000_000
 
 
 @pytest.fixture(scope="module")
 def root_round(search_union):
-    """The node after the solver's root round on the search's union, and
+    """The node after the solver's root round on the union system, and
     the traced memory it holds above the input."""
     system = search_union[0]
     tracemalloc.start()

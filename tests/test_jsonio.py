@@ -2,6 +2,7 @@
 and the `hopf-algebra/v1` loader's rule for repeated entries and the
 memory it holds."""
 
+import hashlib
 import json
 import os
 import tracemalloc
@@ -77,6 +78,20 @@ def test_loader_memory_follows_the_file_not_dim_cubed():
     assert peak < 2_000_000, peak
 
 
+# the axiom report of the dim-128 file with empty tables, as written when
+# the associativity check still visited every one of the dim^3 triples
+EMPTY_REPORT_SHA256 = "64f9c69ee504173bb4b73e42d67106caf88112ef4a16e8f3ed6afba52d203860"
+EMPTY_WITNESS_COUNTS = {
+    "associativity": 0,
+    "unit": 256,
+    "coassociativity": 0,
+    "counit": 256,
+    "comultiplication-multiplicative": 1,
+    "counit-multiplicative": 16384,
+    "antipode": 256,
+}
+
+
 def test_verify_load_of_empty_tables_fails_the_axioms(tmp_path, capsys):
     path = tmp_path / "empty.hopf.json"
     path.write_text(json.dumps(empty_tables(128)), encoding="utf-8")
@@ -85,3 +100,7 @@ def test_verify_load_of_empty_tables_fails_the_axioms(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert captured.out == "empty: dim 128, axiom checks FAILED\n"
     assert captured.err == ""
+    report = (tmp_path / "o" / "empty.axiom-report.json").read_bytes()
+    counts = {a["name"]: a["witness_count"] for a in json.loads(report)["axioms"]}
+    assert counts == EMPTY_WITNESS_COUNTS
+    assert hashlib.sha256(report).hexdigest() == EMPTY_REPORT_SHA256

@@ -1,14 +1,18 @@
-"""Pin of the matched-pair solution set.
+"""Pins of the matched-pair solution sets.
 
-The solve behind the paper's count (4,998 constraints, 252 unknowns) is
-pinned by a sha256 over its `solutions/v1` JSON, so a change to the solver's
-internals that alters a branch key, a rendered substitution or a single
-provenance entry (its depth, rule, constraint at its current scale, variable
-or cases) shows up here even when the count of four stays right.
+The search behind the paper's count is pinned by a sha256 over its
+`solutions/v1` JSON, and so is the union route that tests hold it to (one
+solve on 4,998 constraints and 252 unknowns, `oracles.union_route`).  A
+change to the solver's internals that alters a branch key, a rendered
+substitution or a single provenance entry (its depth, rule, constraint at
+its current scale, variable or cases) shows up here even when the count
+of four stays right.  The search's provenance is the left enumeration's:
+its per-family solves make no split.
 
 The shape of the searches is pinned too: the number of linear batches,
-forced moves, branching splits and branches of the left enumeration and of
-the matched-pair search.
+forced moves, branching splits and branches of the left enumeration, of
+the matched-pair search (the left enumeration plus its per-family solves)
+and of the union route.
 """
 
 import hashlib
@@ -16,37 +20,44 @@ import json
 
 import pytest
 
-from hopffactor import solver
-from hopffactor.actions import (
-    LeftActionTable,
-    RightActionTable,
-    _search_system,
-    enumerate_left_actions,
-    matched_pair_search,
-)
+from hopffactor import actions, solver
+from hopffactor.actions import enumerate_left_actions, matched_pair_search
+from oracles import union_route, union_solve
 
 MATCHED_PAIR_SOLUTIONS_SHA256 = (
     "32f1fef8b344d3f592db1cc0f754609808b8f12db97fe9ada3a6e75ed4d87445"
 )
+SEARCH_SOLUTIONS_SHA256 = (
+    "7c61a9b08d3e2807bb37d116f705d0a5d0e212fb38cf34e94634f62350e899df"
+)
+
+
+def _sha256(payload):
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_matched_pair_solution_set_is_pinned():
-    payload = matched_pair_search()[1].to_json()
+    # the union route's solution set
+    payload = union_route()[1].to_json()
     assert len(payload["provenance"]) == 11
     assert len(payload["solutions"]) == 4
-    text = json.dumps(payload, sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MATCHED_PAIR_SOLUTIONS_SHA256
+    assert _sha256(payload) == MATCHED_PAIR_SOLUTIONS_SHA256
 
 
-def _matched_pair_solve():
-    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
-    return solver.solve(_search_system(L, R), var_universe=L.variables() + R.variables())
+def test_search_solution_set_is_pinned():
+    payload = matched_pair_search()[1].to_json()
+    assert len(payload["solutions"]) == 4
+    assert payload["provenance"] == enumerate_left_actions().to_json()["provenance"]
+    assert len(payload["provenance"]) == 26
+    assert _sha256(payload) == SEARCH_SOLUTIONS_SHA256
 
 
 # (linear batches, forced moves, branching splits, branches)
 SEARCH_SHAPES = {
     "left-enumeration": (enumerate_left_actions, (55, 6, 26, 16)),
-    "matched-pair-search": (_matched_pair_solve, (35, 6, 11, 4)),
+    "matched-pair-search": (lambda: actions._matched_pair_search_uncached()[1], (62, 6, 26, 4)),
+    "union-route": (union_solve, (35, 6, 11, 4)),
 }
 
 
