@@ -246,8 +246,12 @@ class RightActionTable(_ActionTable):
 # Scalar structure constants, their products and -1 as factors.  The
 # builders take the `intern` dict of the system they contribute to, and
 # `from_acc` shares the monomials and numerator pairs of the constraints
-# through it: the search's union of ~180k terms then holds one tuple per
-# distinct pair (six) and per distinct monomial, not one per term.  The builders return raw lists;
+# through it.  The sharing and the grouped sort of `_canonical_system`
+# serve the union route (`tests/oracles.search_system`): its ~180k terms
+# then hold one tuple per distinct pair (six) and per distinct monomial,
+# not one per term.  tests/test_engine_pins.py pins both, through
+# `test_search_system_shares_pairs_and_monomials` and the traced
+# ceilings.  The builders return raw lists;
 # `_canonical_system` makes the system the solver sees.
 
 

@@ -11,10 +11,12 @@ unordered mappings, and arithmetic makes no Scalar objects: it multiplies
 and adds ints and reduces once per result.  Scalars appear only at the
 boundary (`const`, `coeff`, `const_value`, `*` by a Scalar).
 
-Two tuples take less than half the memory of a {monomial: pair} dict, and
-a solve holds hundreds of thousands of terms.  Dicts remain only where
-terms are summed: the accumulators (`acc_add`, `acc_mul`, `from_acc`) and
-the output of one batch substitution (`_Batch.apply`).
+Two tuples take less than half the memory of a {monomial: pair} dict;
+a per-family solve of `theorem check` starts from about 10k terms, and
+the union route's solve (`tests/oracles.search_system`) holds hundreds of
+thousands.  Dicts remain only where terms are summed: the accumulators
+(`acc_add`, `acc_mul`, `from_acc`) and the output of one batch
+substitution (`_Batch.apply`).
 
 The canonical term order is graded lexicographic, highest degree first,
 which makes rendering and `key()` deterministic and lets whole solution
@@ -70,10 +72,9 @@ class Poly:
     (see `from_acc` and `_build`).  Degree and unknowns are cached, the
     unknowns as a sorted tuple, a quarter or less of a frozenset's size;
     `key()` is not, since a system of thousands of constraints would keep
-    every key alive for the whole solve.  `_splits` holds the solver's
-    split analyses of this polynomial."""
+    every key alive for the whole solve."""
 
-    __slots__ = ("terms", "nums", "den", "_vars", "_degree", "_splits")
+    __slots__ = ("terms", "nums", "den", "_vars", "_degree")
 
     def __init__(self, terms=None, nums=None, den=1):
         if nums is None:
@@ -87,7 +88,6 @@ class Poly:
         self.den = den
         self._vars = None
         self._degree = None
-        self._splits = None
 
     # -- constructors ------------------------------------------------------
 

@@ -208,35 +208,6 @@ class SolutionSet:
         }
 
 
-# -- split analyses -----------------------------------------------------------
-
-
-def _cached_split_options(p, full):
-    """`_split_options` of p, cached on p per tier.  `p._splits` is the
-    pair (cheap, full), None for a tier not yet analysed, so a tier is
-    analysed at most once and asking for one leaves the other alone.  The
-    analysis is skipped when no split can apply: no tier-relevant squared
-    unknown and no unknown common to every monomial."""
-    cache = p._splits or (None, None)
-    options = cache[full]
-    if options is None:
-        options = _split_options(p, full) if _may_split(p, full) else ()
-        p._splits = (cache[0], options) if full else (options, cache[1])
-    return options
-
-
-def _may_split(p, full):
-    if full or len(p.variables()) == 1:
-        if any(len(set(m)) < len(m) for m in p.terms):
-            return True
-    common = None
-    for m in p.terms:
-        common = set(m) if common is None else common.intersection(m)
-        if not common:
-            return False
-    return True
-
-
 # -- solver ------------------------------------------------------------------
 
 _DEFAULT_BUDGET = 100_000
@@ -296,24 +267,22 @@ class _Node:
 
     def apply_batch(self, mapping):
         """Substitute a triangular batch everywhere; False when a nonzero
-        constant constraint appears (dead branch).  Each result is written
-        back into its constraint's slot, so the polynomial it replaces is
-        freed before the next one is built; a dead branch may keep its list
-        half substituted, which is harmless since the node is discarded.
-        The first batch of a solve seeds the shared table first."""
+        constant constraint appears (dead branch).  The first batch of a
+        solve seeds the shared table first."""
         if not self.intern:
             _seed(self.intern, self.constraints, mapping.keys())
         batch = _Batch(mapping, self.intern)
         for v, e in list(self.subst.items()):
             self.subst[v] = batch.apply(e)
         self.subst.update(mapping)
-        constraints = self.constraints
-        for i, p in enumerate(constraints):
+        constraints = []
+        for p in self.constraints:
             q = batch.apply(p)
-            if q.terms and q.is_const():
-                return False
-            constraints[i] = q
-        self.constraints = [p for p in constraints if p.terms]
+            if q.terms:
+                if q.is_const():
+                    return False
+                constraints.append(q)
+        self.constraints = constraints
         return True
 
     def apply_case(self, case):
@@ -340,7 +309,6 @@ class _Node:
             if mapping is None:
                 return False
             self.constraints = rest
-            linear = rest = p = None  # the node's list is then the only holder
             if not self.apply_batch(mapping):
                 return False
 
@@ -355,9 +323,7 @@ class _Node:
     def find_split(self):
         """The best applicable split, or None.  Ranked: forced single root,
         univariate quadratic, monomial content, multivariate quadratic;
-        ties broken by constraint list order (which is deterministic).
-        Split analyses are cached on the constraints, which the cloned
-        nodes share, so the scan stays cheap along a branch."""
+        ties broken by constraint list order (which is deterministic)."""
         order = sorted(
             range(len(self.constraints)),
             key=lambda i: (
@@ -372,7 +338,7 @@ class _Node:
         for full in (False, True):
             for pos in order:
                 p = self.constraints[pos]
-                for prio, kind, var, cases in _cached_split_options(p, full):
+                for prio, kind, var, cases in _split_options(p, full):
                     if best is None or prio < best[0][0]:
                         best = ((prio, pos, var), pos, p, kind, var, cases)
                 if best is not None and best[0][0] == 0:
@@ -457,7 +423,6 @@ def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
         node = stack.pop()
         visited += 1
         if visited > split_budget:
-            stack.clear()  # the search ends: free the pending nodes first
             raise node.stall("budget-exhausted")
         split = None
         dead = False
@@ -469,7 +434,6 @@ def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):
                 break
             split = node.find_split()
             if split is None:
-                stack.clear()  # the search ends: free the pending nodes first
                 raise node.stall("no-applicable-rule")
             _, pos, p, kind, var, cases = split
             if len(cases) > 1:

@@ -214,6 +214,7 @@ def test_root_round_makes_no_copy_of_an_input_monomial(search_union, root_round)
 def test_poly_key_is_recomputed_not_cached():
     p = Poly.var("x") * Poly.var("y") - Poly.var("x") * 3 + 1
     assert "_key" not in Poly.__slots__
+    assert Poly.__slots__ == ("terms", "nums", "den", "_vars", "_degree")
     first, second = p.key(), p.key()
     assert first == second
     assert first is not second

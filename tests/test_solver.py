@@ -1,7 +1,5 @@
 """Case-splitting solver: square roots, branch semantics, determinism."""
 
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,53 +266,16 @@ def test_apply_batch_reports_a_nonzero_constant():
     assert not node.apply_batch({"x": Poly()})
 
 
-def test_apply_batch_releases_each_constraint_it_replaces(monkeypatch):
-    olds = [x * y + k for k in range(1, 5)]
-    node = solver._Node({}, list(olds), {}, 0)
-    before = [sys.getrefcount(p) for p in olds]
-    during = []
-
-    class Spy(solver._Batch):
-        def apply(self, p):
-            during.append([sys.getrefcount(q) for q in olds])
-            return super().apply(p)
-
-    monkeypatch.setattr(solver, "_Batch", Spy)
-    assert node.apply_batch({"x": y})
-    # while constraint k is substituted, every earlier one has left the
-    # node's list: only the test still holds it
-    for k, counts in enumerate(during):
-        assert counts[:k] == [n - 1 for n in before[:k]]
-    assert [sys.getrefcount(p) for p in olds] == [n - 1 for n in before]
-    assert node.constraints == [y * y + k for k in range(1, 5)]
+# -- split analyses, by tier -----------------------------------------------------
 
 
-# -- split analyses cached on the constraint ------------------------------------
-
-
-def test_split_analyses_are_cached_per_tier(monkeypatch):
-    calls = []
-    analyse = solver._split_options
-    monkeypatch.setattr(
-        solver, "_split_options", lambda p, full: calls.append(full) or analyse(p, full)
-    )
-    # both tiers apply to x^2 + x*y: content x in each, and the full tier
-    # adds the quadratic in x with discriminant y^2
+def test_split_options_by_tier():
+    # x^2 + x*y: the cheap tier gives only the content x; the full tier adds
+    # the quadratic in x, whose discriminant y^2 is a square
     p = x * x + x * y
-    cheap = solver._cached_split_options(p, False)
-    assert [opt[1] for opt in cheap] == ["content"]
-    assert type(p._splits) is tuple
-    assert p._splits[0] is cheap and p._splits[1] is None
-    assert solver._cached_split_options(p, False) is cheap
-    full = solver._cached_split_options(p, True)
-    assert sorted(opt[1] for opt in full) == ["content", "quadratic"]
-    assert p._splits[0] is cheap and p._splits[1] is full
-    assert solver._cached_split_options(p, True) is full
-    assert solver._cached_split_options(p, False) is cheap
-    assert calls == [False, True]
-    # the full tier first leaves the cheap one unanalysed
-    q = x * x + x * y
-    assert solver._cached_split_options(q, True) == full
-    assert type(q._splits) is tuple
-    assert q._splits[0] is None and q._splits[1] is not None
-    assert calls == [False, True, True]
+    assert [opt[1] for opt in solver._split_options(p, False)] == ["content"]
+    full = solver._split_options(p, True)
+    assert sorted((opt[1], opt[2]) for opt in full) == [("content", "x"), ("quadratic", "x")]
+    # a univariate double root is forced: priority 0 in the cheap tier
+    double = x * x - x * 2 + 1
+    assert [opt[:3] for opt in solver._split_options(double, False)] == [(0, "quadratic", "x")]
