@@ -1,8 +1,9 @@
 """Exact-arithmetic engine for matched pairs and bicrossed products of the
 Hopf algebras H4 (Sweedler) and H8 (Kac-Paljutkin).
 
-Everything is computed over Q(i) with reduced big-integer fractions, so
-every check in the pipeline is exact: no tolerances anywhere.
+Everything is computed over Q(i), each number held as Gaussian-integer
+numerators over one big-integer denominator, so every check in the
+pipeline is exact: no tolerances anywhere.
 
 The public names below load their module on first use (PEP 562), so
 `import hopffactor` loads no engine layer and a command pays only for the

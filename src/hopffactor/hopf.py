@@ -358,7 +358,7 @@ class _IntTables:
     def __init__(self, H):
         constants = [c for block in H.mul for row in block for _, c in row]
         constants += [c for triples in H.comul for c, _, _ in triples]
-        self.D = D = lcm(*{d for c in constants for d in (c.rd, c.imd)})
+        self.D = D = lcm(*{c.den for c in constants})
         self.mul = tuple(
             tuple(tuple((k, *_num(c, D)) for k, c in row) for row in block)
             for block in H.mul
@@ -369,7 +369,8 @@ class _IntTables:
 
 
 def _num(c, den):
-    return c.rn * (den // c.rd), c.imn * (den // c.imd)
+    k = den // c.den
+    return c.re * k, c.im * k
 
 
 def _same(x, y):

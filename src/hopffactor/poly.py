@@ -9,7 +9,8 @@ sharing no factor with all of them, so the coefficient of terms[j] is
 is canonical up to the order of the terms, so polynomials compare as
 unordered mappings, and arithmetic makes no Scalar objects: it multiplies
 and adds ints and reduces once per result.  Scalars appear only at the
-boundary (`const`, `coeff`, `const_value`, `*` by a Scalar).
+boundary (`const`, `coeff`, `const_value`, `*` by a Scalar), and a Scalar
+has the same form, (re + im*i)/den, so the boundary converts nothing.
 
 Two tuples take less than half the memory of a {monomial: pair} dict;
 a per-family solve of `theorem check` starts from about 10k terms, and
@@ -28,7 +29,7 @@ flat-tuple monomial encoding is both the simplest and the fastest choice.
 from math import gcd, lcm
 from operator import itemgetter
 
-from hopffactor.scalar import ZERO, Scalar, _red, join_signed, render_term
+from hopffactor.scalar import ZERO, Scalar, _make, _red, join_signed, render_term
 
 
 def _degree_of(term):
@@ -52,11 +53,10 @@ def _mono_mul(m1, m2):
 
 
 def _num(c):
-    """(re, im, den) of a Scalar or int over the lcm of its denominators."""
+    """(re, im, den) of a Scalar or int."""
     if isinstance(c, int):
         return c, 0, 1
-    den = lcm(c.rd, c.imd)
-    return c.rn * (den // c.rd), c.imn * (den // c.imd), den
+    return c.re, c.im, c.den
 
 
 class Poly:
@@ -117,7 +117,7 @@ class Poly:
             return ZERO
         if len(terms) == 1 and terms[0] == ():
             re, im = self.nums[0]
-            return Scalar(re, self.den, im, self.den)
+            return _make(re, im, self.den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def variables(self):
@@ -140,7 +140,7 @@ class Poly:
         except ValueError:
             return ZERO
         re, im = self.nums[j]
-        return Scalar(re, self.den, im, self.den)
+        return _make(re, im, self.den)
 
     def key(self):
         """((monomial, (rn, rd, imn, imd)), ...) in the canonical term

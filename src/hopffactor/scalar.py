@@ -2,12 +2,12 @@
 
 Every constant in the engine lives in Q(i) (the constructions only ever
 need 1/2, roots of unity +-1, +-i and (1+-i)^-1), which keeps all checks
-decidable and exact.  A scalar is a + (b)i with a, b reduced big-integer
-fractions.
+decidable and exact.  A scalar is stored as Poly stores a coefficient:
+Gaussian-integer numerators over one denominator, (re + im*i)/den.
 
-Canonical form invariants: denominators strictly positive, numerator and
-denominator coprime, zero stored as 0/1.  Equality is therefore structural
-and scalars hash consistently.
+Canonical form invariants: den > 0 and gcd(re, im, den) == 1, zero stored
+as (0, 0, 1).  Equality is therefore structural, and scalars hash
+consistently, an integer n as hash(n).
 
 The wire format for a scalar a/b + (c/d)i is the 4-integer list
 [a, b, c, d] with b, d > 0 and both fractions reduced.  The text format,
@@ -88,18 +88,37 @@ def _red(n, d):
     return n, d
 
 
+def _make(re, im, den):
+    """The Scalar (re + im*i)/den for ints with den > 0, reduced."""
+    g = gcd(re, im, den)
+    s = object.__new__(Scalar)
+    if g == 1:
+        s.re, s.im, s.den = re, im, den
+    else:
+        s.re, s.im, s.den = re // g, im // g, den // g
+    return s
+
+
 class Scalar:
-    """An exact element of Q(i)."""
+    """An exact element of Q(i): (re + im*i)/den.
 
-    __slots__ = ("rn", "rd", "imn", "imd")
+    `Scalar(rn, rd, imn, imd)` is rn/rd + (imn/imd)i; `rn`, `rd`, `imn`
+    and `imd` read back the reduced parts, as `sort_key()` gives them."""
 
-    def __init__(self, rn=0, rd=1, imn=0, imd=1):
-        a, b = _red(rn, rd)
-        c, d = _red(imn, imd)
-        self.rn = a
-        self.rd = b
-        self.imn = c
-        self.imd = d
+    __slots__ = ("re", "im", "den")
+
+    def __new__(cls, rn=0, rd=1, imn=0, imd=1):
+        den = rd * imd
+        if den == 0:
+            raise ZeroDivisionError("scalar with zero denominator")
+        if den < 0:
+            return _make(-rn * imd, -imn * rd, -den)
+        return _make(rn * imd, imn * rd, den)
+
+    rn = property(lambda self: _red(self.re, self.den)[0])
+    rd = property(lambda self: _red(self.re, self.den)[1])
+    imn = property(lambda self: _red(self.im, self.den)[0])
+    imd = property(lambda self: _red(self.im, self.den)[1])
 
     # -- constructors ------------------------------------------------------
 
@@ -118,7 +137,7 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return self.rn == 0 and self.imn == 0
+        return not (self.re or self.im)
 
     def __bool__(self):
         return not self.is_zero()
@@ -130,94 +149,65 @@ class Scalar:
             other = Scalar(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar(
-            self.rn * other.rd + other.rn * self.rd,
-            self.rd * other.rd,
-            self.imn * other.imd + other.imn * self.imd,
-            self.imd * other.imd,
-        )
+        d, f = self.den, other.den
+        return _make(self.re * f + other.re * d, self.im * f + other.im * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.rn, self.rd, -self.imn, self.imd)
+        return _make(-self.re, -self.im, self.den)
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = Scalar(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar(
-            self.rn * other.rd - other.rn * self.rd,
-            self.rd * other.rd,
-            self.imn * other.imd - other.imn * self.imd,
-            self.imd * other.imd,
-        )
+        d, f = self.den, other.den
+        return _make(self.re * f - other.re * d, self.im * f - other.im * d, d * f)
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = Scalar(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        if self.imn == 0 and other.imn == 0:
-            return Scalar(self.rn * other.rn, self.rd * other.rd)
-        # (a + bi)(c + di) = (ac - bd) + (ad + bc)i
-        a, b = self.rn, self.rd
-        c, d = self.imn, self.imd
-        e, f = other.rn, other.rd
-        g, h = other.imn, other.imd
-        return Scalar(
-            a * e * d * h - c * g * b * f,
-            b * f * d * h,
-            a * g * d * f + c * e * b * h,
-            b * h * d * f,
-        )
+        # (a + bi)/d * (c + ei)/f = ((ac - be) + (ae + bc)i)/(df)
+        a, b, c, e = self.re, self.im, other.re, other.im
+        return _make(a * c - b * e, a * e + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.imn == 0:
-            return Scalar(self.rd, self.rn)
-        # 1/(a+bi) = (a-bi)/(a^2+b^2)
-        nn = self.rn * self.rn * self.imd * self.imd + self.imn * self.imn * self.rd * self.rd
-        dd = self.rd * self.rd * self.imd * self.imd
-        # conj / norm, with norm = nn/dd
-        return Scalar(
-            self.rn * self.rd * dd, nn * self.rd * self.rd,
-            -self.imn * self.imd * dd, nn * self.imd * self.imd,
-        )
+        # 1/((a + bi)/d) = d(a - bi)/(a^2 + b^2)
+        a, b, d = self.re, self.im, self.den
+        return _make(d * a, -d * b, a * a + b * b)
 
     # -- comparison & hashing ----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.rd == 1 and self.rn == other and self.imn == 0
+            return self.den == 1 and self.im == 0 and self.re == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (
-            self.rn == other.rn
-            and self.rd == other.rd
-            and self.imn == other.imn
-            and self.imd == other.imd
-        )
+        return self.re == other.re and self.im == other.im and self.den == other.den
 
     def __hash__(self):
-        if self.rd == 1 and self.imn == 0:
-            return hash(self.rn)
-        return hash((self.rn, self.rd, self.imn, self.imd))
+        if self.den == 1 and self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im, self.den))
 
     def sort_key(self):
-        return (self.rn, self.rd, self.imn, self.imd)
+        """The reduced parts (rn, rd, imn, imd)."""
+        return _red(self.re, self.den) + _red(self.im, self.den)
 
     # -- formats -------------------------------------------------------------
 
     def to_json(self):
-        return [self.rn, self.rd, self.imn, self.imd]
+        return list(self.sort_key())
 
     def __str__(self):
-        return render_gaussian(self.rn, self.rd, self.imn, self.imd)
+        return render_gaussian(*self.sort_key())
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -22,7 +22,7 @@ from math import isqrt
 
 from hopffactor.linalg import rref
 from hopffactor.poly import Poly, _Batch
-from hopffactor.scalar import Scalar, _red
+from hopffactor.scalar import Scalar, _make
 
 
 class IrreducibleSystemError(Exception):
@@ -39,48 +39,22 @@ class IrreducibleSystemError(Exception):
 # -- square roots in Q(i) ----------------------------------------------------
 
 
-def _rat_sqrt(n, d):
-    # sqrt of the reduced nonnegative rational n/d, or None
-    if n < 0:
-        return None
-    sn, sd = isqrt(n), isqrt(d)
-    if sn * sn == n and sd * sd == d:
-        return sn, sd
-    return None
-
-
 def gaussian_sqrt(s):
     """The canonical square root of s in Q(i), or None when none exists.
 
     The canonical root has positive real part, or zero real part and
     nonnegative imaginary part.
     """
-    if s.is_zero():
-        return Scalar(0)
-    if s.imn == 0:
-        if s.rn > 0:
-            r = _rat_sqrt(s.rn, s.rd)
-            return None if r is None else Scalar(r[0], r[1])
-        r = _rat_sqrt(-s.rn, s.rd)
-        return None if r is None else Scalar(0, 1, r[0], r[1])
-    # t = x + yi with x^2 - y^2 = re(s), 2xy = im(s); then x^2 + y^2 = |s|
-    # and x^2 = (re(s) + |s|)/2, all of which must be rational squares.
-    norm_n = s.rn * s.rn * s.imd * s.imd + s.imn * s.imn * s.rd * s.rd
-    norm_d = s.rd * s.rd * s.imd * s.imd
-    r = _rat_sqrt(norm_n, norm_d)
-    if r is None:
+    # (x + yi)/den squares to s exactly when (x + yi)^2 = a + bi with
+    # a = re*den and b = im*den; Z[i] is integrally closed, so x and y are
+    # ints.  Then n = x^2 + y^2 is the integer root of a^2 + b^2, and
+    # x^2 = (a + n)/2, y^2 = (n - a)/2, with y of the sign of b.
+    a, b = s.re * s.den, s.im * s.den
+    n = isqrt(a * a + b * b)
+    x, y = isqrt((a + n) // 2), isqrt((n - a) // 2)
+    if x * x - y * y != a or 2 * x * y != abs(b):
         return None
-    # x^2 = (rn/rd + r)/2
-    x2_n = s.rn * r[1] + r[0] * s.rd
-    x2_d = 2 * s.rd * r[1]
-    x = _rat_sqrt(*_red(x2_n, x2_d))
-    if x is None or x[0] == 0:
-        return None
-    # t = x + yi with y = im(s)/(2x)
-    t = Scalar(x[0], x[1], s.imn * x[1], 2 * s.imd * x[0])
-    if t * t == s:
-        return t
-    return None
+    return _make(x, y if b >= 0 else -y, s.den)
 
 
 def poly_sqrt(p):
@@ -219,7 +193,7 @@ def _solve_linear(linear):
     when the rows are inconsistent.  Fully deterministic: columns in sorted
     variable order, then the constant."""
     rows = [
-        {m: Scalar(re, p.den, im, p.den) for m, (re, im) in zip(p.terms, p.nums)}
+        {m: _make(re, im, p.den) for m, (re, im) in zip(p.terms, p.nums)}
         for p in linear
     ]
     columns = sorted({m for row in rows for m in row if m}) + [()]
@@ -344,8 +318,14 @@ class _Node:
                 if best is not None and best[0][0] == 0:
                     break
             if best is not None:
-                return best
-        return None
+                break
+        if best is None:
+            return None
+        key, pos, p, kind, var, cases = best
+        if cases is None:
+            # a content split, whose quotient is built only once chosen
+            cases = (("assign", var, Poly()), ("replace", None, p.divide_by_var(var)))
+        return key, pos, p, kind, var, cases
 
 
 def _split_options(p, full):
@@ -354,7 +334,9 @@ def _split_options(p, full):
     Priorities: 0 forced single quadratic root, 1 univariate quadratic,
     2 monomial content, 3 multivariate quadratic with a square discriminant.
     The cheap tier (full=False) covers 0-2 for univariate constraints plus
-    content; the full tier adds the expensive discriminant analysis.
+    content; the full tier adds the expensive discriminant analysis.  A
+    content option carries no cases: `find_split` builds them when it
+    chooses the option.
     """
     options = []
     pvars = p.variables()
@@ -391,9 +373,7 @@ def _split_options(p, full):
                 )
     cv = p.content_var()
     if cv is not None:
-        options.append(
-            (2, "content", cv, (("assign", cv, Poly()), ("replace", None, p.divide_by_var(cv))))
-        )
+        options.append((2, "content", cv, None))
     options.sort(key=lambda opt: (opt[0], opt[2]))
     return tuple(options)
 

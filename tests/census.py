@@ -52,6 +52,9 @@ ALLOWLIST = {
         "failure path: tests/test_engine_pins.py::test_check_failures_pinned_left_units"
     ),
     "cli:_Parser.error": "failure path: tests/test_cli.py::test_removed_flags_are_usage_errors",
+    # the content split v*q = 0 -> v = 0 | q = 0 builds its quotient only
+    # once chosen, and no system of the command line chooses one
+    "poly:Poly.divide_by_var": "failure path: tests/test_solver.py::test_product_split",
     "hopf:AxiomCheck.__repr__": "protocol: repr",
     "hopf:AxiomReport.__repr__": "protocol: repr",
     "hopf:HopfAlgebraData.__repr__": "protocol: repr",

@@ -1,5 +1,7 @@
 """Gaussian-rational scalar kernel: canonical forms, field axioms, formats."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -126,3 +128,44 @@ def test_from_json_rejects_malformed(S):
                 [True, 1, 0, 1], None):
         with pytest.raises(ValueError):
             S.from_json(bad)
+
+
+# a Scalar against a pair of stdlib Fractions (real part, imaginary part)
+fracs = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+
+
+def _of(re, im):
+    return Scalar(re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+def _stored_form_holds(s):
+    assert s.den > 0 and math.gcd(s.re, s.im, s.den) == 1
+    assert s.is_zero() == ((s.re, s.im, s.den) == (0, 0, 1))
+
+
+@settings(max_examples=300)
+@given(a=fracs, b=fracs, c=fracs, e=fracs)
+def test_arithmetic_matches_a_fraction_oracle(a, b, c, e):
+    x, y = _of(a, b), _of(c, e)
+    products = (a * c - b * e, a * e + b * c)
+    for s, (re, im) in [
+        (x, (a, b)),
+        (x + y, (a + c, b + e)),
+        (x - y, (a - c, b - e)),
+        (x * y, products),
+    ]:
+        _stored_form_holds(s)
+        assert s == _of(re, im)
+        assert s.sort_key() == (re.numerator, re.denominator, im.numerator, im.denominator)
+    assert (x == y) == ((a, b) == (c, e))
+    if a or b:
+        norm = a * a + b * b
+        assert x.inv() == _of(a / norm, -b / norm)
+        _stored_form_holds(x.inv())
+
+
+@given(n=st.integers(min_value=-(10**30), max_value=10**30))
+def test_an_int_scalar_is_stored_and_hashed_as_the_int(n):
+    s = Scalar(n)
+    assert (s.re, s.im, s.den) == (n, 0, 1)
+    assert s == n and hash(s) == hash(n)

@@ -1,7 +1,7 @@
 """Case-splitting solver: square roots, branch semantics, determinism."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopffactor import solver
@@ -63,6 +63,23 @@ def test_sqrt_squares_roundtrip(rn, rd, imn, imd):
     assert root * root == s
     # canonical: root is t or -t with the sign convention
     assert root in (t, -t)
+
+
+# 2 = -i(1+i)^2, 3, i, -i and 1+i (of norm 2) are not squares in Q(i), so
+# neither is k*t^2 for any nonzero t
+NON_SQUARES = [Scalar(2), Scalar(3), I, -I, Scalar(1, 1, 1, 1)]
+
+
+@settings(max_examples=150)
+@given(
+    rn=st.integers(-9, 9), rd=st.integers(1, 6),
+    imn=st.integers(-9, 9), imd=st.integers(1, 6),
+)
+def test_sqrt_of_a_non_square_multiple_of_a_square_is_none(rn, rd, imn, imd):
+    t = Scalar(rn, rd, imn, imd)
+    assume(not t.is_zero())
+    for k in NON_SQUARES:
+        assert gaussian_sqrt(k * t * t) is None
 
 
 def test_poly_sqrt():
