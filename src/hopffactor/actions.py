@@ -255,22 +255,37 @@ class RightActionTable(_ActionTable):
 # `_canonical_system` makes the system the solver sees.
 
 
-def _canonical_system(polys):
+def _canonical_system(polys, keyed=None):
     """The nonzero constraints, one per key, ordered by degree, unknown
     count and key.  Equal keys share a degree and an unknown count, so the
     constraints are sorted one (degree, unknown count) group at a time:
-    each key is computed once, and only one group's keys exist at once."""
+    each key is computed once, and only one group's keys exist at once.
+
+    `keyed`, the `_keyed_groups` of constraints `earlier`, makes the result
+    that of `_canonical_system(earlier + polys)`, the same order and the
+    same first-seen constraint per key, without keying `earlier` again."""
     groups = {}
     for p in polys:
         if p.terms:
             groups.setdefault((p.degree(), len(p.variables())), []).append(p)
+    keyed = keyed or {}
     out = []
-    for shape in sorted(groups):
-        seen = {}
-        for p in groups.pop(shape):
+    for shape in sorted(groups.keys() | keyed.keys()):
+        seen = dict(keyed.get(shape, ()))
+        for p in groups.pop(shape, ()):
             seen.setdefault(p.key(), p)
         out.extend(seen[k] for k in sorted(seen))
     return out
+
+
+def _keyed_groups(polys):
+    """{(degree, unknown count): {key: first nonzero constraint of that
+    key}}, keys in sorted order, for `_canonical_system`."""
+    groups = {}
+    for p in polys:
+        if p.terms:
+            groups.setdefault((p.degree(), len(p.variables())), {}).setdefault(p.key(), p)
+    return {shape: dict(sorted(seen.items())) for shape, seen in groups.items()}
 
 
 def _unit_constraints(T):
@@ -526,20 +541,38 @@ def _then(outer, inner):
     return Branch(subst, inner.free)
 
 
+def _obstruction(Lf, R, intern):
+    """A nonzero constant among the left product rule's constraints at the
+    instances (u, GX, G), or None.  Such a constant is part of the family's
+    stage-1 system whatever the right table, so the system has no solution.
+    On this input it names the obstruction of all 12 left families without
+    a partner, and of no other."""
+    GX, G = Lf.h4.index["GX"], Lf.h4.index["G"]
+    probe = [(u, GX, G) for u in range(Lf.h8.dim)]
+    return next(
+        (p for p in _product_constraints(Lf, R, probe, intern) if p.is_const() and p.terms),
+        None,
+    )
+
+
 def _matched_pair_search_uncached():
     L = LeftActionTable.symbolic()
     R = RightActionTable.symbolic()
     left = enumerate_left_actions()
     intern = {}
-    right_module = _module_coalgebra_constraints(R, intern)
+    right_module = _keyed_groups(_module_coalgebra_constraints(R, intern))
     right_rule = _rule_instances(R)
     branches, provenance = [], list(left.provenance)
     for family in left.branches:
         Lf = L.substitute(family)
-        first = solve(
-            _canonical_system(right_module + _left_pairing_constraints(Lf, R, intern)),
-            var_universe=list(family.free) + R.variables(),
-        )
+        dead = _obstruction(Lf, R, intern)
+        if dead is None:
+            system = _canonical_system(_left_pairing_constraints(Lf, R, intern), right_module)
+        else:
+            # the whole stage-1 system holds this constant, so it and the
+            # constant alone both solve to no branch and no provenance
+            system = [dead]
+        first = solve(system, var_universe=list(family.free) + R.variables())
         provenance += first.provenance
         for stage1 in first.branches:
             Rs, Ls = R.substitute(stage1), Lf.substitute(stage1)

@@ -6,7 +6,10 @@ comultiplication (triples per basis element).  Axioms are never assumed: the
 full battery (associativity, unit, coassociativity, counit, the bialgebra
 compatibilities and both antipode convolution identities) is checked
 exactly on every basis tuple, and failures are reported with witnesses so
-mutated or hand-entered tables can be debugged.
+mutated or hand-entered tables can be debugged.  Associativity and
+delta-multiplicativity of an algebra that a few basis elements generate
+are proved from the generator tuples alone, and checked on every tuple
+whenever that proof does not go through.
 
 Group-likes are enumerated by compiling delta(x) = x (x) x, eps(x) = 1
 into a polynomial system for the solver; skew-primitive spaces are kernels
@@ -18,7 +21,7 @@ from functools import cached_property
 from math import lcm
 from operator import itemgetter
 
-from hopffactor.linalg import Mat, kernel
+from hopffactor.linalg import Mat, kernel, rref
 from hopffactor.poly import Poly
 from hopffactor.scalar import ONE, ZERO, Scalar, join_signed, render_term
 from hopffactor.solver import solve
@@ -81,6 +84,12 @@ class HopfAlgebraData:
         )
 
     def coalgebra_key(self):
+        """Canonical tuple of the coalgebra's constants, the memo key of
+        `grouplikes` and `skew_primitives`; computed once per algebra."""
+        return self._coalgebra_key
+
+    @cached_property
+    def _coalgebra_key(self):
         return (
             self.dim,
             tuple(
@@ -324,18 +333,101 @@ class AxiomReport:
 
 
 def verify_axioms(H):
-    """Check every Hopf axiom exactly on all basis tuples of H."""
+    """Check every Hopf axiom exactly on all basis tuples of H.
+
+    Associativity and delta-multiplicativity are first tried on the
+    generator instances only (`_certificate`); each falls back to every
+    basis instance unless that passes, so the witnesses are always those of
+    the full loops."""
     T = _IntTables(H)
+    S = _certificate(H)
+    assoc = _check_associativity(H, T, S)
     checks = [
-        AxiomCheck("associativity", _check_associativity(H, T)),
+        AxiomCheck("associativity", assoc),
         AxiomCheck("unit", _check_unit(H)),
         AxiomCheck("coassociativity", _check_coassociativity(H)),
         AxiomCheck("counit", _check_counit(H)),
-        AxiomCheck("comultiplication-multiplicative", _check_comul_mult(H, T)),
+        AxiomCheck("comultiplication-multiplicative",
+                   _check_comul_mult(H, T, None if assoc else S)),
         AxiomCheck("counit-multiplicative", _check_counit_mult(H)),
         AxiomCheck("antipode", _check_antipode(H)),
     ]
     return AxiomReport(H.name, H.dim, checks)
+
+
+# -- the generator certificate ---------------------------------------------------
+#
+# Let S be a set of basis indices such that the closure of span{1} under
+# right multiplication by the e_s, s in S, is all of H, and let 1 be a left
+# unit (1 e_j = e_j for every j).
+#
+# Associativity.  C = {x : (xy)z = x(yz) for all y, z} is a subspace (the
+# condition is linear in x), and 1 lies in C.  If a, b lie in C, so does ab:
+# ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz), using a, a, b and a
+# in C in turn.  So when every e_s lies in C, C contains the closure, which
+# is H: the instances (e_s, e_j, e_k) prove every instance.
+#
+# Delta-multiplicativity, once H is associative and delta(1) = 1 (x) 1.
+# B = {a : delta(ax) = delta(a)delta(x) for all x} is a subspace, and 1
+# lies in B because 1 (x) 1 is a left unit of H (x) H.  If a, b lie in B,
+# delta((ab)x) = delta(a(bx)) = delta(a)delta(bx) = delta(a)(delta(b)
+# delta(x)) = (delta(a)delta(b))delta(x) = delta(ab)delta(x), using the
+# associativity of H and of H (x) H.  So when every e_s lies in B, B = H:
+# the instances (e_s, e_j) prove every instance.
+#
+# The certificate only ever concludes that a law holds.  When a restricted
+# loop finds a witness, or a precondition fails, the full loop runs, so the
+# witness lists are those of the full loops.
+
+
+def _certificate(H):
+    """The generator indices for the restricted loops, or None when the
+    certificate does not apply: 1 is not a left unit, or S reaches dim/2,
+    where the restricted loops would save little."""
+    if any(_unit_products(H, i)[0] != {i: ONE} for i in range(H.dim)):
+        return None
+    S = _generators(H)
+    return S if 2 * len(S) < H.dim else None
+
+
+def _generators(H):
+    """Basis indices chosen greedily in index order: e_i joins S when it
+    lies outside the span reached so far, the closure of span{1} under right
+    multiplication by the e_s of S.  The span is kept in reduced row echelon
+    form, where e_i lies in it exactly when its pivot row at column i is
+    e_i.  The greedy stops once S reaches dim/2, which bounds the cost of
+    the closure on tables that no small set generates.  When 1 is a left
+    unit and S stays below dim/2, the closure of S is all of H."""
+    d = H.dim
+    columns = range(d)
+    span = rref([dict(H.unit_sparse)], columns)
+    S = []
+    for i in range(d):
+        if dict(span).get(i) == {i: ONE}:
+            continue
+        S.append(i)
+        if 2 * len(S) >= d:
+            break
+        # span was closed under S without i: its products with e_i are new,
+        # then each round multiplies only the rows that extend the span (its
+        # rows at new pivot columns, a complement of the old span) by all of S
+        frontier, gens = [row for _, row in span], [i]
+        while frontier:
+            products = [_times(H, row, s) for row in frontier for s in gens]
+            grown = rref([row for _, row in span] + products, columns)
+            old = {c for c, _ in span}
+            frontier = [row for c, row in grown if c not in old]
+            span, gens = grown, S
+    return S
+
+
+def _times(H, row, s):
+    """The sparse vector row * e_s."""
+    acc = {}
+    for k, c in row.items():
+        for m, cm in H.mul[k][s]:
+            _acc(acc, m, c * cm)
+    return acc
 
 
 # Associativity (d^3 instances) and delta-multiplicativity (d^2 instances,
@@ -383,14 +475,22 @@ def _nonzero(acc):
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _check_associativity(H, T):
+def _check_associativity(H, T, S):
+    """Associativity witnesses; on the instances (e_s, e_j, e_k), s in S,
+    first when S is given, and on all instances unless those pass."""
+    if S is not None and not _associativity_witnesses(H, T, S):
+        return []
+    return _associativity_witnesses(H, T, range(H.dim))
+
+
+def _associativity_witnesses(H, T, first):
     # both sides over D^2, accumulated inline, this being the battery's
     # longest loop
     witnesses = []
     mul = T.mul
     d = H.dim
     idle = [not any(block) for block in mul]  # e_j*e_k = 0 for every k
-    for i in range(d):
+    for i in first:
         for j in range(d):
             row = mul[i][j]
             if not row and idle[j]:
@@ -416,17 +516,22 @@ def _check_associativity(H, T):
     return witnesses
 
 
+def _unit_products(H, i):
+    """(1*e_i, e_i*1) as {index: Scalar}."""
+    left = {}
+    right = {}
+    for j, u in H.unit_sparse:
+        for k, c in H.mul[j][i]:
+            _acc(left, k, u * c)
+        for k, c in H.mul[i][j]:
+            _acc(right, k, u * c)
+    return left, right
+
+
 def _check_unit(H):
     witnesses = []
-    mul = H.mul
     for i in range(H.dim):
-        left = {}
-        right = {}
-        for j, u in H.unit_sparse:
-            for k, c in mul[j][i]:
-                _acc(left, k, u * c)
-            for k, c in mul[i][j]:
-                _acc(right, k, u * c)
+        left, right = _unit_products(H, i)
         if left != {i: ONE}:
             witnesses.append(f"1*{H.basis[i]} != {H.basis[i]}")
         if right != {i: ONE}:
@@ -466,7 +571,11 @@ def _check_counit(H):
     return witnesses
 
 
-def _check_comul_mult(H, T):
+def _check_comul_mult(H, T, S):
+    """delta(1) = 1 (x) 1 and the witnesses of delta(e_i e_j) =
+    delta(e_i)delta(e_j); on the pairs (e_s, e_j), s in S, first when S is
+    given (H then being associative) and delta(1) = 1 (x) 1 holds, and on
+    all pairs unless those pass."""
     witnesses = []
     delta_unit = {}
     for i, u in H.unit_sparse:
@@ -476,11 +585,18 @@ def _check_comul_mult(H, T):
     acc_outer(unit_tensor, ONE, H.unit, H.unit)
     if delta_unit != unit_tensor:
         witnesses.append("delta(1) != 1 (x) 1")
+    elif S is not None and not _comul_mult_witnesses(H, T, S):
+        return []
+    return witnesses + _comul_mult_witnesses(H, T, range(H.dim))
+
+
+def _comul_mult_witnesses(H, T, first):
     # delta(e_i e_j) over D^2, lifted to D^4, against delta(e_i)delta(e_j)
     # over D^4, both accumulated inline in the battery's costliest loop
+    witnesses = []
     mul, comul = T.mul, T.comul
     scale = T.D * T.D
-    for i in range(H.dim):
+    for i in first:
         for j in range(H.dim):
             lhs = {}
             for k, a, b in mul[i][j]:

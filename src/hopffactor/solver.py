@@ -145,7 +145,12 @@ class Branch:
 
     def contains(self, other):
         """Variety containment: other is a subvariety of self."""
-        batch = _Batch(other.subst)
+        return self._holds_under(_Batch(other.subst))
+
+    def _holds_under(self, batch):
+        """Whether every equation v = e of this branch vanishes under
+        `batch`, the substitution of another branch: the one containment
+        rule."""
         for v, e in self.subst.items():
             if not batch.apply(Poly.var(v) - e).is_zero():
                 return False
@@ -473,13 +478,15 @@ def _canonicalize_branches(raw):
     for b in raw:
         seen.setdefault(b.key(), b)
     branches = sorted(seen.values(), key=lambda b: b.key())
+    # one substitution batch per branch, shared by all its containment tests
+    batches = [_Batch(b.subst) for b in branches]
     kept = []
     for i, b in enumerate(branches):
         redundant = False
         for j, other in enumerate(branches):
-            if i == j or not other.contains(b):
+            if i == j or not other._holds_under(batches[i]):
                 continue
-            if not b.contains(other) or j < i:
+            if not b._holds_under(batches[j]) or j < i:
                 redundant = True
                 break
         if not redundant:

@@ -55,6 +55,10 @@ ALLOWLIST = {
     # the content split v*q = 0 -> v = 0 | q = 0 builds its quotient only
     # once chosen, and no system of the command line chooses one
     "poly:Poly.divide_by_var": "failure path: tests/test_solver.py::test_product_split",
+    # containment of one public Branch in another; the solver's own
+    # canonicalisation applies the same rule through batches it builds once
+    # per branch, so only library callers reach this entry point
+    "solver:Branch.contains": "failure path: tests/test_solver.py::test_branch_containment",
     "hopf:AxiomCheck.__repr__": "protocol: repr",
     "hopf:AxiomReport.__repr__": "protocol: repr",
     "hopf:HopfAlgebraData.__repr__": "protocol: repr",

@@ -383,6 +383,69 @@ def test_left_families_then_right_solve_reach_the_same_pairs(search_result, monk
     assert [(u, len(s.branches)) for u, s in calls[1:] if not right <= set(u)] == [((), 1)] * 4
 
 
+def _left_rule_at(Lf, R, u, w, v):
+    """u |> (wv) - sum (u1 |> w1)((u2 <| w2) |> v) in H4 coordinates, by plain
+    Poly arithmetic on the table entries."""
+    h8, h4 = Lf.h8, Lf.h4
+    diff = [Poly() for _ in range(h4.dim)]
+    for m, c in h4.mul[w][v]:
+        for k, p in enumerate(Lf.entry(u, m)):
+            diff[k] = diff[k] + p * c
+    for cu, u1, u2 in h8.comul[u]:
+        for cw, w1, w2 in h4.comul[w]:
+            through = [Poly() for _ in range(h4.dim)]
+            for q, rq in enumerate(R.entry(u2, w2)):
+                for t, lt in enumerate(Lf.entry(q, v)):
+                    through[t] = through[t] + rq * lt
+            for s, ds in enumerate(Lf.entry(u1, w1)):
+                for t, pt in enumerate(through):
+                    for m, cm in h4.mul[s][t]:
+                        diff[m] = diff[m] - ds * pt * (cu * cw * cm)
+    return diff
+
+
+def test_dead_left_families_fail_the_left_product_rule_at_gx_g(left_solutions):
+    # with the family substituted and the right table symbolic, the left
+    # product rule at (u, GX, G) has a nonzero constant coordinate for the 12
+    # families without a partner, whatever the right action and the family's
+    # parameters; the search settles them at that constant
+    from hopffactor.actions import _obstruction
+
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    GX, G = L.h4.index["GX"], L.h4.index["G"]
+    dead = []
+    for n, family in enumerate(left_solutions.branches):
+        Lf = L.substitute(family)
+        constants = [
+            p for u in range(L.h8.dim) for p in _left_rule_at(Lf, R, u, GX, G)
+            if p.is_const() and not p.is_zero()
+        ]
+        if constants:
+            dead.append(n)
+        assert (_obstruction(Lf, R, {}) is not None) == bool(constants)
+    assert dead == [1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14]
+
+
+def test_right_module_keyed_once_gives_the_canonical_system(left_solutions):
+    # a live family's stage-1 system, with the right-module part keyed
+    # before the family loop, is the canonical system of the concatenation:
+    # the same keys in the same order, and the first-seen constraint of each
+    from hopffactor.actions import (
+        _canonical_system,
+        _keyed_groups,
+        _left_pairing_constraints,
+        _module_coalgebra_constraints,
+    )
+
+    L, R, intern = LeftActionTable.symbolic(), RightActionTable.symbolic(), {}
+    right_module = _module_coalgebra_constraints(R, intern)
+    pairing = _left_pairing_constraints(L.substitute(left_solutions.branches[0]), R, intern)
+    merged = _canonical_system(pairing, _keyed_groups(right_module))
+    expected = _canonical_system(right_module + pairing)
+    assert [p.key() for p in merged] == [p.key() for p in expected]
+    assert all(a is b for a, b in zip(merged, expected))
+
+
 def test_stage_two_fixes_a_right_unknown_that_stage_one_left_free(search_result, monkeypatch):
     # every stage-1 branch of the search is a point, so here one family's
     # stage-1 point comes back with z <| G's ghz coordinate free; stage 2, the

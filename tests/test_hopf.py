@@ -1,6 +1,9 @@
 """Hopf algebra core: axioms, tensor products, group-likes, skew-primitives."""
 
+import gzip
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,9 @@ from hypothesis import strategies as st
 
 from hopffactor.hopf import (
     HopfAlgebraData,
+    _certificate,
+    _generators,
+    acc_outer,
     check_hopf_map,
     grouplikes,
     is_grouplike,
@@ -15,6 +21,8 @@ from hopffactor.hopf import (
     tensor_product,
     verify_axioms,
 )
+from hopffactor.jsonio import algebra_from_json
+from hopffactor.linalg import Mat
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import HALF, I, NEG_I, ONE, ZERO, Scalar
 
@@ -234,6 +242,48 @@ def _delta_product(H, x, y):
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
+def _mutate_comul(H, i, j, k, delta):
+    """H with the (j, k) coefficient of delta(e_i) increased by delta."""
+    comul = [{(a, b): c for c, a, b in triples} for triples in H.comul]
+    comul[i][(j, k)] = comul[i].get((j, k), ZERO) + delta
+    triples = [[(c, a, b) for (a, b), c in t.items() if not c.is_zero()] for t in comul]
+    return HopfAlgebraData(
+        f"{H.name}-mutated", H.basis, H.mul, H.unit, triples, H.counit, H.antipode
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.sampled_from(MUL_DELTAS)
+)
+def test_comul_mutation_witnesses_match_leg_by_leg_products(i, j, k, delta):
+    """A comultiplication mutant keeps H8's multiplication, so associativity
+    is certified from the generators and delta-multiplicativity is tried on
+    the generator pairs first; its witnesses must still be exactly the pairs
+    where H.comultiply and H.multiply leg by leg find the two sides
+    different."""
+    M = _mutate_comul(build_H8(), i, j, k, delta)
+    report = {c.name: c.witnesses for c in verify_axioms(M).checks}
+    assert report["associativity"] == ()
+    assert report["comultiplication-multiplicative"] == _comul_mult_oracle(M)
+
+
+def _comul_mult_oracle(M):
+    """The delta-multiplicativity witnesses by H.comultiply and H.multiply,
+    the delta(1) line first."""
+    e, b = [M.basis_element(n) for n in range(M.dim)], M.basis
+    one_one = {}
+    acc_outer(one_one, ONE, M.unit, M.unit)
+    comul = [] if M.comultiply_dict(M.one()) == one_one else ["delta(1) != 1 (x) 1"]
+    comul += [
+        f"delta({b[p]}*{b[q]}) != delta({b[p]})*delta({b[q]})"
+        for p in range(M.dim)
+        for q in range(M.dim)
+        if M.comultiply_dict(e[p] * e[q]) != _delta_product(M, e[p], e[q])
+    ]
+    return tuple(comul)
+
+
 def _rescaled(H, lam):
     """H on the basis f_i = lam[i] * e_i: the same Hopf algebra, with
     non-real fractions in every table."""
@@ -261,6 +311,139 @@ def test_rescaled_basis_passes(H8, T, which):
     H = {"H8": H8, "H8⊗H4": T}[which]
     lam = [SCALES[i % len(SCALES)] for i in range(H.dim)]
     assert verify_axioms(_rescaled(H, lam)).all_passed
+
+
+def _closure_rank(H, S):
+    """Rank of the closure of span{1} under right multiplication by the
+    e_s, s in S, built by Element arithmetic."""
+    rows, frontier = [H.one()], [H.one()]
+    while frontier:
+        products = [x * H.basis_element(s) for x in frontier for s in S]
+        frontier = []
+        for y in products:
+            if Mat([r.coords for r in rows + [y]]).rank() > len(rows):
+                rows.append(y)
+                frontier.append(y)
+    return len(rows)
+
+
+def _stored_products():
+    root = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    out = []
+    for n in range(1, 5):
+        with gzip.open(root / f"product-{n}.hopf.json.gz", "rt", encoding="utf-8") as fh:
+            out.append(algebra_from_json(json.load(fh)))
+    return out
+
+
+def test_generators_reach_full_rank(H4, H8, T):
+    named = {
+        "H4": ["G", "X"],
+        "H8": ["g", "h", "z"],
+        "H8⊗H4": ["1⊗G", "1⊗X", "g⊗1", "h⊗1", "z⊗1"],
+        "bicrossed": ["1⊗g", "1⊗h", "1⊗z", "G⊗1", "X⊗1"],
+    }
+    lam = [SCALES[i % len(SCALES)] for i in range(T.dim)]
+    for H in [H4, H8, T, *_stored_products(), _rescaled(T, lam)]:
+        S = _generators(H)
+        assert _closure_rank(H, S) == H.dim, H.name
+        if H.name in named:
+            assert [H.basis[s] for s in S] == named[H.name]
+        # H4's two generators reach dim/2, where the full loops run instead
+        assert _certificate(H) == (None if H.dim == 4 else S)
+
+
+def _square_zero(d):
+    """dim d, e_0 a two-sided unit, every other product zero, e_1..e_{d-1}
+    primitive: associative, and delta(e_i e_j) = 0 != e_i (x) e_j + e_j (x) e_i."""
+    mul = [[{} for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        mul[0][i] = mul[i][0] = {i: ONE}
+    comul = [[(ONE, 0, 0)]] + [[(ONE, i, 0), (ONE, 0, i)] for i in range(1, d)]
+    unit = counit = [ONE] + [ZERO] * (d - 1)
+    antipode = [{0: ONE}] + [{i: -ONE} for i in range(1, d)]
+    basis = [f"e{i}" for i in range(d)]
+    return HopfAlgebraData("square-zero", basis, mul, unit, comul, counit, antipode)
+
+
+def _record_loops(monkeypatch):
+    """Record the first-index range of every associativity and
+    delta-multiplicativity loop the battery runs."""
+    from hopffactor import hopf
+
+    firsts = []
+
+    def recording(loop):
+        def run(H, T, first):
+            firsts.append(first)
+            return loop(H, T, first)
+        return run
+
+    for name in ("_associativity_witnesses", "_comul_mult_witnesses"):
+        monkeypatch.setattr(hopf, name, recording(getattr(hopf, name)))
+    return firsts
+
+
+def test_no_small_generating_set_takes_the_full_loops(monkeypatch):
+    # every non-unit basis element joins S, which reaches dim/2: both laws
+    # run on every instance once, with the witness lists of the full loops
+    firsts = _record_loops(monkeypatch)
+    H = _square_zero(16)
+    report = {c.name: c.witnesses for c in verify_axioms(H).checks}
+    assert firsts == [range(16), range(16)]
+    assert report.pop("comultiplication-multiplicative") == tuple(
+        f"delta(e{i}*e{j}) != delta(e{i})*delta(e{j})" for i in range(1, 16) for j in range(1, 16)
+    )
+    assert all(w == () for w in report.values())
+
+
+def _truncated(one_times_x2, delta_one):
+    """k[x]/(x^3) on 1, x, x^2, generated by x, with 1 * x^2 set to
+    `one_times_x2`, delta(1) = delta_one * 1 (x) 1 and delta(x) =
+    delta(x^2) = 0."""
+    mul = [
+        [{0: ONE}, {1: ONE}, one_times_x2],
+        [{1: ONE}, {2: ONE}, {}],
+        [{2: ONE}, {}, {}],
+    ]
+    unit = counit = [ONE, ZERO, ZERO]
+    antipode = [{0: ONE}, {1: -ONE}, {2: ONE}]
+    comul = [[(delta_one, 0, 0)], [], []]
+    return HopfAlgebraData("x^3", ["1", "x", "x2"], mul, unit, comul, counit, antipode)
+
+
+def test_certificate_preconditions_keep_the_full_witness_lists(monkeypatch):
+    # x generates both tables, and the instances (x, y, z) and (x, y) all
+    # pass on them; the instances that fail have 1 first
+    firsts = _record_loops(monkeypatch)
+    # 1 is no left unit (1 * x^2 = 0): no certificate, so associativity runs
+    # every triple and finds (1 x) x != 1 (x x)
+    M = _truncated({}, ONE)
+    report = {c.name: c.witnesses for c in verify_axioms(M).checks}
+    e = [M.basis_element(n) for n in range(3)]
+    expected = tuple(
+        f"(e{p}*e{q})*e{r} != e{p}*(e{q}*e{r}) [{M.basis[p]}, {M.basis[q]}, {M.basis[r]}]"
+        for p in range(3) for q in range(3) for r in range(3)
+        if (e[p] * e[q]) * e[r] != e[p] * (e[q] * e[r])
+    )
+    assert expected and report["associativity"] == expected
+    assert firsts == [range(3), range(3)]
+    # delta(1) = 2 (1 (x) 1): associativity is certified from x alone, but
+    # delta-multiplicativity runs every pair and finds delta(1*1)
+    firsts.clear()
+    M = _truncated({2: ONE}, Scalar(2))
+    report = {c.name: c.witnesses for c in verify_axioms(M).checks}
+    assert report["associativity"] == ()
+    assert report["comultiplication-multiplicative"] == _comul_mult_oracle(M) == (
+        "delta(1) != 1 (x) 1", "delta(1*1) != delta(1)*delta(1)",
+    )
+    assert firsts == [[1], range(3)]
+
+
+def test_generated_algebra_runs_only_the_generator_instances(T, monkeypatch):
+    firsts = _record_loops(monkeypatch)
+    assert verify_axioms(T).all_passed
+    assert firsts == [[1, 2, 4, 8, 16]] * 2
 
 
 def test_split_and_zero_coproduct_terms_pass():
