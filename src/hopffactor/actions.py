@@ -20,6 +20,14 @@ every solution of the whole: no pair is lost.  The search never builds
 the right product rule on a symbolic right table, the costly part of the
 pairing system to generate.
 
+The enumeration and the search impose every law but the exchange
+condition only at generator instances (`hopf._generators`: g, h, z of H8
+and G, X of H4): the acting element of the module law and of delta
+compatibility, and the middle element of each product rule.  Closure
+lemmas, written out above `_generator_indices`, show that each reduced
+system has exactly the solutions of the full one; the builders' default
+of every basis instance serves the independent second route.
+
 Two independent code paths guard against constraint-generation bugs: the
 polynomial systems drive the solver, while `check_*` functions re-evaluate
 every axiom instance on concrete tables with plain scalar arithmetic and
@@ -31,7 +39,8 @@ search: they must emerge from the solver, and the tests pin that they do.
 
 from dataclasses import dataclass
 
-from hopffactor.hopf import _acc as _sacc, acc_outer
+from hopffactor.hopf import _acc as _sacc, _closure, _generates, _generators, acc_outer
+from hopffactor.linalg import rref
 from hopffactor.poly import Poly, _Batch, acc_add, acc_mul, from_acc
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
@@ -172,6 +181,10 @@ class _ActionTable:
     def entry(self, xi, ai):
         return self.entries[(xi, ai)]
 
+    def acting_index(self, xi, ai):
+        """The index of the acting element in the (H8 index, H4 index) key."""
+        return xi if self.side == "left" else ai
+
     def variables(self):
         out = set()
         for row in self.entries.values():
@@ -309,37 +322,38 @@ def _counit_constraints(T, keys, intern):
     return sys
 
 
-def _comultiplication_constraints(T, intern):
-    """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on every basis pair."""
+def _comultiplication_constraints(T, keys, intern):
+    """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on the given (H8, H4)
+    index pairs."""
     h8, h4, acted = T.h8, T.h4, T.acted
     sys = []
-    for xi in range(h8.dim):
-        for ai in range(h4.dim):
-            diff = {}
-            for k, p in enumerate(T.entry(xi, ai)):
-                for c, jj, kk in acted.comul[k]:
-                    acc_add(diff.setdefault((jj, kk), {}), p, c)
-            for c8, x1, x2 in h8.comul[xi]:
-                for c4, a1, a2 in h4.comul[ai]:
-                    f = -(c8 * c4)
-                    right_row = T.entry(x2, a2)
-                    for p_idx, pp in enumerate(T.entry(x1, a1)):
-                        if pp.is_zero():
-                            continue
-                        for q_idx, qq in enumerate(right_row):
-                            if not qq.is_zero():
-                                acc_mul(diff.setdefault((p_idx, q_idx), {}), pp, qq, f)
-            sys += [from_acc(diff[key], intern) for key in sorted(diff)]
+    for xi, ai in keys:
+        diff = {}
+        for k, p in enumerate(T.entry(xi, ai)):
+            for c, jj, kk in acted.comul[k]:
+                acc_add(diff.setdefault((jj, kk), {}), p, c)
+        for c8, x1, x2 in h8.comul[xi]:
+            for c4, a1, a2 in h4.comul[ai]:
+                f = -(c8 * c4)
+                right_row = T.entry(x2, a2)
+                for p_idx, pp in enumerate(T.entry(x1, a1)):
+                    if pp.is_zero():
+                        continue
+                    for q_idx, qq in enumerate(right_row):
+                        if not qq.is_zero():
+                            acc_mul(diff.setdefault((p_idx, q_idx), {}), pp, qq, f)
+        sys += [from_acc(diff[key], intern) for key in sorted(diff)]
     return sys
 
 
-def _module_law_constraints(T, intern):
+def _module_law_constraints(T, intern, acting=None):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
-    right, for every acting pair (u, v) and acted w."""
+    right, for u in `acting` (default every acting index), every acting v
+    and every acted w."""
     act = T.by_acting(T.entries)
     mul, n_acting, n_acted = T.acting.mul, range(T.acting.dim), range(T.acted.dim)
     sys = []
-    for u in n_acting:
+    for u in n_acting if acting is None else acting:
         for v in n_acting:
             first, second = (v, u) if T.side == "left" else (u, v)
             for w in n_acted:
@@ -357,21 +371,27 @@ def _module_law_constraints(T, intern):
     return sys
 
 
-def _module_coalgebra_constraints(T, intern):
+def _module_coalgebra_constraints(T, intern, acting=None):
+    """The unit and counit laws on every instance; delta compatibility and
+    the module law with the acting element in `acting` (default every
+    acting index)."""
     keys = [(xi, ai) for xi in range(T.h8.dim) for ai in range(T.h4.dim)]
+    acted_by = keys if acting is None else [k for k in keys if T.acting_index(*k) in acting]
     return (
         _unit_constraints(T)
         + _counit_constraints(T, keys, intern)
-        + _comultiplication_constraints(T, intern)
-        + _module_law_constraints(T, intern)
+        + _comultiplication_constraints(T, acted_by, intern)
+        + _module_law_constraints(T, intern, acting)
     )
 
 
-def module_coalgebra_system(T):
+def module_coalgebra_system(T, acting=None):
     """Constraints making T a module-coalgebra action on its side: unit
-    actions, compatibility with eps and delta, and the module law on every
-    basis instance."""
-    return _canonical_system(_module_coalgebra_constraints(T, {}))
+    actions, compatibility with eps and delta, and the module law, on every
+    basis instance, or with the acting element in `acting` only, which
+    decides the same actions when `acting` generates the acting algebra
+    (see the lemmas above `_generator_indices`)."""
+    return _canonical_system(_module_coalgebra_constraints(T, {}, acting))
 
 
 # one generator serves both sides; the side-named entry points stay bound
@@ -445,18 +465,21 @@ def _product_constraints(T, O, instances, intern):
     return sys
 
 
-def _rule_instances(T):
-    """Every instance (u, w, v) of T's product rule, u acting, w and v acted."""
+def _rule_instances(T, middle=None):
+    """The instances (u, w, v) of T's product rule, u acting and v acted,
+    with the middle element w in `middle` (default every acted index)."""
     n_acting, n_acted = range(T.acting.dim), range(T.acted.dim)
-    return [(u, w, v) for u in n_acting for w in n_acted for v in n_acted]
+    middle = n_acted if middle is None else middle
+    return [(u, w, v) for u in n_acting for w in middle for v in n_acted]
 
 
-def _left_pairing_constraints(L, R, intern):
+def _left_pairing_constraints(L, R, intern, middle=None):
     """The pairing conditions that multiply no two right entries: the left
-    product rule and the exchange condition on every basis instance.  Once
-    L is fixed they are linear in R's entries."""
+    product rule, with its middle element in `middle` (default every H4
+    index), and the exchange condition on every basis instance.  Once L is
+    fixed they are linear in R's entries."""
     exchange = [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)]
-    return _product_constraints(L, R, _rule_instances(L), intern) + _exchange_constraints(
+    return _product_constraints(L, R, _rule_instances(L, middle), intern) + _exchange_constraints(
         L, R, exchange, intern
     )
 
@@ -473,6 +496,99 @@ def matched_pair_system(cand):
     )
 
 
+# -- generator instances -----------------------------------------------------------
+#
+# Each law below is linear in one of its elements, and the elements at which
+# it holds for all values of the others form a subspace.  When that subspace
+# holds 1 and is closed under products, and S generates the algebra (the
+# closure of span{1} under right multiplication by the e_s, s in S, is all
+# of it; `hopf._generates`), the instances with that element in S prove
+# every instance.  The module law and delta compatibility are of that kind;
+# the product rules take one more step.  Sums over coproduct legs are
+# implicit (u1 (x) u2 is delta(u)), and the module laws are written for
+# the left action |> of H8 on H4.
+#
+# Module law.  C = {u : (uv) |> w = u |> (v |> w) for all v, w} holds 1 by
+# 1 |> w = w.  If a, b lie in C, ((ab)v) |> w = (a(bv)) |> w = a |> ((bv) |> w)
+# = a |> (b |> (v |> w)) = (ab) |> (v |> w), using associativity, then a, b
+# and a (at v = b) in C.  On the right, C = {u : w <| (uv) = (w <| u) <| v
+# for all v, w} and the same steps run mirrored.
+#
+# Delta compatibility, once the module law holds.  B = {x : delta(x |> a) =
+# (x1 |> a1) (x) (x2 |> a2) for all a} holds 1 by delta(1) = 1 (x) 1 and
+# 1 |> a = a.  If x, y lie in B, delta((xy) |> a) = delta(x |> (y |> a)) =
+# (x1 |> (y1 |> a1)) (x) (x2 |> (y2 |> a2)) = ((x1 y1) |> a1) (x) ((x2 y2) |> a2),
+# which is the law at xy because delta(xy) = x1 y1 (x) x2 y2.  The right
+# action runs the same with the acting element on the right.
+#
+# Left product rule, once <| is a module-coalgebra action.  D = {w :
+# u |> (wv) = (u1 |> w1)((u2 <| w2) |> v) for all u, v} holds 1 by
+# u |> 1 = eps(u) 1, u <| 1 = u and delta(1) = 1 (x) 1.  The step to a
+# product also needs the rule at the first legs of one factor, so let
+# D' = {a in D : delta(a) lies in D (x) H4}.  If a lies in D' and b in D,
+#   u |> ((ab)v) = u |> (a(bv)) = (u1 |> a1)((u2 <| a2) |> (bv))
+#                = (u1 |> a1)((u2 <| a2) |> b1)(((u3 <| a3) <| b2) |> v)
+#                = (u1 |> (a1 b1))((u2 <| (a2 b2)) |> v),
+# using a, then b with delta(u <| a) = (u1 <| a1) (x) (u2 <| a2), then the
+# rule at the first legs of a (at v = b1, the third legs held apart by
+# coassociativity) and the module law of <|; that is the rule at ab, so
+# D' D lies in D.  Let V = span{1, e_s : s in S}.  V lies in D, and an e_p
+# of V whose first legs are basis vectors of V lies in D'.  So D holds the
+# closure of V under left multiplication by those e_p, and when that
+# closure is H4 the instances with w in S prove every instance.  On H4,
+# G and X qualify: their first legs are G, and 1 and X.
+#
+# Right product rule, once |> is a module-coalgebra action:
+# (vw) <| u = (v <| (w1 |> u1))(w2 <| u2), w in D, a subspace of H8.  It is
+# the op-cop mirror of the left rule, using the module law and
+# comultiplicativity of |>:
+#   (v(ab)) <| u = ((va) <| (b1 |> u1))(b2 <| u2)
+#                = (v <| (a1 |> (b1 |> u1)))(a2 <| (b2 |> u2))(b3 <| u3)
+#                = (v <| ((a1 b1) |> u1))((a2 b2) <| u2),
+# using b, then a with delta(b |> u) = (b1 |> u1) (x) (b2 |> u2), then the
+# rule at the second legs of b (at v = a2) and the module law of |>.  So
+# D D' lies in D for D' = {b in D : delta(b) lies in H8 (x) D}, and D holds
+# the closure of V under right multiplication by the e_p of V whose second
+# legs are basis vectors of V.  On H8 only g and h qualify: the second
+# legs of z are z and hz.  But zg = hz and zh = gz, so the closure of
+# span{1, g, h, z} under right multiplication by g and h is H8.
+#
+# So the search imposes the module law and delta compatibility with the
+# acting element in the generators: g, h, z in `enumerate_left_actions`
+# and G, X in the right-module part of stage 1.  Stage 1 holds the left
+# product rule at w in {G, X}, which with <|'s laws in the same system
+# gives every instance; stage 2 holds the right product rule at w in
+# {g, h, z}, on left families that satisfy every instance of |>'s laws.
+# Each reduced system has exactly the solutions of the full one.  The
+# exchange condition keeps all 32 instances.  `module_coalgebra_system`,
+# `matched_pair_system`, the union oracle (`tests/oracles.search_system`)
+# and `enumerate_right_actions`, whose stall residual is that of the full
+# system, keep every instance: a second route through other constraints.
+
+
+def _generator_indices(H):
+    """The basis indices a reduced module law or delta compatibility
+    ranges over: `hopf._generators(H)` (g, h, z on H8; G, X on H4), or
+    every index should they not generate H."""
+    S = _generators(H)
+    return S if _generates(H, S) else range(H.dim)
+
+
+def _rule_middles(T):
+    """The middle elements w at which T's product rule is imposed: the
+    `_generator_indices` S of the acted algebra when the closure above,
+    from V = span{1, e_s : s in S} by the e_p whose legs on T's side are
+    basis vectors of V, is all of it; else every index."""
+    H, left = T.acted, T.side == "left"
+    S = _generator_indices(H)
+    span = rref([dict(H.unit_sparse)] + [{s: ONE} for s in S], range(H.dim))
+    inside = {c for c, row in span if row == {c: ONE}}
+    leg = 1 if left else 2
+    P = [s for s in S if all(t[leg] in inside for t in H.comul[s])]
+    closed = _closure(H, span, [row for _, row in span], P, P, left)
+    return S if len(closed) == H.dim else range(H.dim)
+
+
 # -- candidates, enumeration & search ---------------------------------------------
 
 
@@ -484,9 +600,12 @@ class MatchedPairCandidate:
 
 
 def enumerate_left_actions():
-    """All left module-coalgebra actions of H8 on H4, as solver branches."""
+    """All left module-coalgebra actions of H8 on H4, as solver branches.
+    The module law and delta compatibility are imposed with g, h or z
+    acting, which decides the same actions (see the lemmas above
+    `_generator_indices`)."""
     L = LeftActionTable.symbolic()
-    system = module_coalgebra_system(L)
+    system = module_coalgebra_system(L, _generator_indices(L.acting))
     return solve(system, var_universe=L.variables())
 
 
@@ -523,6 +642,15 @@ def matched_pair_search():
     rest of the system, so the composed branches are the solutions of the
     whole system: no pair is lost.  Every pair is then re-checked directly.
 
+    Each system holds its laws at generator instances only: the right
+    module-coalgebra laws with G or X acting and the left product rule with
+    G or X as its middle element in stage 1, the right product rule with g,
+    h or z as its middle element in stage 2, and the exchange condition on
+    every instance.  By the lemmas above `_generator_indices` every
+    solution satisfies every basis instance; a family without a partner is
+    settled at a nonzero constant of the full left product rule
+    (`_obstruction`).
+
     The solution set holds the composed branches over both tables'
     unknowns, in canonical order, and the provenance of the left
     enumeration followed by that of the per-family solves."""
@@ -543,10 +671,13 @@ def _then(outer, inner):
 
 def _obstruction(Lf, R, intern):
     """A nonzero constant among the left product rule's constraints at the
-    instances (u, GX, G), or None.  Such a constant is part of the family's
-    stage-1 system whatever the right table, so the system has no solution.
-    On this input it names the obstruction of all 12 left families without
-    a partner, and of no other."""
+    instances (u, GX, G), or None.  GX is no generator, so these are not
+    constraints of the reduced stage-1 system; they are instances of the
+    full left product rule, which every solution of that system satisfies
+    (see the lemmas above `_generator_indices`).  So such a constant,
+    whatever the right table, leaves the family's stage-1 system without a
+    solution.  On this input it names the obstruction of all 12 left
+    families without a partner, and of no other."""
     GX, G = Lf.h4.index["GX"], Lf.h4.index["G"]
     probe = [(u, GX, G) for u in range(Lf.h8.dim)]
     return next(
@@ -560,17 +691,23 @@ def _matched_pair_search_uncached():
     R = RightActionTable.symbolic()
     left = enumerate_left_actions()
     intern = {}
-    right_module = _keyed_groups(_module_coalgebra_constraints(R, intern))
-    right_rule = _rule_instances(R)
+    right_module = _keyed_groups(
+        _module_coalgebra_constraints(R, intern, _generator_indices(R.acting))
+    )
+    left_middle = _rule_middles(L)
+    right_rule = _rule_instances(R, _rule_middles(R))
     branches, provenance = [], list(left.provenance)
     for family in left.branches:
         Lf = L.substitute(family)
         dead = _obstruction(Lf, R, intern)
         if dead is None:
-            system = _canonical_system(_left_pairing_constraints(Lf, R, intern), right_module)
+            system = _canonical_system(
+                _left_pairing_constraints(Lf, R, intern, left_middle), right_module
+            )
         else:
-            # the whole stage-1 system holds this constant, so it and the
-            # constant alone both solve to no branch and no provenance
+            # every solution of the stage-1 system makes this constant
+            # zero, so it and the constant alone both solve to no branch
+            # and no provenance
             system = [dead]
         first = solve(system, var_universe=list(family.free) + R.variables())
         provenance += first.provenance

@@ -399,8 +399,7 @@ def _generators(H):
     the closure on tables that no small set generates.  When 1 is a left
     unit and S stays below dim/2, the closure of S is all of H."""
     d = H.dim
-    columns = range(d)
-    span = rref([dict(H.unit_sparse)], columns)
+    span = rref([dict(H.unit_sparse)], range(d))
     S = []
     for i in range(d):
         if dict(span).get(i) == {i: ONE}:
@@ -408,24 +407,40 @@ def _generators(H):
         S.append(i)
         if 2 * len(S) >= d:
             break
-        # span was closed under S without i: its products with e_i are new,
-        # then each round multiplies only the rows that extend the span (its
-        # rows at new pivot columns, a complement of the old span) by all of S
-        frontier, gens = [row for _, row in span], [i]
-        while frontier:
-            products = [_times(H, row, s) for row in frontier for s in gens]
-            grown = rref([row for _, row in span] + products, columns)
-            old = {c for c, _ in span}
-            frontier = [row for c, row in grown if c not in old]
-            span, gens = grown, S
+        # span was closed under S without i: only its products with e_i are new
+        span = _closure(H, span, [row for _, row in span], [i], S)
     return S
 
 
-def _times(H, row, s):
-    """The sparse vector row * e_s."""
+def _generates(H, S):
+    """Whether the closure of span{1} under right multiplication by the e_s
+    of S is all of H, so that a subspace holding 1 and the e_s and closed
+    under products is H."""
+    span = rref([dict(H.unit_sparse)], range(H.dim))
+    return len(_closure(H, span, [row for _, row in span], S, S)) == H.dim
+
+
+def _closure(H, span, frontier, first, S, left=False):
+    """The closure of `span` (rref pairs) under right multiplication by the
+    e_s of S (left multiplication when `left`), when only the products of
+    the rows `frontier` by the e_s of `first` may lie outside it.  Each
+    later round multiplies only the rows that extend the span (its rows at
+    new pivot columns, a complement of the old span) by all of S."""
+    columns, gens = range(H.dim), first
+    while frontier:
+        products = [_times(H, row, s, left) for row in frontier for s in gens]
+        grown = rref([row for _, row in span] + products, columns)
+        old = {c for c, _ in span}
+        frontier = [row for c, row in grown if c not in old]
+        span, gens = grown, S
+    return span
+
+
+def _times(H, row, s, left=False):
+    """The sparse vector row * e_s, or e_s * row when `left`."""
     acc = {}
     for k, c in row.items():
-        for m, cm in H.mul[k][s]:
+        for m, cm in H.mul[s][k] if left else H.mul[k][s]:
             _acc(acc, m, c * cm)
     return acc
 
@@ -833,12 +848,14 @@ def _enumerate_grouplikes(H):
 
 
 def skew_primitives(H, a, b):
-    """Basis of {x : delta(x) = x (x) a + b (x) x} for group-likes a, b."""
-    if not is_grouplike(H, a) or not is_grouplike(H, b):
-        raise ValueError("skew-primitive spaces need group-like anchors")
+    """Basis of {x : delta(x) = x (x) a + b (x) x} for group-likes a, b.
+    The anchors are checked on a cache miss only: a hit means the same
+    anchors on the same coalgebra passed the check before."""
     cache_key = (H.coalgebra_key(), a.coords_key(), b.coords_key())
     if cache_key in _SKEW_CACHE:
         return tuple(H.element(c) for c in _SKEW_CACHE[cache_key])
+    if not is_grouplike(H, a) or not is_grouplike(H, b):
+        raise ValueError("skew-primitive spaces need group-like anchors")
     d = H.dim
     rows = {}
     for i in range(d):

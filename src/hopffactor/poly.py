@@ -131,9 +131,6 @@ class Poly:
             self._degree = max(map(len, self.terms), default=0)
         return self._degree
 
-    def degree_in(self, var):
-        return max((m.count(var) for m in self.terms), default=0)
-
     def coeff(self, mono_parts):
         try:
             j = self.terms.index(tuple(sorted(mono_parts)))

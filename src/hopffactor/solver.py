@@ -344,12 +344,9 @@ def _split_options(p, full):
     chooses the option.
     """
     options = []
-    pvars = p.variables()
-    univariate = len(pvars) == 1
+    univariate = len(p.variables()) == 1
     if full or univariate:
-        for var in pvars:
-            if p.degree_in(var) != 2:
-                continue
+        for var in _quadratic_unknowns(p):
             quad = p.as_quadratic_in(var)
             if quad is None:
                 continue
@@ -381,6 +378,22 @@ def _split_options(p, full):
         options.append((2, "content", cv, None))
     options.sort(key=lambda opt: (opt[0], opt[2]))
     return tuple(options)
+
+
+def _quadratic_unknowns(p):
+    """The unknowns of degree exactly 2 in p, sorted, from one pass over its
+    monomials: in a sorted monomial the copies of an unknown are adjacent."""
+    degree = {}
+    for m in p.terms:
+        run = 1
+        for j in range(1, len(m)):
+            if m[j] == m[j - 1]:
+                run += 1
+                if run > degree.get(m[j], 1):
+                    degree[m[j]] = run
+            else:
+                run = 1
+    return sorted(v for v, d in degree.items() if d == 2)
 
 
 def solve(system, split_budget=_DEFAULT_BUDGET, var_universe=None):

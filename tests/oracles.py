@@ -7,7 +7,7 @@ They stand apart from the engine's own paths (`from_generators` builds the
 tables, `_Batch` substitutes), so tests can check those paths against
 them.  The union route of the matched-pair search solves both tables'
 systems and the whole pairing system as one system; the tests hold the
-per-family search to it.
+per-family search to it, and count the moves of a solve to pin its shape.
 """
 
 import functools
@@ -22,6 +22,7 @@ from hopffactor.actions import (
     _product_constraints,
     _rule_instances,
 )
+from hopffactor import solver
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import ONE, ZERO, Scalar
 from hopffactor.solver import solve
@@ -134,11 +135,48 @@ def union_solve():
 
 
 @functools.cache
+def _union_run():
+    sol, shape = search_shape(union_solve)
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    pairs = tuple(MatchedPairCandidate(L.substitute(b), R.substitute(b)) for b in sol.branches)
+    return pairs, sol, shape
+
+
 def union_route():
     """The union route's (candidates, solution set), solved once per
     session: each branch substituted into both symbolic tables, in branch
     order and with the status still "unchecked"."""
-    sol = union_solve()
-    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
-    pairs = tuple(MatchedPairCandidate(L.substitute(b), R.substitute(b)) for b in sol.branches)
-    return pairs, sol
+    return _union_run()[:2]
+
+
+def union_shape():
+    """The `search_shape` counts of the one solve behind `union_route`."""
+    return _union_run()[2]
+
+
+# -- the shape of a search ---------------------------------------------------------
+
+
+def search_shape(run):
+    """(run(), (linear batches, forced moves, branching splits)): the
+    solver's linear batches and the splits `find_split` returns, by number
+    of cases, counted over every solve that run() makes."""
+    counts = {"linear": 0, "forced": 0, "branching": 0}
+    solve_linear, find_split = solver._solve_linear, solver._Node.find_split
+
+    def counted_solve_linear(linear):
+        counts["linear"] += 1
+        return solve_linear(linear)
+
+    def counted_find_split(node):
+        split = find_split(node)
+        if split is not None:
+            counts["forced" if len(split[5]) == 1 else "branching"] += 1
+        return split
+
+    solver._solve_linear, solver._Node.find_split = counted_solve_linear, counted_find_split
+    try:
+        result = run()
+    finally:
+        solver._solve_linear, solver._Node.find_split = solve_linear, find_split
+    return result, (counts["linear"], counts["forced"], counts["branching"])

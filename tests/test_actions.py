@@ -18,11 +18,14 @@ from hopffactor.actions import (
     left_module_coalgebra_system,
     matched_pair_search,
     matched_pair_system,
+    module_coalgebra_system,
     right_module_coalgebra_system,
     settle_status,
     x_action_circulant_system,
 )
-from hopffactor.poly import Poly
+from hopffactor.hopf import _generators
+from hopffactor.poly import Poly, _Batch
+from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import HALF, I, ONE, ZERO, Scalar
 from hopffactor.solver import Branch, IrreducibleSystemError, SolutionSet, solve
 from oracles import (
@@ -531,6 +534,108 @@ def test_settle_status_follows_the_direct_checks():
     assert module != []
     assert settle_status(broken) == module + check_matched_pair(broken)
     assert broken.status == "unchecked"
+
+
+# -- generator instances --------------------------------------------------------------
+
+
+def test_instance_sets_are_the_generators_of_the_acting_algebra(monkeypatch):
+    # the left enumeration reduces over H8 acting; the search's right-module
+    # part over H4 acting, stage 1 over H4 in the middle, stage 2 over H8
+    from hopffactor import actions
+
+    H8, H4 = build_H8(), build_H4()
+    assert [H8.basis[s] for s in actions._generator_indices(H8)] == ["g", "h", "z"]
+    assert [H4.basis[s] for s in actions._generator_indices(H4)] == ["G", "X"]
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    assert actions._rule_middles(L) == _generators(H4)
+    assert actions._rule_middles(R) == _generators(H8)
+    real, seen = actions._generator_indices, []
+
+    def recording(H):
+        seen.append((H.name, real(H)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(actions, "_generator_indices", recording)
+    actions._matched_pair_search_uncached()
+    assert [name for name, _ in seen] == ["H8", "H4", "H4", "H8"]
+    assert all(S == _generators(H8 if name == "H8" else H4) for name, S in seen)
+
+
+def test_instance_set_falls_back_to_every_index(monkeypatch):
+    # g and h alone do not generate H8 (z is missing), so no law is reduced
+    from hopffactor import actions
+
+    H8 = build_H8()
+    monkeypatch.setattr(actions, "_generators", lambda H: [H.index["g"], H.index["h"]])
+    assert actions._generator_indices(H8) == range(H8.dim)
+
+
+def test_rule_middles_fall_back_unless_the_closure_reaches_everything(monkeypatch):
+    # from w = z alone the right rule's closure stays at span{1, z}: the
+    # second legs of z include hz, so no e_p qualifies to multiply by
+    from hopffactor import actions
+
+    R = RightActionTable.symbolic()
+    z = R.acted.index["z"]
+    monkeypatch.setattr(actions, "_generator_indices", lambda H: [z])
+    assert actions._rule_middles(R) == range(8)
+
+
+def test_left_branches_satisfy_the_full_module_coalgebra_system(left_solutions):
+    # the enumeration solves 413 generator-instance constraints; every
+    # family must satisfy all 939 of the full system, parameters free
+    from hopffactor import actions
+
+    L = LeftActionTable.symbolic()
+    assert len(module_coalgebra_system(L, actions._generator_indices(L.acting))) == 413
+    full = module_coalgebra_system(L)
+    assert len(full) == 939
+    for branch in left_solutions.branches:
+        batch = _Batch(branch.subst)
+        assert [p for p in full if not batch.apply(p).is_zero()] == []
+
+
+def test_live_stage_one_branches_satisfy_every_instance(left_solutions, monkeypatch):
+    # stage 1 imposes the right-module laws with G or X acting and the left
+    # product rule with G or X in the middle; its four points must satisfy
+    # the full right-module system and the left product rule at all 128
+    # instances (u, w, v), evaluated by plain Poly arithmetic
+    from hopffactor import actions
+
+    calls = _recording_solve(monkeypatch)
+    actions._matched_pair_search_uncached()
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    right = set(R.variables())
+    stage1 = [s for universe, s in calls[1:] if right <= set(universe)]
+    assert len(stage1) == len(left_solutions.branches) == 16
+    instances = [(u, w, v) for u in range(8) for w in range(4) for v in range(4)]
+    assert len(instances) == 128
+    live = 0
+    for family, sol in zip(left_solutions.branches, stage1):
+        Lf = L.substitute(family)
+        for branch in sol.branches:
+            live += 1
+            Ls, Rs = Lf.substitute(branch), R.substitute(branch)
+            assert [p for p in module_coalgebra_system(Rs) if not p.is_zero()] == []
+            for u, w, v in instances:
+                assert all(p.is_zero() for p in _left_rule_at(Ls, Rs, u, w, v))
+    assert live == 4
+
+
+def test_left_enumeration_without_z_instances_does_not_decide(monkeypatch):
+    # g and h do not generate H8: with z dropped from the instance set the
+    # reduced system no longer pins the sixteen families, and the solver
+    # stops on quadratics in the z entries it cannot split
+    from hopffactor import actions
+
+    real = actions._generator_indices
+    monkeypatch.setattr(
+        actions, "_generator_indices",
+        lambda H: [s for s in real(H) if H.basis[s] != "z"],
+    )
+    with pytest.raises(IrreducibleSystemError, match="no-applicable-rule"):
+        enumerate_left_actions()
 
 
 # -- negative controls ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hopf algebra core: axioms, tensor products, group-likes, skew-primitives."""
 
 import gzip
+import itertools
 import json
 import random
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hopffactor.hopf import (
     HopfAlgebraData,
     _certificate,
+    _generates,
     _generators,
     acc_outer,
     check_hopf_map,
@@ -353,6 +355,19 @@ def test_generators_reach_full_rank(H4, H8, T):
         assert _certificate(H) == (None if H.dim == 4 else S)
 
 
+def test_generates_is_the_closure_rank(H4, H8):
+    # any two of g, h, z but {g, h} generate H8; X alone spans only 1, X
+    for H in (H4, H8):
+        for size in (1, 2, 3):
+            for S in itertools.combinations(range(1, H.dim), size):
+                assert _generates(H, list(S)) == (_closure_rank(H, S) == H.dim), S
+    g, h, z = (H8.index[n] for n in ("g", "h", "z"))
+    assert _generates(H8, [h, z]) and _generates(H8, [g, z]) and not _generates(H8, [g, h])
+    assert not _generates(H4, [H4.index["X"]])
+    # the greedy stops at dim/2, before the closure of its last pick
+    assert _generators(_square_zero(4)) == [1, 2] and not _generates(_square_zero(4), [1, 2])
+
+
 def _square_zero(d):
     """dim d, e_0 a two-sided unit, every other product zero, e_1..e_{d-1}
     primitive: associative, and delta(e_i e_j) = 0 != e_i (x) e_j + e_j (x) e_i."""
@@ -563,6 +578,26 @@ def test_skew_primitive_h8_pairs(H8):
 def test_skew_primitives_need_grouplike_anchors(H8):
     with pytest.raises(ValueError):
         skew_primitives(H8, H8.basis_element("z"), H8.one())
+
+
+def test_skew_primitives_check_the_anchors_on_a_cache_miss_only(H8, monkeypatch):
+    from hopffactor import hopf
+
+    checked = []
+
+    def counting(H, x):
+        checked.append(x)
+        return is_grouplike(H, x)
+
+    monkeypatch.setattr(hopf, "_SKEW_CACHE", {})
+    monkeypatch.setattr(hopf, "is_grouplike", counting)
+    g, one = H8.basis_element("g"), H8.one()
+    first = skew_primitives(H8, g, one)
+    assert checked == [g, one]
+    assert skew_primitives(H8, g, one) == first and checked == [g, one]
+    with pytest.raises(ValueError):
+        skew_primitives(H8, H8.basis_element("z"), one)
+    assert checked == [g, one, H8.basis_element("z")]
 
 
 def test_skew_primitive_delta_condition(H8):

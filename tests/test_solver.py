@@ -286,6 +286,14 @@ def test_apply_batch_reports_a_nonzero_constant():
 # -- split analyses, by tier -----------------------------------------------------
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("xyz"), max_size=4), max_size=6))
+def test_quadratic_unknowns_are_those_of_degree_two(monomials):
+    p = Poly({tuple(m): Scalar(k + 1) for k, m in enumerate(monomials)})
+    expected = [v for v in p.variables() if max(m.count(v) for m in p.terms) == 2]
+    assert solver._quadratic_unknowns(p) == expected
+
+
 def test_split_options_by_tier():
     # x^2 + x*y: the cheap tier gives only the content x; the full tier adds
     # the quadratic in x, whose discriminant y^2 is a square
