@@ -256,61 +256,43 @@ class RightActionTable(_ActionTable):
 #
 # The generators accumulate each law's lhs minus its rhs in one accumulator
 # of Gaussian-integer numerators (see `poly.acc_add`), with the algebras'
-# Scalar structure constants, their products and -1 as factors.  The
-# builders take the `intern` dict of the system they contribute to, and
-# `from_acc` shares the monomials and numerator pairs of the constraints
-# through it.  The sharing and the grouped sort of `_canonical_system`
-# serve the union route (`tests/oracles.search_system`): its ~180k terms
-# then hold one tuple per distinct pair (six) and per distinct monomial,
-# not one per term.  tests/test_engine_pins.py pins both, through
-# `test_search_system_shares_pairs_and_monomials` and the traced
-# ceilings.  The builders return raw lists;
-# `_canonical_system` makes the system the solver sees.
+# Scalar structure constants, their products and -1 as factors, and
+# return raw lists; `_canonical_system` makes the system the solver sees.
+# The constraints share no monomial or numerator-pair tuples: the one
+# sharing table is the solver's, for the terms its batches build (see
+# `solver._Node`).
 
 
 def _canonical_system(polys, keyed=None):
     """The nonzero constraints, one per key, ordered by degree, unknown
-    count and key.  Equal keys share a degree and an unknown count, so the
-    constraints are sorted one (degree, unknown count) group at a time:
-    each key is computed once, and only one group's keys exist at once.
+    count and key.
 
     `keyed`, the `_keyed_groups` of constraints `earlier`, makes the result
     that of `_canonical_system(earlier + polys)`, the same order and the
     same first-seen constraint per key, without keying `earlier` again."""
-    groups = {}
-    for p in polys:
-        if p.terms:
-            groups.setdefault((p.degree(), len(p.variables())), []).append(p)
-    keyed = keyed or {}
-    out = []
-    for shape in sorted(groups.keys() | keyed.keys()):
-        seen = dict(keyed.get(shape, ()))
-        for p in groups.pop(shape, ()):
-            seen.setdefault(p.key(), p)
-        out.extend(seen[k] for k in sorted(seen))
-    return out
+    seen = _keyed_groups(polys, keyed)
+    return [seen[k] for k in sorted(seen)]
 
 
-def _keyed_groups(polys):
-    """{(degree, unknown count): {key: first nonzero constraint of that
-    key}}, keys in sorted order, for `_canonical_system`."""
-    groups = {}
+def _keyed_groups(polys, keyed=None):
+    """{(degree, unknown count, key): first nonzero constraint of that
+    key}, over the constraints of `keyed` and then `polys`."""
+    seen = dict(keyed or {})
     for p in polys:
         if p.terms:
-            groups.setdefault((p.degree(), len(p.variables())), {}).setdefault(p.key(), p)
-    return {shape: dict(sorted(seen.items())) for shape, seen in groups.items()}
+            seen.setdefault((p.degree(), len(p.variables()), p.key()), p)
+    return seen
 
 
 def _unit_constraints(T):
     """1 . w = w for the acting unit and u . 1 = eps(u) 1 for the acted one.
-    All zero on symbolic tables, whose unit entries are structural, so
-    they take no sharing dict."""
+    All zero on symbolic tables, whose unit entries are structural."""
     act = T.by_acting(T.entries)
     keys = [(0, w) for w in range(T.acted.dim)] + [(u, 0) for u in range(T.acting.dim)]
     return [p - q for key in keys for p, q in zip(act[key], T.unit_row(*key))]
 
 
-def _counit_constraints(T, keys, intern):
+def _counit_constraints(T, keys):
     """eps(x . a) = eps(x) eps(a) on the given (H8, H4) index pairs."""
     sys = []
     for xi, ai in keys:
@@ -318,11 +300,11 @@ def _counit_constraints(T, keys, intern):
         for k, p in enumerate(T.entry(xi, ai)):
             acc_add(acc, p, T.acted.counit[k])
         acc_add(acc, _P_ONE, -(T.h8.counit[xi] * T.h4.counit[ai]))
-        sys.append(from_acc(acc, intern))
+        sys.append(from_acc(acc))
     return sys
 
 
-def _comultiplication_constraints(T, keys, intern):
+def _comultiplication_constraints(T, keys):
     """delta(x . a) = sum (x1 . a1) (x) (x2 . a2) on the given (H8, H4)
     index pairs."""
     h8, h4, acted = T.h8, T.h4, T.acted
@@ -342,11 +324,11 @@ def _comultiplication_constraints(T, keys, intern):
                     for q_idx, qq in enumerate(right_row):
                         if not qq.is_zero():
                             acc_mul(diff.setdefault((p_idx, q_idx), {}), pp, qq, f)
-        sys += [from_acc(diff[key], intern) for key in sorted(diff)]
+        sys += [from_acc(diff[key]) for key in sorted(diff)]
     return sys
 
 
-def _module_law_constraints(T, intern, acting=None):
+def _module_law_constraints(T, acting=None):
     """(uv) . w = u . (v . w) on the left, w . (uv) = (w . u) . v on the
     right, for u in `acting` (default every acting index), every acting v
     and every acted w."""
@@ -367,11 +349,11 @@ def _module_law_constraints(T, intern, acting=None):
                     for m, q in enumerate(act[(second, k)]):
                         if not q.is_zero():
                             acc_mul(diff[m], p, q, -1)
-                sys += [from_acc(d, intern) for d in diff]
+                sys += [from_acc(d) for d in diff]
     return sys
 
 
-def _module_coalgebra_constraints(T, intern, acting=None):
+def _module_coalgebra_constraints(T, acting=None):
     """The unit and counit laws on every instance; delta compatibility and
     the module law with the acting element in `acting` (default every
     acting index)."""
@@ -379,9 +361,9 @@ def _module_coalgebra_constraints(T, intern, acting=None):
     acted_by = keys if acting is None else [k for k in keys if T.acting_index(*k) in acting]
     return (
         _unit_constraints(T)
-        + _counit_constraints(T, keys, intern)
-        + _comultiplication_constraints(T, acted_by, intern)
-        + _module_law_constraints(T, intern, acting)
+        + _counit_constraints(T, keys)
+        + _comultiplication_constraints(T, acted_by)
+        + _module_law_constraints(T, acting)
     )
 
 
@@ -391,14 +373,14 @@ def module_coalgebra_system(T, acting=None):
     basis instance, or with the acting element in `acting` only, which
     decides the same actions when `acting` generates the acting algebra
     (see the lemmas above `_generator_indices`)."""
-    return _canonical_system(_module_coalgebra_constraints(T, {}, acting))
+    return _canonical_system(_module_coalgebra_constraints(T, acting))
 
 
 # one generator serves both sides; the side-named entry points stay bound
 left_module_coalgebra_system = right_module_coalgebra_system = module_coalgebra_system
 
 
-def _exchange_constraints(L, R, instances, intern):
+def _exchange_constraints(L, R, instances):
     """h1 <| a1 (x) h2 |> a2 = h2 <| a2 (x) h1 |> a1, coordinatewise in
     H8 (x) H4."""
     h8, h4 = L.h8, L.h4
@@ -415,11 +397,11 @@ def _exchange_constraints(L, R, instances, intern):
                         for p_idx, pp in enumerate(L.entries[l_key]):
                             if not pp.is_zero():
                                 acc_mul(diff.setdefault((q_idx, p_idx), {}), qq, pp, sign)
-        sys += [from_acc(diff[key], intern) for key in sorted(diff)]
+        sys += [from_acc(diff[key]) for key in sorted(diff)]
     return sys
 
 
-def _product_constraints(T, O, instances, intern):
+def _product_constraints(T, O, instances):
     """The product rule of T against the other table O on instances
     (u, w, v), u acting and w, v acted: u |> (wv) = (u1 |> w1)((u2 <| w2) |> v)
     on the left, (vw) <| u = (v <| (w1 |> u1))(w2 <| u2) on the right,
@@ -461,7 +443,7 @@ def _product_constraints(T, O, instances, intern):
                             continue
                         for m, cm in acted.mul[s][t]:
                             acc_mul(diff[m], ps, pt, f * cm)
-        sys += [from_acc(d, intern) for d in diff]
+        sys += [from_acc(d) for d in diff]
     return sys
 
 
@@ -473,14 +455,14 @@ def _rule_instances(T, middle=None):
     return [(u, w, v) for u in n_acting for w in middle for v in n_acted]
 
 
-def _left_pairing_constraints(L, R, intern, middle=None):
+def _left_pairing_constraints(L, R, middle=None):
     """The pairing conditions that multiply no two right entries: the left
     product rule, with its middle element in `middle` (default every H4
     index), and the exchange condition on every basis instance.  Once L is
     fixed they are linear in R's entries."""
     exchange = [(hi, ai) for hi in range(L.h8.dim) for ai in range(L.h4.dim)]
-    return _product_constraints(L, R, _rule_instances(L, middle), intern) + _exchange_constraints(
-        L, R, exchange, intern
+    return _product_constraints(L, R, _rule_instances(L, middle)) + _exchange_constraints(
+        L, R, exchange
     )
 
 
@@ -489,10 +471,9 @@ def matched_pair_system(cand):
     rules for |> and <| and the exchange condition, compiled on every basis
     instance.  Facts like the circulant shape of the G-action matrix are
     consequences of this system, never inputs."""
-    L, R, intern = cand.left, cand.right, {}
+    L, R = cand.left, cand.right
     return _canonical_system(
-        _left_pairing_constraints(L, R, intern)
-        + _product_constraints(R, L, _rule_instances(R), intern)
+        _left_pairing_constraints(L, R) + _product_constraints(R, L, _rule_instances(R))
     )
 
 
@@ -669,7 +650,7 @@ def _then(outer, inner):
     return Branch(subst, inner.free)
 
 
-def _obstruction(Lf, R, intern):
+def _obstruction(Lf, R):
     """A nonzero constant among the left product rule's constraints at the
     instances (u, GX, G), or None.  GX is no generator, so these are not
     constraints of the reduced stage-1 system; they are instances of the
@@ -681,7 +662,7 @@ def _obstruction(Lf, R, intern):
     GX, G = Lf.h4.index["GX"], Lf.h4.index["G"]
     probe = [(u, GX, G) for u in range(Lf.h8.dim)]
     return next(
-        (p for p in _product_constraints(Lf, R, probe, intern) if p.is_const() and p.terms),
+        (p for p in _product_constraints(Lf, R, probe) if p.is_const() and p.terms),
         None,
     )
 
@@ -690,19 +671,16 @@ def _matched_pair_search_uncached():
     L = LeftActionTable.symbolic()
     R = RightActionTable.symbolic()
     left = enumerate_left_actions()
-    intern = {}
-    right_module = _keyed_groups(
-        _module_coalgebra_constraints(R, intern, _generator_indices(R.acting))
-    )
+    right_module = _keyed_groups(_module_coalgebra_constraints(R, _generator_indices(R.acting)))
     left_middle = _rule_middles(L)
     right_rule = _rule_instances(R, _rule_middles(R))
     branches, provenance = [], list(left.provenance)
     for family in left.branches:
         Lf = L.substitute(family)
-        dead = _obstruction(Lf, R, intern)
+        dead = _obstruction(Lf, R)
         if dead is None:
             system = _canonical_system(
-                _left_pairing_constraints(Lf, R, intern, left_middle), right_module
+                _left_pairing_constraints(Lf, R, left_middle), right_module
             )
         else:
             # every solution of the stage-1 system makes this constant
@@ -714,7 +692,7 @@ def _matched_pair_search_uncached():
         for stage1 in first.branches:
             Rs, Ls = R.substitute(stage1), Lf.substitute(stage1)
             second = solve(
-                _canonical_system(_product_constraints(Rs, Ls, right_rule, intern)),
+                _canonical_system(_product_constraints(Rs, Ls, right_rule)),
                 var_universe=stage1.free,
             )
             provenance += second.provenance
@@ -1059,12 +1037,9 @@ def _circulant_system(a_entries, b_entries, column):
     action, for circulant z-blocks (entries Poly or Scalar)."""
     R = _fixed_grouplike_right_table(_circulant(a_entries), _circulant(b_entries))
     L = left_family_instance(1, "a")
-    intern = {}
-    sys = _counit_constraints(
-        R, [(xi, ai) for xi in (4, 5, 6, 7) for ai in range(R.h4.dim)], intern
-    )
-    sys += _module_law_constraints(R, intern)
-    sys += _product_constraints(R, L, [(R.h4.index[column], 4, 4)], intern)
+    sys = _counit_constraints(R, [(xi, ai) for xi in (4, 5, 6, 7) for ai in range(R.h4.dim)])
+    sys += _module_law_constraints(R)
+    sys += _product_constraints(R, L, [(R.h4.index[column], 4, 4)])
     return _canonical_system(sys)
 
 

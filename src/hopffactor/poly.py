@@ -68,11 +68,11 @@ class Poly:
 
     `Poly({monomial: Scalar or int})` builds one from coefficients;
     `Poly(terms, nums, den)` takes tuples already in the reduced numerator
-    form.  Many polynomials may share one monomial or numerator-pair tuple
-    (see `from_acc` and `_build`).  Degree and unknowns are cached, the
-    unknowns as a sorted tuple, a quarter or less of a frozenset's size;
-    `key()` is not, since a system of thousands of constraints would keep
-    every key alive for the whole solve."""
+    form.  The polynomials of one solve share monomial and numerator-pair
+    tuples through the solver's table (see `_Batch`).  Degree and unknowns
+    are cached, the unknowns as a sorted tuple, a quarter or less of a
+    frozenset's size; `key()` is not, since a system of thousands of
+    constraints would keep every key alive for the whole solve."""
 
     __slots__ = ("terms", "nums", "den", "_vars", "_degree")
 
@@ -256,9 +256,9 @@ class Poly:
 def _build(raw, den, intern=None):
     """The Poly of {monomial: (re, im)} sums over den > 0: zero sums
     dropped, den and the numerators divided by their common factor and,
-    with `intern` given, the numerator pairs shared through it.  The
-    monomials are taken as they are, and the tuples come straight from the
-    dict unless some sum cancelled."""
+    with `intern` given (a `_Batch`'s table), the numerator pairs shared
+    through it.  The monomials are taken as they are, and the tuples come
+    straight from the dict unless some sum cancelled."""
     if (0, 0) in raw.values():
         raw = {m: c for m, c in raw.items() if c[0] or c[1]}
     if not raw:
@@ -313,8 +313,8 @@ class _Batch:
     of that denominator's power up to the polynomial's degree.  Products of
     targets are cached for the batch.  The monomials of the targets and
     of the results, and the numerator pairs of the results, are shared
-    through `intern`, which a caller applying many batches (the solver)
-    keeps for all of them and seeds with the monomials of its input."""
+    through `intern`, which the solver keeps for every batch of one solve
+    (see `solver._Node`)."""
 
     __slots__ = ("keys", "zeros", "nonzero", "targets", "scale", "intern", "_products")
 
@@ -477,13 +477,7 @@ def acc_mul(acc, p, q, f=1):
             acc[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
 
-def from_acc(acc, intern=None):
+def from_acc(acc):
     """The Poly of a finished accumulator, which is spent: its scale entry
-    is taken out.  With `intern` given, its monomials and numerator pairs
-    are shared through that dict, which a generator keeps for every
-    constraint of one system."""
-    den = acc.pop(None, 1)
-    if intern is not None:
-        share = intern.setdefault
-        acc = {share(m, m): c for m, c in acc.items() if c[0] or c[1]}
-    return _build(acc, den, intern)
+    is taken out."""
+    return _build(acc, acc.pop(None, 1))

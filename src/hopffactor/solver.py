@@ -210,28 +210,15 @@ def _solve_linear(linear):
     return mapping
 
 
-def _seed(intern, constraints, unknowns):
-    """Put into an empty table every monomial of `constraints` free of
-    `unknowns` and every numerator pair.  The first batch of a solve
-    removes its unknowns for good, so these are the only input monomials
-    that a later substitution can produce again; the search then makes no
-    value-copy of them.  The input stays alive for the soundness pass."""
-    share = intern.setdefault
-    for p in constraints:
-        for m in p.terms:
-            if unknowns.isdisjoint(m):
-                share(m, m)
-        for c in p.nums:
-            share(c, c)
-
-
 class _Node:
     """A search node: constraints still to solve and the substitution made
     so far.  All nodes of one solve share `intern`, the table through which
-    every batch shares its monomials and numerator pairs.  The first batch
-    of the solve finds the table empty and seeds it from the node's
-    constraints (see `_seed`), so the search holds one object per distinct
-    monomial, the input's own where the input has it."""
+    every batch shares its monomials and numerator pairs.  The table serves
+    the right enumeration (`actions.enumerate_right_actions`), whose rounds
+    of batches rebuild about a thousand quadratic constraints until the
+    solve stops on its residual: when batches share nothing, every result
+    holds its own tuples and the traced peak of that solve rises by about a
+    quarter (tests/test_solver_pins.py pins a ceiling between the two)."""
 
     __slots__ = ("intern", "constraints", "subst", "depth")
 
@@ -246,10 +233,7 @@ class _Node:
 
     def apply_batch(self, mapping):
         """Substitute a triangular batch everywhere; False when a nonzero
-        constant constraint appears (dead branch).  The first batch of a
-        solve seeds the shared table first."""
-        if not self.intern:
-            _seed(self.intern, self.constraints, mapping.keys())
+        constant constraint appears (dead branch)."""
         batch = _Batch(mapping, self.intern)
         for v, e in list(self.subst.items()):
             self.subst[v] = batch.apply(e)

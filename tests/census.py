@@ -22,12 +22,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "hopffactor")
 
 # The defs no form calls, "module:qualname" -> reason.  A reason is one of
-# four kinds, each checked by tests/test_census.py:
+# five kinds, each checked by tests/test_census.py:
 #   "perfbench: SPAN"        bound in perfbench/child.py LAYERS[SPAN] or SCOPES[SPAN]
 #   "perfbench: via NAME"    called by NAME, itself listed here as perfbench
 #   "public: ..."            a name in hopffactor.__all__, or the package
 #                            hook that resolves those names
 #   "failure path: TEST"     a failure path, reached by TEST (file::function)
+#   "rule: TEST"             a library rule or method that no command-line
+#                            system takes, run by TEST (file::function)
 #   "protocol: ..."          an equality, hash, truth or text protocol method
 ALLOWLIST = {
     "actions:matched_pair_system": "perfbench: actions.systems",
@@ -54,11 +56,11 @@ ALLOWLIST = {
     "cli:_Parser.error": "failure path: tests/test_cli.py::test_removed_flags_are_usage_errors",
     # the content split v*q = 0 -> v = 0 | q = 0 builds its quotient only
     # once chosen, and no system of the command line chooses one
-    "poly:Poly.divide_by_var": "failure path: tests/test_solver.py::test_product_split",
+    "poly:Poly.divide_by_var": "rule: tests/test_solver.py::test_product_split",
     # containment of one public Branch in another; the solver's own
     # canonicalisation applies the same rule through batches it builds once
     # per branch, so only library callers reach this entry point
-    "solver:Branch.contains": "failure path: tests/test_solver.py::test_branch_containment",
+    "solver:Branch.contains": "rule: tests/test_solver.py::test_branch_containment",
     "hopf:AxiomCheck.__repr__": "protocol: repr",
     "hopf:AxiomReport.__repr__": "protocol: repr",
     "hopf:HopfAlgebraData.__repr__": "protocol: repr",

@@ -115,23 +115,26 @@ def contains_point(branch, assignment):
 # -- the union route of the matched-pair search ----------------------------------
 
 
-def search_system(L, R):
-    """The union of both module-coalgebra systems and the pairing system
-    (4,998 constraints, 177,730 terms on the symbolic tables), canonicalised
-    once, with one `intern` dict for all of it."""
-    intern = {}
-    return _canonical_system(
-        _module_coalgebra_constraints(L, intern)
-        + _module_coalgebra_constraints(R, intern)
-        + _left_pairing_constraints(L, R, intern)
-        + _product_constraints(R, L, _rule_instances(R), intern)
+@functools.cache
+def search_system():
+    """The union of both module-coalgebra systems and the pairing system on
+    the symbolic tables (4,998 constraints, 177,730 terms), canonicalised
+    once, built once per session."""
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    return tuple(
+        _canonical_system(
+            _module_coalgebra_constraints(L)
+            + _module_coalgebra_constraints(R)
+            + _left_pairing_constraints(L, R)
+            + _product_constraints(R, L, _rule_instances(R))
+        )
     )
 
 
 def union_solve():
     """The solution set of the union system over both tables' unknowns."""
     L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
-    return solve(search_system(L, R), var_universe=L.variables() + R.variables())
+    return solve(search_system(), var_universe=L.variables() + R.variables())
 
 
 @functools.cache

@@ -425,7 +425,7 @@ def test_dead_left_families_fail_the_left_product_rule_at_gx_g(left_solutions):
         ]
         if constants:
             dead.append(n)
-        assert (_obstruction(Lf, R, {}) is not None) == bool(constants)
+        assert (_obstruction(Lf, R) is not None) == bool(constants)
     assert dead == [1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14]
 
 
@@ -440,9 +440,9 @@ def test_right_module_keyed_once_gives_the_canonical_system(left_solutions):
         _module_coalgebra_constraints,
     )
 
-    L, R, intern = LeftActionTable.symbolic(), RightActionTable.symbolic(), {}
-    right_module = _module_coalgebra_constraints(R, intern)
-    pairing = _left_pairing_constraints(L.substitute(left_solutions.branches[0]), R, intern)
+    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
+    right_module = _module_coalgebra_constraints(R)
+    pairing = _left_pairing_constraints(L.substitute(left_solutions.branches[0]), R)
     merged = _canonical_system(pairing, _keyed_groups(right_module))
     expected = _canonical_system(right_module + pairing)
     assert [p.key() for p in merged] == [p.key() for p in expected]

@@ -1,6 +1,6 @@
 """The census allowlist (tests/census.py), checked without running the
 census: every name is a def in src/hopffactor, and every reason is one of
-the four kinds and holds.  `python tests/census.py` checks the names
+the five kinds and holds.  `python tests/census.py` checks the names
 against a traced run of the command line."""
 
 import ast
@@ -60,7 +60,7 @@ def test_every_allowlisted_name_is_a_source_def():
 
 
 def test_every_reason_is_one_of_four_kinds():
-    kinds = ("perfbench", "public", "failure path", "protocol")
+    kinds = ("perfbench", "public", "failure path", "rule", "protocol")
     assert [n for n, r in census.ALLOWLIST.items() if r.partition(":")[0] not in kinds] == []
 
 
@@ -97,8 +97,9 @@ def test_public_reasons_name_an_all_name():
 
 
 def test_failure_path_reasons_name_an_existing_test():
+    # a rule reason names the test that runs the rule the same way
     bad = []
-    for name, detail in _by_kind("failure path"):
+    for name, detail in _by_kind("failure path") + _by_kind("rule"):
         path, _, test = detail.partition("::")
         full = os.path.join(census.ROOT, path)
         if not (path.startswith("tests/") and os.path.isfile(full)):

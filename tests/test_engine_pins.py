@@ -7,12 +7,14 @@ coefficient shows up here, even when the solver would still reach the same
 solutions.  The union system that the union route of the matched-pair
 search solves (`oracles.search_system`) is also pinned in its canonical
 order, by its rendered text and its keys, both as the union of the public
-systems and as the route builds it; the latter must also share its monomials and numerator pairs and stay under a traced-memory
-ceiling, and so must the solver's root round on it.  The checker is
-pinned by the exact `CheckFailure` list (order, condition, `at` tuple and
-witness text) on corrupted tables of both sides; the matched-pair checker
-by count, per-condition counts and a sha256 of the ordered list, on valid
-module actions that do not pair and on the same corrupted tables.  The
+systems and as the route builds it, and so is the term count of the
+solver's root round on it.  No memory of the union is pinned: the one
+sharing table left, the solver's, is pinned on the right enumeration it
+serves (tests/test_solver_pins.py).  The checker is pinned by the exact
+`CheckFailure` list (order, condition, `at` tuple and witness text) on
+corrupted tables of both sides; the matched-pair checker by count,
+per-condition counts and a sha256 of the ordered list, on valid module
+actions that do not pair and on the same corrupted tables.  The
 skew-primitive bases of H4 (x) H8, whose coalgebra all four bicrossed
 products share, are pinned by their group-likes and a sha256 over every
 basis vector.
@@ -20,7 +22,6 @@ basis vector.
 
 import hashlib
 import json
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -120,95 +121,20 @@ def test_union_system_order_render_and_keys_pinned():
     assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
 
 
-# The union route builds the same union from the raw generators with one sharing
-# dict: 45.7 MB traced with a pair tuple per term and a cached key per
-# constraint, about 15 MB with shared monomials and pairs and the unknowns
-# cached as sorted tuples, and 10.3-10.8 MB with each Poly's terms in two
-# parallel tuples instead of a dict.  Canonicalising one (degree, unknown
-# count) group at a time keeps the traced peak of the build near 18 MB
-# (22 MB with per-Poly dicts, 37 MB when all keys were sorted at once).
-UNION_TRACED_CEILING = 13_000_000
-UNION_TRACED_PEAK_CEILING = 20_000_000
-
-
-@pytest.fixture(scope="module")
-def search_union():
-    """The union route's system, the traced memory it holds and the traced
-    peak of its build, both above what was traced before the build."""
-    L, R = LeftActionTable.symbolic(), RightActionTable.symbolic()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        system = search_system(L, R)
-        size, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return system, size - before, peak - before
-
-
-def test_search_system_is_the_pinned_union(search_union):
-    system = search_union[0]
+def test_search_system_is_the_pinned_union():
+    # the union route builds the same union from the raw generators
+    system = search_system()
     assert len(system) == UNION_SIZE
     assert _sha256([p.render() for p in system]) == UNION_RENDER_SHA256
     assert _sha256([p.key() for p in system]) == UNION_KEY_SHA256
 
 
-def test_search_system_shares_pairs_and_monomials(search_union):
-    system = search_union[0]
-    pairs = [c for p in system for c in p.nums]
-    assert len({id(c) for c in pairs}) == len(set(pairs)) == 6
-    monos = [m for p in system for m in p.terms]
-    assert len({id(m) for m in monos}) == len(set(monos))
-
-
-def test_search_system_traced_size_under_ceiling(search_union):
-    assert search_union[1] < UNION_TRACED_CEILING
-
-
-def test_search_system_traced_peak_under_ceiling(search_union):
-    assert search_union[2] < UNION_TRACED_PEAK_CEILING
-
-
-# The solver's root round on the union: the first linear batch grows the
-# system from ~177k to 330,477 terms, held together with the input, which
-# the soundness pass keeps.  That output held 20.2 MB traced with per-Poly
-# dicts, 12.9 MB with parallel tuples, and 8.6 MB once the solver's table
-# starts from the input's monomials, so the batch shares them instead of
-# making value-copies (68,160 of them otherwise).  The union route peaks
-# later: its traced live peak comes at depth 1 of the solve, and its
-# high-water mark rises further by the soundness pass.
-ROOT_ROUND_TRACED_CEILING = 10_000_000
-
-
-@pytest.fixture(scope="module")
-def root_round(search_union):
-    """The node after the solver's root round on the union system, and
-    the traced memory it holds above the input."""
-    system = search_union[0]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        node = _Node({}, list(system), {}, 0)
-        assert node.propagate()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    return node, held
-
-
-def test_root_round_traced_size_under_ceiling(root_round):
-    node, held = root_round
+def test_root_round_term_count_pinned():
+    # the solver's root round on the union: its first linear batch grows
+    # the system from 177,730 to 330,477 terms
+    node = _Node({}, list(search_system()), {}, 0)
+    assert node.propagate()
     assert sum(len(p.terms) for p in node.constraints) == 330_477
-    assert held < ROOT_ROUND_TRACED_CEILING
-
-
-def test_root_round_makes_no_copy_of_an_input_monomial(search_union, root_round):
-    inputs = {m: m for p in search_union[0] for m in p.terms}
-    node = root_round[0]
-    copies = {
-        id(m): m for p in node.constraints for m in p.terms if inputs.get(m, m) is not m
-    }
-    assert len(copies) == 0
 
 
 def test_poly_key_is_recomputed_not_cached():

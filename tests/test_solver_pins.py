@@ -13,16 +13,23 @@ The shape of the searches is pinned too: the number of linear batches,
 forced moves, branching splits and branches of the left enumeration, of
 the matched-pair search (the left enumeration plus its per-family solves)
 and of the union route, counted during the one solve `union_route`
-caches.
+caches.  So is the traced memory of the right enumeration, the solve that
+the solver's table of shared monomials and numerator pairs serves.
 """
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from hopffactor import actions
-from hopffactor.actions import enumerate_left_actions, matched_pair_search
+from hopffactor.actions import (
+    enumerate_left_actions,
+    enumerate_right_actions,
+    matched_pair_search,
+)
+from hopffactor.solver import IrreducibleSystemError
 from oracles import search_shape, union_route, union_shape
 
 MATCHED_PAIR_SOLUTIONS_SHA256 = (
@@ -73,3 +80,24 @@ def test_search_shape_is_pinned(name):
     sol, (linear, forced, branching) = run()
     assert branching == len(sol.provenance)
     assert (linear, forced, branching, len(sol.branches)) == shape
+
+
+# The right enumeration stops on 1,056 quadratic constraints after rounds
+# of batches that rebuild all of them.  Its traced peak is about 4.25 MB
+# with the solver's table (`solver._Node.intern`) and 5.25-5.33 MB when
+# the batches share nothing, every result holding its own monomial and
+# numerator-pair tuples.
+RIGHT_ENUMERATION_TRACED_PEAK_CEILING = 4_750_000
+
+
+def test_right_enumeration_traced_peak_under_ceiling():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(IrreducibleSystemError) as err:
+            enumerate_right_actions()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(err.value.residual) == 1056
+    assert peak < RIGHT_ENUMERATION_TRACED_PEAK_CEILING
