@@ -739,6 +739,11 @@ def _tensor_render(h8, h4, tensor):
     return " + ".join(terms) if terms else "0"
 
 
+def _nonzero(entries):
+    """Each row of `entries` as its nonzero coordinates {index: Scalar}."""
+    return {key: {k: c for k, c in enumerate(row) if not c.is_zero()} for key, row in entries.items()}
+
+
 def check_module_coalgebra(T):
     """Re-evaluate every module-coalgebra axiom instance of a concrete table
     with scalar arithmetic, on the table's side.  Witnesses name the
@@ -788,6 +793,7 @@ def check_module_coalgebra(T):
                     )
                 )
     # module law, reported in the written order of the instance
+    act = _nonzero(act)
     n_acting, n_acted = range(acting.dim), range(acted.dim)
     if side == "left":
         instances = [(u, v, w) for u in n_acting for v in n_acting for w in n_acted]
@@ -796,17 +802,13 @@ def check_module_coalgebra(T):
     for u, v, w in instances:
         lhs = {}
         for m, c in acting.mul[u][v]:
-            for k, e in enumerate(act[(m, w)]):
-                if not e.is_zero():
-                    _sacc(lhs, k, c * e)
+            for k, e in act[(m, w)].items():
+                _sacc(lhs, k, c * e)
         first, second = (v, u) if side == "left" else (u, v)
         rhs = {}
-        for k, c in enumerate(act[(first, w)]):
-            if c.is_zero():
-                continue
-            for m, e in enumerate(act[(second, k)]):
-                if not e.is_zero():
-                    _sacc(rhs, m, c * e)
+        for k, c in act[(first, w)].items():
+            for m, e in act[(second, k)].items():
+                _sacc(rhs, m, c * e)
         if lhs != rhs:
             names = (acting.basis[u], acting.basis[v])
             spot = names + (acted.basis[w],) if side == "left" else (acted.basis[w],) + names
@@ -827,38 +829,46 @@ def _check_product_rule(T, O):
     for (xy) <| a."""
     acting, acted = T.acting, T.acted
     left = T.side == "left"
-    act = T.by_acting(T.scalar_entries())
-    other = O.by_acting(O.scalar_entries())
+    act = _nonzero(T.by_acting(T.scalar_entries()))
+    other = _nonzero(O.by_acting(O.scalar_entries()))
     n_acting, n_acted = range(acting.dim), range(acted.dim)
     if left:
         instances = [(u, w, v) for u in n_acting for w in n_acted for v in n_acted]
     else:
         instances = [(u, w, v) for v in n_acted for w in n_acted for u in n_acting]
+    # (wo . uo) . v, on the other table's then this table's entries: one
+    # instance needs it for every term of delta(u) (x) delta(w), and other
+    # instances share it, so each is computed once per call
+    throughs = {}
+
+    def through(wo, uo, v):
+        out = throughs.get((wo, uo, v))
+        if out is None:
+            out = throughs[(wo, uo, v)] = {}
+            for q, cq in other[(wo, uo)].items():
+                for t, e in act[(q, v)].items():
+                    _sacc(out, t, cq * e)
+        return out
+
     failures = []
     for u, w, v in instances:
         lhs = {}
         for m, c in acted.mul[w][v] if left else acted.mul[v][w]:
-            for k, e in enumerate(act[(u, m)]):
-                if not e.is_zero():
-                    _sacc(lhs, k, c * e)
+            for k, e in act[(u, m)].items():
+                _sacc(lhs, k, c * e)
         rhs = {}
         for cu, u1, u2 in acting.comul[u]:
             for cw, w1, w2 in acted.comul[w]:
                 f = cu * cw
                 (ud, wd), (uo, wo) = ((u1, w1), (u2, w2)) if left else ((u2, w2), (u1, w1))
-                through = {}
-                for q, cq in enumerate(other[(wo, uo)]):
-                    if cq.is_zero():
-                        continue
-                    for t, e in enumerate(act[(q, v)]):
-                        if not e.is_zero():
-                            _sacc(through, t, cq * e)
-                direct = {s: c for s, c in enumerate(act[(ud, wd)]) if not c.is_zero()}
-                first, second = (direct, through) if left else (through, direct)
+                direct, thru = act[(ud, wd)], through(wo, uo, v)
+                first, second = (direct, thru) if left else (thru, direct)
                 for s, cs in first.items():
+                    fs = f * cs
                     for t, ct in second.items():
+                        fst = fs * ct
                         for m, cm in acted.mul[s][t]:
-                            _sacc(rhs, m, f * cs * ct * cm)
+                            _sacc(rhs, m, fst * cm)
         if lhs != rhs:
             spot = (acting.basis[u], acted.basis[w], acted.basis[v])
             failures.append(

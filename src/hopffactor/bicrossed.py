@@ -305,9 +305,11 @@ class InvariantReport:
 
 
 def invariant_report(product):
-    """Dimension, group-likes (solver-enumerated and cross-checked), all
-    skew-primitive dimensions between group-like pairs, commutativity
-    flags, the zX relation shape, and antipode bijectivity."""
+    """Dimension, group-likes (the products of the factors' solver-enumerated
+    group-likes, by the lemma above `hopf.grouplikes`, each checked),
+    all skew-primitive dimensions between group-like pairs (spanned by the
+    factors' skew-primitives, by the lemma above `hopf.skew_primitives`),
+    commutativity flags, the zX relation shape, and antipode bijectivity."""
     E = product.algebra
     gls = grouplikes(E)
     for g in gls:

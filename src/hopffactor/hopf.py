@@ -13,15 +13,17 @@ whenever that proof does not go through.
 
 Group-likes are enumerated by compiling delta(x) = x (x) x, eps(x) = 1
 into a polynomial system for the solver; skew-primitive spaces are kernels
-of an exact linear map.  Both only depend on the coalgebra and are
-memoized on its canonical key.
+of an exact linear map.  On a twisted tensor product both are taken from
+the factors instead, by the lemmas above `grouplikes` and
+`skew_primitives`.  Both only depend on the coalgebra and are memoized on
+its canonical key.
 """
 
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
 
-from hopffactor.linalg import Mat, kernel, rref
+from hopffactor.linalg import Mat, kernel, rref, span_basis
 from hopffactor.poly import Poly
 from hopffactor.scalar import ONE, ZERO, Scalar, join_signed, render_term
 from hopffactor.solver import solve
@@ -36,7 +38,13 @@ class HopfAlgebraData:
     with delta(e_i) = sum c * e_j (x) e_k.  The constructor takes each
     row of mul and antipode as an {index: coefficient} mapping or as
     (index, coefficient) pairs; it drops zero coefficients and sorts.
+
+    `factors` is (A, H) on a product built by `_twisted_product`, whose
+    coalgebra is the tensor coalgebra A (x) H, and None on every other
+    algebra (a presentation, a loaded file).
     """
+
+    factors = None
 
     def __init__(self, name, basis, mul, unit, comul, counit, antipode):
         self.name = name
@@ -693,7 +701,8 @@ def _twisted_product(A, H, twist, name):
         (a (x) x)(b (x) y) = sum c * (a b2) (x) (x2 y),
         S(a (x) x) = R(S(x) (x) S(a)).
 
-    Nothing is checked here: the caller runs the axiom battery."""
+    Nothing is checked here: the caller runs the axiom battery.  The
+    factors are recorded for `grouplikes` and `skew_primitives`."""
     dA, dH = A.dim, H.dim
     dim = dA * dH
     basis = tuple(f"{a}⊗{x}" for a in A.basis for x in H.basis)
@@ -732,7 +741,9 @@ def _twisted_product(A, H, twist, name):
                         _acc(acc, b2 * dH + x2, cn * cm * c)
             antipode.append(acc)
 
-    return HopfAlgebraData(name, basis, mul, unit, comul, counit, antipode)
+    E = HopfAlgebraData(name, basis, mul, unit, comul, counit, antipode)
+    E.factors = (A, H)
+    return E
 
 
 def tensor_product(H1, H2):
@@ -796,14 +807,50 @@ def is_grouplike(H, x):
     return H.comultiply_dict(x) == outer
 
 
+# Group-likes of a tensor coalgebra.  Let x be group-like in C (x) D.  The
+# maps id (x) eps : C (x) D -> C and eps (x) id : C (x) D -> D are coalgebra
+# maps, so c = (id (x) eps)x and d = (eps (x) id)x are group-like: a
+# coalgebra map sends group-likes to group-likes.  Applying
+# id (x) eps (x) eps (x) id to delta(x) = x (x) x gives x on the left and
+# c (x) d on the right, so x = c (x) d.  Conversely c (x) d is group-like
+# whenever c and d are.  So G(C (x) D) = {c (x) d : c in G(C), d in G(D)},
+# and distinct pairs give distinct products, since eps(c) = eps(d) = 1
+# fixes the scale of each factor.
+
+
 def grouplikes(H):
-    """The complete finite set of group-like elements, solver-enumerated."""
+    """The complete finite set of group-like elements, in coordinate sort
+    order: the solver's enumeration, or on a twisted tensor product the
+    products of its factors' group-likes (the lemma above).  Every element
+    passes `is_grouplike` before it is returned."""
     cache_key = H.coalgebra_key()
     cached = _GROUPLIKE_CACHE.get(cache_key)
     if cached is None:
-        cached = _enumerate_grouplikes(H)
+        if H.factors is None:
+            cached = _enumerate_grouplikes(H)
+        else:
+            cached = _factor_grouplikes(H)
         _GROUPLIKE_CACHE[cache_key] = cached
     return tuple(H.element(coords) for coords in cached)
+
+
+def _factor_grouplikes(E):
+    """The group-likes a (x) b of a twisted tensor product, a and b running
+    over its factors' group-likes."""
+    A, H = E.factors
+    points = [_tensor_coords(E, a.coords, x.coords) for a in grouplikes(A) for x in grouplikes(H)]
+    return _checked(E, points)
+
+
+def _tensor_coords(E, u, v):
+    """The coordinates in E = A (x) H of u (x) v, for coordinates u on A
+    and v on H."""
+    coords = [ZERO] * E.dim
+    for i, cu in enumerate(u):
+        if not cu.is_zero():
+            for j, cv in enumerate(v):
+                coords[i * len(v) + j] = cu * cv
+    return tuple(coords)
 
 
 def _enumerate_grouplikes(H):
@@ -837,25 +884,58 @@ def _enumerate_grouplikes(H):
             )
         p = branch.point()
         points.append(tuple(p[n] for n in names))
-    points.sort(key=lambda coords: tuple(c.sort_key() for c in coords))
-    out = []
+    return _checked(H, points)
+
+
+def _checked(H, points):
+    """Candidate coordinate tuples in coordinate sort order, each checked
+    to be group-like."""
+    points = sorted(points, key=lambda coords: tuple(c.sort_key() for c in coords))
     for coords in points:
-        g = H.element(coords)
-        if not is_grouplike(H, g):
-            raise AssertionError("solver returned a non-group-like candidate")
-        out.append(coords)
-    return tuple(out)
+        if not is_grouplike(H, H.element(coords)):
+            raise AssertionError("a group-like candidate is not group-like")
+    return tuple(points)
+
+
+# Skew-primitives of a tensor coalgebra.  Let a = a1 (x) a2 and
+# b = b1 (x) b2 be group-like in C (x) D (the lemma above) and x in
+# P(a, b) = {x : delta(x) = x (x) a + b (x) x}.  The coalgebra maps
+# id (x) eps and eps (x) id send x to x1 = (id (x) eps)x in P(a1, b1) and
+# x2 = (eps (x) id)x in P(a2, b2), and id (x) eps (x) eps (x) id applied to
+# delta(x) = x (x) a + b (x) x gives x = x1 (x) a2 + b1 (x) x2.  Conversely,
+# for any x1 in P(a1, b1) and x2 in P(a2, b2), y = x1 (x) a2 + b1 (x) x2 has
+#   delta(y) - y (x) a - b (x) y
+#     = b1 (x) [(a2 - b2) (x) x1 + x2 (x) (b1 - a1)] (x) a2,
+# with the bracket in D (x) C.  So y is in P(a, b) exactly when
+# (a2 - b2) (x) x1 = x2 (x) (a1 - b1).  If a1 = b1 and a2 = b2 that always
+# holds, and P(a, b) = P(a1, a1) (x) a2 + a1 (x) P(a2, a2).  If only a1 = b1,
+# x1 = 0 and P(a, b) = a1 (x) P(a2, b2); if only a2 = b2, x2 = 0 and
+# P(a, b) = P(a1, b1) (x) a2.  If both differ, x1 = t(a1 - b1) and
+# x2 = t(a2 - b2) for a scalar t, and P(a, b) is spanned by
+# (a1 - b1) (x) a2 + b1 (x) (a2 - b2) = a - b.
 
 
 def skew_primitives(H, a, b):
-    """Basis of {x : delta(x) = x (x) a + b (x) x} for group-likes a, b.
-    The anchors are checked on a cache miss only: a hit means the same
-    anchors on the same coalgebra passed the check before."""
+    """Basis of {x : delta(x) = x (x) a + b (x) x} for group-likes a, b,
+    in the form `linalg.kernel` gives: the null space of the defining
+    linear map, or on a twisted tensor product the span of the factors'
+    skew-primitives (the lemma above), each basis vector checked.  The
+    anchors are checked on a cache miss only: a hit means the same anchors
+    on the same coalgebra passed the check before."""
     cache_key = (H.coalgebra_key(), a.coords_key(), b.coords_key())
     if cache_key in _SKEW_CACHE:
         return tuple(H.element(c) for c in _SKEW_CACHE[cache_key])
     if not is_grouplike(H, a) or not is_grouplike(H, b):
         raise ValueError("skew-primitive spaces need group-like anchors")
+    if H.factors is None:
+        basis = _kernel_skew_primitives(H, a, b)
+    else:
+        basis = _factor_skew_primitives(H, a, b)
+    _SKEW_CACHE[cache_key] = tuple(basis)
+    return tuple(H.element(v) for v in basis)
+
+
+def _kernel_skew_primitives(H, a, b):
     d = H.dim
     rows = {}
     for i in range(d):
@@ -873,6 +953,44 @@ def skew_primitives(H, a, b):
             if not bk.is_zero():
                 rows.setdefault((k, j), {})
                 _acc(rows[(k, j)], j, -bk)
-    basis = kernel(rows.values(), d)
-    _SKEW_CACHE[cache_key] = tuple(basis)
-    return tuple(H.element(v) for v in basis)
+    return kernel(rows.values(), d)
+
+
+def _factor_skew_primitives(E, a, b):
+    """P(a, b) on a twisted tensor product E = A (x) H, spanned as in the
+    lemma above, in the form `linalg.kernel` gives."""
+    A, H = E.factors
+    a1, a2 = _factor_coords(E, a)
+    b1, b2 = _factor_coords(E, b)
+    if a1 != b1 and a2 != b2:
+        spanning = [tuple(x - y for x, y in zip(a.coords, b.coords))]
+    else:
+        spanning = []
+        if a2 == b2:
+            P = skew_primitives(A, A.element(a1), A.element(b1))
+            spanning += [_tensor_coords(E, x.coords, a2) for x in P]
+        if a1 == b1:
+            P = skew_primitives(H, H.element(a2), H.element(b2))
+            spanning += [_tensor_coords(E, b1, x.coords) for x in P]
+    basis = span_basis(spanning, E.dim)
+    for v in basis:
+        x = E.element(v)
+        outer = {}
+        acc_outer(outer, ONE, v, a.coords)
+        acc_outer(outer, ONE, b.coords, v)
+        if E.comultiply_dict(x) != outer:
+            raise AssertionError("a skew-primitive basis vector is not skew-primitive")
+    return basis
+
+
+def _factor_coords(E, x):
+    """((id (x) eps)x, (eps (x) id)x) on E = A (x) H, as coordinates on A
+    and on H."""
+    A, H = E.factors
+    left, right = [ZERO] * A.dim, [ZERO] * H.dim
+    for n, c in enumerate(x.coords):
+        if not c.is_zero():
+            i, j = divmod(n, H.dim)
+            left[i] += c * H.counit[j]
+            right[j] += c * A.counit[i]
+    return tuple(left), tuple(right)

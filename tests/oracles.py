@@ -8,6 +8,8 @@ tables, `_Batch` substitutes), so tests can check those paths against
 them.  The union route of the matched-pair search solves both tables'
 systems and the whole pairing system as one system; the tests hold the
 per-family search to it, and count the moves of a solve to pin its shape.
+The elimination that scans every row (`rref_scan`) is the reference the
+indexed `linalg.rref` is held to.
 """
 
 import functools
@@ -110,6 +112,39 @@ def sample(branch, values=None):
 def contains_point(branch, assignment):
     """Whether a Scalar assignment of every unknown lies on the branch."""
     return all(evaluate(e, assignment) == assignment[v] for v, e in branch.subst.items())
+
+
+# -- reference kernels ----------------------------------------------------------------
+
+
+def rref_scan(rows, columns):
+    """`linalg.rref` as it was before its column index: the pivot of each
+    column found by scanning every row left, and every row scanned for
+    elimination.  The reference the indexed elimination must equal."""
+    rows = [dict(row) for row in rows if row]
+    pivots = []
+    for col in columns:
+        k = next((k for k, row in enumerate(rows) if col in row), None)
+        if k is None:
+            continue
+        prow = rows.pop(k)
+        inv = prow[col].inv()
+        prow = {c: inv * e for c, e in prow.items()}
+        for row in [row for _, row in pivots] + rows:
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for c, p in prow.items():
+                if c == col:
+                    continue
+                s = row[c] - f * p if c in row else -(f * p)
+                if s.is_zero():
+                    del row[c]
+                else:
+                    row[c] = s
+        rows = [row for row in rows if row]
+        pivots.append((col, prow))
+    return pivots
 
 
 # -- the union route of the matched-pair search ----------------------------------

@@ -10,11 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopffactor import hopf
+from hopffactor.actions import matched_pair_search
+from hopffactor.bicrossed import build_bicrossed
 from hopffactor.hopf import (
     HopfAlgebraData,
     _certificate,
+    _enumerate_grouplikes,
+    _factor_grouplikes,
+    _factor_skew_primitives,
     _generates,
     _generators,
+    _kernel_skew_primitives,
     acc_outer,
     check_hopf_map,
     grouplikes,
@@ -23,7 +30,7 @@ from hopffactor.hopf import (
     tensor_product,
     verify_axioms,
 )
-from hopffactor.jsonio import algebra_from_json
+from hopffactor.jsonio import algebra_from_json, algebra_to_json
 from hopffactor.linalg import Mat
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import HALF, I, NEG_I, ONE, ZERO, Scalar
@@ -539,6 +546,70 @@ def test_grouplikes_tensor(T, H8, H4):
             assert tens.coords_key() in keys
     for g in gls:
         assert is_grouplike(T, g)
+
+
+@pytest.fixture(scope="module")
+def products():
+    """H4 (x) H8 and the four bicrossed products, all on the tensor
+    coalgebra of H4 and H8."""
+    pairs, _sol = matched_pair_search()
+    return [tensor_product(build_H4(), build_H8())] + [build_bicrossed(p).algebra for p in pairs]
+
+
+def test_factor_route_equals_the_solver_route(products):
+    """The group-like lemma: on every twisted tensor product, the products
+    of the factors' group-likes are exactly the solver's group-likes, in
+    the same order."""
+    for E in products:
+        assert E.factors == (build_H4(), build_H8())
+        via_factors = _factor_grouplikes(E)
+        assert via_factors == _enumerate_grouplikes(E)
+        assert [repr(E.element(c)) for c in via_factors] == [repr(g) for g in grouplikes(E)]
+
+
+def test_a_loaded_product_takes_the_solver_route(products, monkeypatch):
+    E = products[2]
+    copy = algebra_from_json(json.loads(json.dumps(algebra_to_json(E))))
+    assert copy.factors is None
+    solved = []
+
+    def enumerate_grouplikes(H):
+        solved.append(H)
+        return _enumerate_grouplikes(H)
+
+    monkeypatch.setattr(hopf, "_GROUPLIKE_CACHE", {})
+    monkeypatch.setattr(hopf, "_enumerate_grouplikes", enumerate_grouplikes)
+    labels = [repr(g) for g in grouplikes(copy)]
+    assert solved == [copy]
+    assert labels == [repr(g) for g in grouplikes(E)]
+
+
+def test_factor_skew_route_equals_the_kernel_route(products):
+    """The skew-primitive lemma: on every twisted tensor product and every
+    pair of group-like anchors, the factor route gives the null space's
+    basis, vector for vector."""
+    for E in products:
+        gls = grouplikes(E)
+        for a in gls:
+            for b in gls:
+                assert _factor_skew_primitives(E, a, b) == _kernel_skew_primitives(E, a, b)
+
+
+def test_a_loaded_product_takes_the_kernel_route(products, monkeypatch):
+    E = products[3]
+    copy = algebra_from_json(json.loads(json.dumps(algebra_to_json(E))))
+    solved = []
+
+    def kernel_skew_primitives(H, a, b):
+        solved.append(H)
+        return _kernel_skew_primitives(H, a, b)
+
+    monkeypatch.setattr(hopf, "_SKEW_CACHE", {})
+    monkeypatch.setattr(hopf, "_kernel_skew_primitives", kernel_skew_primitives)
+    a, b = grouplikes(copy)[1], grouplikes(copy)[2]
+    got = skew_primitives(copy, a, b)
+    assert solved == [copy]
+    assert [repr(x) for x in got] == [repr(x) for x in skew_primitives(E, grouplikes(E)[1], grouplikes(E)[2])]
 
 
 def test_z_fourth_power(H8):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopffactor.linalg import Mat, rref
+from hopffactor.linalg import Mat, kernel, rref, span_basis
 from hopffactor.poly import Poly
 from hopffactor.scalar import Scalar
 from hopffactor.solver import _solve_linear
-from oracles import evaluate
+from oracles import evaluate, rref_scan
 
 ZERO, ONE = Scalar(0), Scalar(1)
 
@@ -163,6 +163,57 @@ def test_rref_ignores_duplicated_rows(m, data):
     pivots2 = rref(sparse(m.rows[:where] + tuple(extra) + m.rows[where:]), range(m.ncols))
     # the repeated rows reduce to zero and are left out
     assert pivots2 == pivots
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse Q(i) rows, some of them combinations of others, and a
+    shuffled column order."""
+    ncols = draw(st.integers(min_value=1, max_value=10))
+    entries = st.dictionaries(
+        st.integers(min_value=0, max_value=ncols - 1),
+        scalars.filter(lambda c: not c.is_zero()),
+        max_size=4,
+    )
+    rows = draw(st.lists(entries, max_size=10))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        f = draw(scalars)
+        combo = {c: a.get(c, ZERO) + f * b.get(c, ZERO) for c in a.keys() | b.keys()}
+        rows.append({c: e for c, e in combo.items() if not e.is_zero()})
+    return rows, draw(st.permutations(range(ncols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=sparse_systems())
+def test_rref_equals_the_reference_oracle(system):
+    """The indexed elimination returns the scan's pivots, rows and even key
+    order, and leaves its input rows as they were."""
+    rows, columns = system
+    before = [dict(row) for row in rows]
+    got = rref(rows, columns)
+    assert rows == before
+    want = rref_scan(rows, columns)
+    assert [(c, list(row.items())) for c, row in got] == [(c, list(row.items())) for c, row in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_span_basis_of_a_null_space_is_its_kernel_basis(m, data):
+    """Any spanning set of a null space, here its kernel basis scaled,
+    reversed and padded with combinations, gives back the kernel basis."""
+    basis = m.kernel()
+    nonzero = scalars.filter(lambda c: not c.is_zero())
+    spanning = []
+    for v in reversed(basis):
+        f = data.draw(nonzero)
+        spanning.append(tuple(f * e for e in v))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2)) if basis else 0):
+        f, g = data.draw(scalars), data.draw(scalars)
+        u, v = data.draw(st.sampled_from(basis)), data.draw(st.sampled_from(basis))
+        spanning.insert(data.draw(st.integers(0, len(spanning))), tuple(f * a + g * b for a, b in zip(u, v)))
+    assert span_basis(spanning, m.ncols) == basis
+    assert span_basis([], m.ncols) == [] == kernel([{c: ONE} for c in range(m.ncols)], m.ncols)
 
 
 def _planted_system(data):
