@@ -6,10 +6,12 @@ comultiplication (triples per basis element).  Axioms are never assumed: the
 full battery (associativity, unit, coassociativity, counit, the bialgebra
 compatibilities and both antipode convolution identities) is checked
 exactly on every basis tuple, and failures are reported with witnesses so
-mutated or hand-entered tables can be debugged.  Associativity and
-delta-multiplicativity of an algebra that a few basis elements generate
-are proved from the generator tuples alone, and checked on every tuple
-whenever that proof does not go through.
+mutated or hand-entered tables can be debugged: each check keeps its
+exact failure count and the first witnesses, as many as a report prints.
+Associativity and the multiplicativity of delta and eps on an algebra
+that a few basis elements generate are proved from the generator tuples
+alone, and checked on every tuple whenever that proof does not go
+through.
 
 Group-likes are enumerated by compiling delta(x) = x (x) x, eps(x) = 1
 into a polynomial system for the solver; skew-primitive spaces are kernels
@@ -20,6 +22,7 @@ its canonical key.
 """
 
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from operator import itemgetter
 
@@ -307,16 +310,27 @@ AXIOM_NAMES = (
 )
 
 
+# the witness texts an AxiomCheck keeps: as many as any report prints
+WITNESS_LIMIT = 10
+
+
 class AxiomCheck:
-    __slots__ = ("name", "passed", "witnesses")
+    """One law's result: `count`, the exact number of failing instances,
+    and `witnesses`, the texts of the first WITNESS_LIMIT of them.  The
+    witnesses arrive as an iterable, so those past the limit are counted
+    and dropped, never held (a table of dim 512 fails dim^2 instances)."""
+
+    __slots__ = ("name", "passed", "witnesses", "count")
 
     def __init__(self, name, witnesses):
+        it = iter(witnesses)
         self.name = name
-        self.witnesses = tuple(witnesses)
-        self.passed = not self.witnesses
+        self.witnesses = tuple(islice(it, WITNESS_LIMIT))
+        self.count = len(self.witnesses) + sum(1 for _ in it)
+        self.passed = not self.count
 
     def __repr__(self):
-        state = "ok" if self.passed else f"{len(self.witnesses)} failures"
+        state = "ok" if self.passed else f"{self.count} failures"
         return f"AxiomCheck({self.name}: {state})"
 
 
@@ -343,21 +357,22 @@ class AxiomReport:
 def verify_axioms(H):
     """Check every Hopf axiom exactly on all basis tuples of H.
 
-    Associativity and delta-multiplicativity are first tried on the
-    generator instances only (`_certificate`); each falls back to every
-    basis instance unless that passes, so the witnesses are always those of
-    the full loops."""
+    Associativity and the two multiplicative laws of delta and eps are
+    first tried on the generator instances only (`_certificate`); each
+    falls back to every basis instance unless that passes, so the
+    witnesses are always those of the full loops."""
     T = _IntTables(H)
     S = _certificate(H)
-    assoc = _check_associativity(H, T, S)
+    assoc = AxiomCheck("associativity", _check_associativity(H, T, S))
+    # the two multiplicative certificates need H associative
+    S_mult = S if assoc.passed else None
     checks = [
-        AxiomCheck("associativity", assoc),
+        assoc,
         AxiomCheck("unit", _check_unit(H)),
         AxiomCheck("coassociativity", _check_coassociativity(H)),
         AxiomCheck("counit", _check_counit(H)),
-        AxiomCheck("comultiplication-multiplicative",
-                   _check_comul_mult(H, T, None if assoc else S)),
-        AxiomCheck("counit-multiplicative", _check_counit_mult(H)),
+        AxiomCheck("comultiplication-multiplicative", _check_comul_mult(H, T, S_mult)),
+        AxiomCheck("counit-multiplicative", _check_counit_mult(H, T, S_mult)),
         AxiomCheck("antipode", _check_antipode(H)),
     ]
     return AxiomReport(H.name, H.dim, checks)
@@ -383,9 +398,17 @@ def verify_axioms(H):
 # associativity of H and of H (x) H.  So when every e_s lies in B, B = H:
 # the instances (e_s, e_j) prove every instance.
 #
+# Eps-multiplicativity, once H is associative and eps(1) = 1.
+# E = {a : eps(ax) = eps(a)eps(x) for all x} is a subspace, and 1 lies in E
+# because 1 is a left unit: eps(1x) = eps(x) = eps(1)eps(x).  If a, b lie in
+# E, eps((ab)x) = eps(a(bx)) = eps(a)eps(bx) = eps(a)eps(b)eps(x) =
+# eps(ab)eps(x), using the associativity of H, then a, b and a in E.  So
+# when every e_s lies in E, E = H: the instances (e_s, e_j) prove every
+# instance.
+#
 # The certificate only ever concludes that a law holds.  When a restricted
 # loop finds a witness, or a precondition fails, the full loop runs, so the
-# witness lists are those of the full loops.
+# witnesses and counts are those of the full loops.
 
 
 def _certificate(H):
@@ -453,34 +476,39 @@ def _times(H, row, s, left=False):
     return acc
 
 
-# Associativity (d^3 instances) and delta-multiplicativity (d^2 instances,
-# each a product of two coproducts) are the battery's two long loops, so
-# they run on an integer view of the multiplication and comultiplication:
-# every constant is a Gaussian-integer numerator (re, im) over one common
-# denominator D (the lcm of their denominators), and no Scalar is made per
-# instance.  A side that multiplies k constants is over D^k; the two sides
-# are brought to the same power and compared as dicts of numerators, zero
-# entries ignored, which is exact rational equality.  The other checks
-# accumulate Scalars with `_acc`, which drops zeros, and compare with ==.
+# Associativity (d^3 instances), delta-multiplicativity (d^2 instances,
+# each a product of two coproducts) and eps-multiplicativity (d^2
+# instances) are the battery's long loops, so they run on an integer view
+# of the multiplication and comultiplication: every constant is a
+# Gaussian-integer numerator (re, im) over one common denominator D (the
+# lcm of their denominators), the counit over its own denominator E, and
+# no Scalar is made per instance.  A side that multiplies k constants is
+# over D^k; the two sides are brought to the same power and compared as
+# numerators, zero entries ignored, which is exact rational equality.  The
+# other checks accumulate Scalars with `_acc`, which drops zeros, and
+# compare with ==.
 
 
 class _IntTables:
     """The integer view of one algebra's tables over D, built per
-    verify_axioms call.  mul[i][j]: (k, re, im); comul[i]: (j, k, re, im)."""
+    verify_axioms call.  mul[i][j]: (k, re, im); comul[i]: (j, k, re, im);
+    counit[i]: (re, im) over E."""
 
-    __slots__ = ("D", "mul", "comul")
+    __slots__ = ("D", "mul", "comul", "E", "counit")
 
     def __init__(self, H):
         constants = [c for block in H.mul for row in block for _, c in row]
         constants += [c for triples in H.comul for c, _, _ in triples]
         self.D = D = lcm(*{c.den for c in constants})
         self.mul = tuple(
-            tuple(tuple((k, *_num(c, D)) for k, c in row) for row in block)
+            tuple([tuple([(k, *_num(c, D)) for k, c in row]) if row else () for row in block])
             for block in H.mul
         )
         self.comul = tuple(
             tuple((j, k, *_num(c, D)) for c, j, k in triples) for triples in H.comul
         )
+        self.E = E = lcm(*{c.den for c in H.counit})
+        self.counit = tuple(_num(c, E) for c in H.counit)
 
 
 def _num(c, den):
@@ -501,15 +529,14 @@ def _nonzero(acc):
 def _check_associativity(H, T, S):
     """Associativity witnesses; on the instances (e_s, e_j, e_k), s in S,
     first when S is given, and on all instances unless those pass."""
-    if S is not None and not _associativity_witnesses(H, T, S):
-        return []
+    if S is not None and next(_associativity_witnesses(H, T, S), None) is None:
+        return ()
     return _associativity_witnesses(H, T, range(H.dim))
 
 
 def _associativity_witnesses(H, T, first):
     # both sides over D^2, accumulated inline, this being the battery's
-    # longest loop
-    witnesses = []
+    # longest loop; a generator, so a certificate stops at the first witness
     mul = T.mul
     d = H.dim
     idle = [not any(block) for block in mul]  # e_j*e_k = 0 for every k
@@ -532,11 +559,10 @@ def _associativity_witnesses(H, T, first):
                         cur = rhs.get(m)
                         rhs[m] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
                 if not _same(lhs, rhs):
-                    witnesses.append(
+                    yield (
                         f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k}) "
                         f"[{H.basis[i]}, {H.basis[j]}, {H.basis[k]}]"
                     )
-    return witnesses
 
 
 def _unit_products(H, i):
@@ -552,18 +578,15 @@ def _unit_products(H, i):
 
 
 def _check_unit(H):
-    witnesses = []
     for i in range(H.dim):
         left, right = _unit_products(H, i)
         if left != {i: ONE}:
-            witnesses.append(f"1*{H.basis[i]} != {H.basis[i]}")
+            yield f"1*{H.basis[i]} != {H.basis[i]}"
         if right != {i: ONE}:
-            witnesses.append(f"{H.basis[i]}*1 != {H.basis[i]}")
-    return witnesses
+            yield f"{H.basis[i]}*1 != {H.basis[i]}"
 
 
 def _check_coassociativity(H):
-    witnesses = []
     comul = H.comul
     for i in range(H.dim):
         lhs = {}
@@ -574,12 +597,10 @@ def _check_coassociativity(H):
             for c, p, q in comul[k]:
                 _acc(rhs, (j, p, q), a * c)
         if lhs != rhs:
-            witnesses.append(f"coassociativity fails on {H.basis[i]}")
-    return witnesses
+            yield f"coassociativity fails on {H.basis[i]}"
 
 
 def _check_counit(H):
-    witnesses = []
     eps = H.counit
     for i in range(H.dim):
         left = {}
@@ -588,10 +609,9 @@ def _check_counit(H):
             _acc(left, k, a * eps[j])
             _acc(right, j, a * eps[k])
         if left != {i: ONE}:
-            witnesses.append(f"(eps (x) id) delta fails on {H.basis[i]}")
+            yield f"(eps (x) id) delta fails on {H.basis[i]}"
         if right != {i: ONE}:
-            witnesses.append(f"(id (x) eps) delta fails on {H.basis[i]}")
-    return witnesses
+            yield f"(id (x) eps) delta fails on {H.basis[i]}"
 
 
 def _check_comul_mult(H, T, S):
@@ -599,7 +619,6 @@ def _check_comul_mult(H, T, S):
     delta(e_i)delta(e_j); on the pairs (e_s, e_j), s in S, first when S is
     given (H then being associative) and delta(1) = 1 (x) 1 holds, and on
     all pairs unless those pass."""
-    witnesses = []
     delta_unit = {}
     for i, u in H.unit_sparse:
         for c, j, k in H.comul[i]:
@@ -607,16 +626,15 @@ def _check_comul_mult(H, T, S):
     unit_tensor = {}
     acc_outer(unit_tensor, ONE, H.unit, H.unit)
     if delta_unit != unit_tensor:
-        witnesses.append("delta(1) != 1 (x) 1")
-    elif S is not None and not _comul_mult_witnesses(H, T, S):
-        return []
-    return witnesses + _comul_mult_witnesses(H, T, range(H.dim))
+        yield "delta(1) != 1 (x) 1"
+    elif S is not None and next(_comul_mult_witnesses(H, T, S), None) is None:
+        return
+    yield from _comul_mult_witnesses(H, T, range(H.dim))
 
 
 def _comul_mult_witnesses(H, T, first):
     # delta(e_i e_j) over D^2, lifted to D^4, against delta(e_i)delta(e_j)
     # over D^4, both accumulated inline in the battery's costliest loop
-    witnesses = []
     mul, comul = T.mul, T.comul
     scale = T.D * T.D
     for i in first:
@@ -640,26 +658,40 @@ def _comul_mult_witnesses(H, T, first):
                             cur = rhs.get((m, n))
                             rhs[m, n] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
             if not _same(lhs, rhs):
-                witnesses.append(
-                    f"delta({H.basis[i]}*{H.basis[j]}) != delta({H.basis[i]})*delta({H.basis[j]})"
-                )
-    return witnesses
+                yield f"delta({H.basis[i]}*{H.basis[j]}) != delta({H.basis[i]})*delta({H.basis[j]})"
 
 
-def _check_counit_mult(H):
-    witnesses = []
-    eps = H.counit
-    if sum((u * eps[i] for i, u in H.unit_sparse), ZERO) != ONE:
-        witnesses.append("eps(1) != 1")
-    for i in range(H.dim):
-        for j in range(H.dim):
-            if sum((c * eps[k] for k, c in H.mul[i][j]), ZERO) != eps[i] * eps[j]:
-                witnesses.append(f"eps({H.basis[i]}*{H.basis[j]}) != eps*eps")
-    return witnesses
+def _check_counit_mult(H, T, S):
+    """eps(1) = 1 and the witnesses of eps(e_i e_j) = eps(e_i)eps(e_j); on
+    the pairs (e_s, e_j), s in S, first when S is given (H then being
+    associative) and eps(1) = 1 holds, and on all pairs unless those
+    pass."""
+    if sum((u * H.counit[i] for i, u in H.unit_sparse), ZERO) != ONE:
+        yield "eps(1) != 1"
+    elif S is not None and next(_counit_mult_witnesses(H, T, S), None) is None:
+        return
+    yield from _counit_mult_witnesses(H, T, range(H.dim))
+
+
+def _counit_mult_witnesses(H, T, first):
+    # eps(e_i e_j) over D*E, lifted to D*E^2, against eps(e_i)eps(e_j) over
+    # E^2, lifted to D*E^2
+    mul, eps, D, E = T.mul, T.counit, T.D, T.E
+    for i in first:
+        a, b = eps[i]
+        a, b = a * D, b * D
+        for j, row in enumerate(mul[i]):
+            c, e = eps[j]
+            re = im = 0
+            for k, x, y in row:
+                p, q = eps[k]
+                re += x * p - y * q
+                im += x * q + y * p
+            if re * E != a * c - b * e or im * E != a * e + b * c:
+                yield f"eps({H.basis[i]}*{H.basis[j]}) != eps*eps"
 
 
 def _check_antipode(H):
-    witnesses = []
     mul, anti = H.mul, H.antipode
     for i in range(H.dim):
         left = {}
@@ -679,10 +711,9 @@ def _check_antipode(H):
         for j, u in H.unit_sparse:
             _acc(expected, j, H.counit[i] * u)
         if left != expected:
-            witnesses.append(f"m(S (x) id) delta != eps*1 on {H.basis[i]}")
+            yield f"m(S (x) id) delta != eps*1 on {H.basis[i]}"
         if right != expected:
-            witnesses.append(f"m(id (x) S) delta != eps*1 on {H.basis[i]}")
-    return witnesses
+            yield f"m(id (x) S) delta != eps*1 on {H.basis[i]}"
 
 
 # -- twisted tensor products ------------------------------------------------------

@@ -5,19 +5,74 @@ entries), "solutions/v1" (solver branches plus split provenance),
 "action/v1" (concrete action tables), "matched-pair/v1" (an action pair
 with its verification digest), "invariant-report/v1".  Scalars travel as
 the 4-integer tuple [re_num, re_den, im_num, im_den]; everything is sorted
-canonically so identical inputs serialize to identical bytes.
+canonically so identical inputs serialize to identical bytes.  The text is
+that of `json.dumps(indent=2, sort_keys=True, ensure_ascii=True)`, written
+by `dumps` itself: the stdlib builds indented text in pure Python, value by
+value, while `dumps` joins each list of ints in one step.
 """
 
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from hopffactor.hopf import HopfAlgebraData
 from hopffactor.scalar import Scalar
 
 
 def dumps(payload):
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """The canonical text of a payload: `json.dumps` with indent=2,
+    sort_keys=True and ensure_ascii=True, then a newline.  It is written
+    here, byte for byte the same, because the stdlib encoder falls back to
+    its pure-Python loop whenever it indents; a list of ints is joined in
+    one step.  A payload holding anything but str-keyed dicts, lists,
+    strs, ints, bools and None (a tuple, a float, an int key, a str
+    subclass) is left to `json.dumps` whole, as is one nested too deeply
+    (or holding itself), so its errors are json's."""
+    try:
+        return _text(payload, "\n") + "\n"
+    except (_Unhandled, RecursionError):
+        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
+class _Unhandled(Exception):
+    """A value `_text` leaves to `json.dumps`."""
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_int_only = {int}.issuperset
+_str_only = {str}.issuperset
+_int_text = int.__repr__
+
+
+def _text(value, newline):
+    """The text of `value`, its lines indented after `newline` (a newline
+    and the indentation of the line that holds the value)."""
+    kind = value.__class__
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if _int_only(map(type, value)):
+            items = map(_int_text, value)
+        else:
+            items = [_int_text(x) if x.__class__ is int else _text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not _str_only(map(type, value)):
+            raise _Unhandled
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return _int_text(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    raise _Unhandled
 
 
 def write_text(path, text):
@@ -168,8 +223,8 @@ def axiom_report_to_json(report, extra_checks=()):
             {
                 "name": c.name,
                 "passed": c.passed,
-                "witnesses": list(c.witnesses[:10]),
-                "witness_count": len(c.witnesses),
+                "witnesses": list(c.witnesses),
+                "witness_count": c.count,
             }
             for c in report.checks
         ],

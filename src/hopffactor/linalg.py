@@ -1,18 +1,24 @@
 """Exact linear algebra over Q(i): one Gauss-Jordan elimination.
 
-`rref` reduces sparse rows {column: Scalar} and serves the dense matrices
-here (rank, kernel, invertibility), the sparse null spaces of `kernel`
-(skew-primitive spaces), the closures of `hopf._closure` and the solver's
-linear batches.  Elimination is exact, so it never pivots on a
-numerically "small" entry because there is no rounding to protect
-against.  The reduced row echelon form is unique for a fixed column
-order, so the result does not depend on which row supplies a pivot.  An
-index from each column to the rows that hold it lets each pivot visit
-only those rows instead of scanning them all.  `span_basis` gives a
-space known by spanning vectors the basis `kernel` gives it.
+`rref_int` reduces sparse rows of Gaussian-integer numerators (re, im),
+each row over one denominator, the form in which `Poly` and `Scalar` store
+their coefficients, so the elimination multiplies and adds ints and makes
+no Scalar.  The solver's linear batches hand it their polynomials'
+numerators directly.  `rref` takes rows {column: Scalar}, converting them
+on the way in and out, and serves the dense matrices here (rank, kernel,
+invertibility), the sparse null spaces of `kernel` (skew-primitive spaces)
+and the closures of `hopf._closure`.  Elimination is exact, so it never
+pivots on a numerically "small" entry because there is no rounding to
+protect against.  The reduced row echelon form is unique for a fixed
+column order, so the result does not depend on which row supplies a
+pivot.  An index from each column to the rows that hold it lets each
+pivot visit only those rows instead of scanning them all.  `span_basis`
+gives a space known by spanning vectors the basis `kernel` gives it.
 """
 
-from hopffactor.scalar import ONE, ZERO
+from math import gcd, lcm
+
+from hopffactor.scalar import ONE, ZERO, _make
 
 
 def rref(rows, columns):
@@ -22,16 +28,42 @@ def rref(rows, columns):
     every column the rows use.  Returns the pivot rows in pivot order as
     (pivot column, row) pairs: each row is 1 at its own pivot and absent
     from every other pivot column.  The rows that took no pivot reduce to
-    zero and are left out.  The input rows are not modified.
+    zero and are left out.  The input rows are not modified.  The
+    elimination is `rref_int`'s, on each row's numerators over the lcm of
+    its denominators."""
+    int_rows = []
+    for row in rows:
+        if row:
+            den = lcm(*[e.den for e in row.values()])
+            int_rows.append(
+                ({c: (e.re * (den // e.den), e.im * (den // e.den)) for c, e in row.items()}, den)
+            )
+    return [
+        (col, {c: _make(re, im, den) for c, (re, im) in row.items()})
+        for col, row, den in rref_int(int_rows, columns)
+    ]
+
+
+def rref_int(rows, columns):
+    """Gauss-Jordan elimination of sparse rows (numerators, den): the entry
+    of a row at column c is (re + im*i)/den for numerators[c] = (re, im),
+    every pair is nonzero and den > 0.  The dicts are the caller's to give
+    up: they are reduced in place.
+    Returns (pivot column, numerators, den) triples in pivot order, as
+    `rref` returns its rows: the pivot entry reads (den, 0), and den
+    shares no factor with all the numerators of its row.
 
     An index from each column to the rows that hold it (pivot rows
     included) lets a pivot visit only those rows.  The pivot of a column
     is the earliest input row without a pivot that holds it, and every row
     goes through the same eliminations in the same order as in a scan of
     all rows, so even the key order of the returned rows is that of the
-    scan.
+    scan.  Eliminating a pivot row over dp from a row over dr puts that
+    row over dr*dp, then reduces it; rows over 1 stay over 1 while the
+    pivot rows are over 1, as a pivot numerator of 1, -1, i or -i makes
+    them.
     """
-    rows = [dict(row) for row in rows if row]
+    rows, dens = [row for row, _ in rows], [den for _, den in rows]
     holders = {}
     for r, row in enumerate(rows):
         for c in row:
@@ -43,29 +75,60 @@ def rref(rows, columns):
         k = min(hold - pivoted, default=None)
         if k is None:
             continue
+        # divide the row by its pivot (a + bi)/den: an entry (x + yi)/den
+        # becomes (x + yi)(a - bi)/(a^2 + b^2)
         prow = rows[k]
-        inv = prow[col].inv()
-        rows[k] = prow = {c: inv * e for c, e in prow.items()}
+        a, b = prow[col]
+        if b == 0:
+            if a < 0:
+                prow = {c: (-x, -y) for c, (x, y) in prow.items()}
+            dp = abs(a)
+        else:
+            prow = {c: (x * a + y * b, y * a - x * b) for c, (x, y) in prow.items()}
+            dp = a * a + b * b
+        rows[k], dens[k] = prow, dp = _reduced(prow, dp)
         pivoted.add(k)
-        negated = [(c, -p) for c, p in prow.items() if c != col]
+        negated = [(c, -x, -y) for c, (x, y) in prow.items() if c != col]
         for r in hold:
             if r == k:
                 continue
             row = rows[r]
-            f = row.pop(col)
-            for c, p in negated:
-                if c in row:
-                    s = row[c] + f * p
-                    if s.is_zero():
+            fr, fi = row.pop(col)
+            dr = dens[r]
+            if dp != 1:
+                for c, (x, y) in row.items():
+                    row[c] = (x * dp, y * dp)
+                dr *= dp
+            for c, x, y in negated:
+                re, im = fr * x - fi * y, fr * y + fi * x
+                cur = row.get(c)
+                if cur is None:
+                    row[c] = (re, im)
+                    holders[c].add(r)
+                else:
+                    re += cur[0]
+                    im += cur[1]
+                    if re or im:
+                        row[c] = (re, im)
+                    else:
                         del row[c]
                         holders[c].discard(r)
-                    else:
-                        row[c] = s
-                else:
-                    row[c] = f * p
-                    holders[c].add(r)
-        pivots.append((col, prow))
-    return pivots
+            if dr != 1:
+                rows[r], dr = _reduced(row, dr)
+            dens[r] = dr
+        pivots.append((col, k))
+    return [(col, rows[k], dens[k]) for col, k in pivots]
+
+
+def _reduced(row, den):
+    """(row, den) with den and the numerators divided by their common
+    factor."""
+    g = den
+    for x, y in row.values():
+        g = gcd(g, x, y)
+        if g == 1:
+            return row, den
+    return {c: (x // g, y // g) for c, (x, y) in row.items()}, den // g
 
 
 def kernel(rows, ncols):

@@ -16,8 +16,9 @@ Two tuples take less than half the memory of a {monomial: pair} dict;
 a per-family solve of `theorem check` starts from about 10k terms, and
 the union route's solve (`tests/oracles.search_system`) holds hundreds of
 thousands.  Dicts remain only where terms are summed: the accumulators
-(`acc_add`, `acc_mul`, `from_acc`) and the output of one batch
-substitution (`_Batch.apply`).
+(`acc_add`, `acc_mul`, `from_acc`) and the sums of one batch substitution
+(`_Batch._expand`), which `_Batch.apply` turns into a Poly and
+`_Batch.is_zero_under` only tests for zero.
 
 The canonical term order is graded lexicographic, highest degree first,
 which makes rendering and `key()` deterministic and lets whole solution
@@ -314,7 +315,12 @@ class _Batch:
     targets are cached for the batch.  The monomials of the targets and
     of the results, and the numerator pairs of the results, are shared
     through `intern`, which the solver keeps for every batch of one solve
-    (see `solver._Node`)."""
+    (see `solver._Node`).
+
+    `apply` builds the substituted Poly; `is_zero_under` answers whether
+    it would be zero from the same sums (`_expand`), with no Poly built,
+    no numerators reduced and no monomial shared, for the solver's
+    containment tests and soundness pass, which only ask that."""
 
     __slots__ = ("keys", "zeros", "nonzero", "targets", "scale", "intern", "_products")
 
@@ -355,11 +361,30 @@ class _Batch:
         pvars = p.variables()
         if self.keys.isdisjoint(pvars):
             return p
-        keys, zeros, targets = self.keys, self.zeros, self.targets
         if self.nonzero.isdisjoint(pvars):
+            zeros = self.zeros
             kept = {m: c for m, c in zip(p.terms, p.nums) if zeros.isdisjoint(m)}
             return _build(kept, p.den, self.intern)
-        intern = self.intern.setdefault
+        return _build(*self._expand(p, self.intern.setdefault), self.intern)
+
+    def is_zero_under(self, p):
+        """Whether `apply(p)` is zero, from the same sums with no result
+        built and no monomial shared."""
+        pvars = p.variables()
+        if self.keys.isdisjoint(pvars):
+            return not p.terms
+        if self.nonzero.isdisjoint(pvars):
+            # only terms are dropped, so every one must be
+            return not any(map(self.zeros.isdisjoint, p.terms))
+        out, _ = self._expand(p, None)
+        return not any(map(any, out.values()))
+
+    def _expand(self, p, share):
+        """The substituted terms of p, which holds some unknown mapped to a
+        nonzero target, as {monomial: (re, im)} sums, zero sums included,
+        and their denominator.  The monomials of kept-times-target products
+        are shared through `share` unless it is None."""
+        keys, zeros, targets = self.keys, self.zeros, self.targets
         products = self._products
         top = p.degree()
         powers = [self.scale**k for k in range(top + 1)]
@@ -389,14 +414,15 @@ class _Batch:
             for m2, (e, f) in prod:
                 if kept:
                     m2 = _mono_mul(kept, m2)
-                    m2 = intern(m2, m2)
+                    if share is not None:
+                        m2 = share(m2, m2)
                 if im:
                     c = (re * e - im * f, re * f + im * e)
                 else:
                     c = (re * e, re * f)
                 cur = get(m2)
                 out[m2] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
-        return _build(out, p.den * s, self.intern)
+        return out, p.den * s
 
 
 # -- bulk accumulation (Poly arithmetic and constraint generation) -------------

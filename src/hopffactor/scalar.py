@@ -88,10 +88,13 @@ def _red(n, d):
     return n, d
 
 
+_new = object.__new__
+
+
 def _make(re, im, den):
     """The Scalar (re + im*i)/den for ints with den > 0, reduced."""
     g = gcd(re, im, den)
-    s = object.__new__(Scalar)
+    s = _new(Scalar)
     if g == 1:
         s.re, s.im, s.den = re, im, den
     else:
@@ -144,35 +147,85 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
+    # Each operation tests for a Scalar operand first and builds its reduced
+    # result in place, as `_make` would, skipping the gcd when the
+    # denominator is 1; an int operand n is n/1.
+
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                # re + n*den keeps gcd(re, im, den) = 1: no reduction
+                s = _new(Scalar)
+                s.re, s.im, s.den = self.re + other * self.den, self.im, self.den
+                return s
+            if not isinstance(other, Scalar):
+                return NotImplemented
         d, f = self.den, other.den
-        return _make(self.re * f + other.re * d, self.im * f + other.im * d, d * f)
+        if d == f:
+            re, im = self.re + other.re, self.im + other.im
+        else:
+            re, im, d = self.re * f + other.re * d, self.im * f + other.im * d, d * f
+        s = _new(Scalar)
+        if d == 1:
+            s.re, s.im, s.den = re, im, 1
+            return s
+        g = gcd(re, im, d)
+        if g == 1:
+            s.re, s.im, s.den = re, im, d
+        else:
+            s.re, s.im, s.den = re // g, im // g, d // g
+        return s
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.re, -self.im, self.den)
+        s = _new(Scalar)
+        s.re, s.im, s.den = -self.re, -self.im, self.den
+        return s
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                s = _new(Scalar)
+                s.re, s.im, s.den = self.re - other * self.den, self.im, self.den
+                return s
+            if not isinstance(other, Scalar):
+                return NotImplemented
         d, f = self.den, other.den
-        return _make(self.re * f - other.re * d, self.im * f - other.im * d, d * f)
+        if d == f:
+            re, im = self.re - other.re, self.im - other.im
+        else:
+            re, im, d = self.re * f - other.re * d, self.im * f - other.im * d, d * f
+        s = _new(Scalar)
+        if d == 1:
+            s.re, s.im, s.den = re, im, 1
+            return s
+        g = gcd(re, im, d)
+        if g == 1:
+            s.re, s.im, s.den = re, im, d
+        else:
+            s.re, s.im, s.den = re // g, im // g, d // g
+        return s
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                return _make(self.re * other, self.im * other, self.den)
+            if not isinstance(other, Scalar):
+                return NotImplemented
         # (a + bi)/d * (c + ei)/f = ((ac - be) + (ae + bc)i)/(df)
         a, b, c, e = self.re, self.im, other.re, other.im
-        return _make(a * c - b * e, a * e + b * c, self.den * other.den)
+        re, im, d = a * c - b * e, a * e + b * c, self.den * other.den
+        s = _new(Scalar)
+        if d == 1:
+            s.re, s.im, s.den = re, im, 1
+            return s
+        g = gcd(re, im, d)
+        if g == 1:
+            s.re, s.im, s.den = re, im, d
+        else:
+            s.re, s.im, s.den = re // g, im // g, d // g
+        return s
 
     __rmul__ = __mul__
 

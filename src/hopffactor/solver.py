@@ -11,17 +11,21 @@ three solution-preserving moves:
         quadratic formula, whenever the discriminant is a perfect square
         in Q(i) (as a scalar or as the square of a polynomial).
 
-Dead branches (a nonzero constant constraint) are pruned, identical
-branches are merged, and branches whose variety is contained in another
-branch are dropped, so solution sets compare structurally.  Anything the
-three moves cannot reduce raises IrreducibleSystemError carrying the
-offending residual: the solver never guesses.
+Linear batches are eliminated on the polynomials' own integer numerators
+(`linalg.rref_int`).  Dead branches (a nonzero constant constraint) are
+pruned, identical branches are merged, and branches whose variety is
+contained in another branch are dropped, so solution sets compare
+structurally; a containment test only asks whether substituted equations
+vanish (`_Batch.is_zero_under`), and skips the pairs that dimension rules
+out (the lemma above `_canonicalize_branches`).  Anything the three moves
+cannot reduce raises IrreducibleSystemError carrying the offending
+residual: the solver never guesses.
 """
 
 from math import isqrt
 
-from hopffactor.linalg import rref
-from hopffactor.poly import Poly, _Batch
+from hopffactor.linalg import rref_int
+from hopffactor.poly import Poly, _Batch, _build
 from hopffactor.scalar import Scalar, _make
 
 
@@ -144,17 +148,13 @@ class Branch:
         return {v: e.const_value() for v, e in self.subst.items()}
 
     def contains(self, other):
-        """Variety containment: other is a subvariety of self."""
-        return self._holds_under(_Batch(other.subst))
+        """Variety containment: other is a subvariety of self, when every
+        equation of self vanishes under other's substitution."""
+        return all(map(_Batch(other.subst).is_zero_under, self.equations()))
 
-    def _holds_under(self, batch):
-        """Whether every equation v = e of this branch vanishes under
-        `batch`, the substitution of another branch: the one containment
-        rule."""
-        for v, e in self.subst.items():
-            if not batch.apply(Poly.var(v) - e).is_zero():
-                return False
-        return True
+    def equations(self):
+        """The polynomials v - e, one per substitution v = e."""
+        return [Poly.var(v) - e for v, e in self.subst.items()]
 
     def to_json(self):
         return {
@@ -196,17 +196,17 @@ def _solve_linear(linear):
     """Simultaneous rule (i): reduced row echelon form of the fully linear
     constraints.  Returns {pivot var: affine Poly over free vars}, or None
     when the rows are inconsistent.  Fully deterministic: columns in sorted
-    variable order, then the constant."""
-    rows = [
-        {m: _make(re, im, p.den) for m, (re, im) in zip(p.terms, p.nums)}
-        for p in linear
-    ]
-    columns = sorted({m for row in rows for m in row if m}) + [()]
+    variable order, then the constant.  `rref_int` eliminates on each
+    Poly's own numerators over its denominator, and each pivot row gives
+    its Poly with no Scalar made: the same terms in the same order as the
+    Poly of the row's Scalar entries."""
+    rows = [(dict(zip(p.terms, p.nums)), p.den) for p in linear]
+    columns = sorted({m for row, _ in rows for m in row if m}) + [()]
     mapping = {}
-    for m, row in rref(rows, columns):
+    for m, row, den in rref_int(rows, columns):
         if not m:
             return None  # a pivot in the constant column reads 1 = 0
-        mapping[m[0]] = Poly({c: -e for c, e in row.items() if c != m})
+        mapping[m[0]] = _build({c: (-re, -im) for c, (re, im) in row.items() if c != m}, den)
     return mapping
 
 
@@ -460,7 +460,7 @@ def _check_branches(branches, polys):
     batches = [_Batch(b.subst) for b in branches]
     for p in polys:
         for b, batch in zip(branches, batches):
-            if batch.apply(p).terms:
+            if not batch.is_zero_under(p):
                 raise AssertionError(f"unsound branch {b!r} leaves residue on {p.render()}")
 
 
@@ -470,20 +470,39 @@ def _case_label(case):
     return f"factor: {case[2].render()}"
 
 
+# Containment and dimension.  The branches of one solution set share one
+# universe: every unknown is substituted or free in each of them.  A
+# branch b with free unknowns F maps each point of the affine space over F
+# to one solution, the graph of a polynomial map, so its variety has
+# dimension |F|.  Let b_i (free F_i)
+# lie in b_j (free F_j): every equation of b_j vanishes under b_i's
+# substitution.  Each unknown of F_i is then a polynomial in the values
+# b_i gives the unknowns of F_j: either it lies in F_j, or b_j substitutes
+# it by a polynomial over F_j, an equation that holds under b_i.  So the
+# |F_i| algebraically independent unknowns of F_i lie in a field generated
+# by |F_j| elements, and |F_i| <= |F_j|: no branch with more free unknowns
+# than b_j lies in b_j, and the test is skipped.
+
+
 def _canonicalize_branches(raw):
     seen = {}
     for b in raw:
         seen.setdefault(b.key(), b)
     branches = sorted(seen.values(), key=lambda b: b.key())
-    # one substitution batch per branch, shared by all its containment tests
+    # one substitution batch and one list of equations per branch, shared
+    # by all its containment tests
     batches = [_Batch(b.subst) for b in branches]
+    equations = [b.equations() for b in branches]
     kept = []
     for i, b in enumerate(branches):
         redundant = False
+        dim = len(b.free)
         for j, other in enumerate(branches):
-            if i == j or not other._holds_under(batches[i]):
+            if i == j or dim > len(other.free):
                 continue
-            if not b._holds_under(batches[j]) or j < i:
+            if not all(map(batches[i].is_zero_under, equations[j])):
+                continue  # b does not lie in other
+            if j < i or not all(map(batches[j].is_zero_under, equations[i])):
                 redundant = True
                 break
         if not redundant:

@@ -9,7 +9,11 @@ them.  The union route of the matched-pair search solves both tables'
 systems and the whole pairing system as one system; the tests hold the
 per-family search to it, and count the moves of a solve to pin its shape.
 The elimination that scans every row (`rref_scan`) is the reference the
-indexed `linalg.rref` is held to.
+indexed integer-row `linalg.rref` is held to, and `solver._solve_linear`
+is held to the same elimination on Scalar rows (`solve_linear_scalar`).
+The branch canonicalisation that tests every ordered pair of branches by
+substitution (`canonicalize_all_pairs`) is the reference for the solver's,
+which skips pairs by dimension and tests for zero without building.
 """
 
 import functools
@@ -25,6 +29,7 @@ from hopffactor.actions import (
     _rule_instances,
 )
 from hopffactor import solver
+from hopffactor.poly import Poly
 from hopffactor.presentations import build_H4, build_H8
 from hopffactor.scalar import ONE, ZERO, Scalar
 from hopffactor.solver import solve
@@ -145,6 +150,46 @@ def rref_scan(rows, columns):
         rows = [row for row in rows if row]
         pivots.append((col, prow))
     return pivots
+
+
+def solve_linear_scalar(linear):
+    """`solver._solve_linear` on Scalar rows: each Poly's coefficients as
+    Scalars, reduced by `rref_scan`, each pivot row read back as the Poly
+    of its Scalar entries."""
+    rows = [{m: p.coeff(m) for m in p.terms} for p in linear]
+    columns = sorted({m for row in rows for m in row if m}) + [()]
+    mapping = {}
+    for m, row in rref_scan(rows, columns):
+        if not m:
+            return None
+        mapping[m[0]] = Poly({c: -e for c, e in row.items() if c != m})
+    return mapping
+
+
+def canonicalize_all_pairs(raw):
+    """`solver._canonicalize_branches` without its shortcuts: branches
+    deduplicated and sorted by key, then b dropped when some other branch
+    contains it and either is not contained in b or comes earlier, every
+    ordered pair tested by substituting b into the other's equations
+    v - e and asking whether each result `is_zero()`."""
+    seen = {}
+    for b in raw:
+        seen.setdefault(b.key(), b)
+    branches = sorted(seen.values(), key=lambda b: b.key())
+
+    def inside(b, other):
+        return all(
+            (Poly.var(v) - e).subst_many(b.subst).is_zero() for v, e in other.subst.items()
+        )
+
+    return [
+        b
+        for i, b in enumerate(branches)
+        if not any(
+            j != i and inside(b, other) and (j < i or not inside(other, b))
+            for j, other in enumerate(branches)
+        )
+    ]
 
 
 # -- the union route of the matched-pair search ----------------------------------

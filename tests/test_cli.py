@@ -38,10 +38,24 @@ def tree_bytes(root):
     return out
 
 
+def _dumps_as_json(out):
+    """Each JSON artifact in `out`, read back, is written by `dumps`
+    exactly as the stdlib writes it and as the file holds it; returns how
+    many there are."""
+    names = sorted(name for name in os.listdir(out) if name.endswith(".json"))
+    for name in names:
+        text = (out / name).read_text(encoding="utf-8")
+        payload = json.loads(text)
+        reference = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+        assert jsonio.dumps(payload) == reference == text, name
+    return len(names)
+
+
 def test_catalog_verify(tmp_path, capsys):
     out = tmp_path / "cat"
     code = main(["catalog", "verify", "--out", str(out)])
     assert code == EXIT_OK
+    assert _dumps_as_json(out) == 6
     assert (out / "h4.hopf.json").exists()
     assert (out / "h8.hopf.json").exists()
     assert (out / "h8xh4.hopf.json").exists()
@@ -107,6 +121,7 @@ def test_actions_enumerate_left(tmp_path, capsys):
     assert payload["schema"] == "solutions/v1"
     assert payload["branch_count"] == 16
     assert len(payload["solutions"]) == 16
+    assert _dumps_as_json(out) == 1
     assert "16 canonical families" in capsys.readouterr().out
 
 
@@ -117,6 +132,7 @@ def test_actions_enumerate_right_exits_irreducible(tmp_path):
     payload = read_json(out / "actions-right.solutions.json")
     assert payload["error"] == "irreducible-system"
     assert payload["residual_count"] > 0
+    assert _dumps_as_json(out) == 1
 
 
 def tiny_split_budget(monkeypatch):
@@ -142,6 +158,11 @@ def theorem_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("theorem")
     code = main(["theorem", "check", "--out", str(out), "--format", "markdown"])
     return code, out
+
+
+def test_dumps_writes_every_theorem_artifact_as_json_dumps_does(theorem_run):
+    _, out = theorem_run
+    assert _dumps_as_json(out) == 13
 
 
 def test_theorem_check_passes(theorem_run):

@@ -14,6 +14,7 @@ from hopffactor import hopf
 from hopffactor.actions import matched_pair_search
 from hopffactor.bicrossed import build_bicrossed
 from hopffactor.hopf import (
+    WITNESS_LIMIT,
     HopfAlgebraData,
     _certificate,
     _enumerate_grouplikes,
@@ -209,6 +210,17 @@ def test_mutations_break_axioms(H8):
 MUL_DELTAS = (ONE, -ONE, I, NEG_I, HALF, I * Scalar(1, 3))
 
 
+def _witnessed(report):
+    """{check name: (witness count, kept witnesses)} of an AxiomReport."""
+    return {c.name: (c.count, c.witnesses) for c in report.checks}
+
+
+def _kept(witnesses):
+    """(count, kept witnesses) that an AxiomCheck over this full witness
+    list holds."""
+    return len(witnesses), tuple(witnesses[:WITNESS_LIMIT])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.sampled_from(MUL_DELTAS)
@@ -216,9 +228,10 @@ MUL_DELTAS = (ONE, -ONE, I, NEG_I, HALF, I * Scalar(1, 3))
 def test_mutation_witnesses_match_element_arithmetic(i, j, k, delta):
     """The associativity and delta-multiplicativity witnesses of a mutated H8
     are exactly the instances where Element arithmetic, or H.comultiply with
-    H.multiply leg by leg, finds the two sides different."""
+    H.multiply leg by leg, finds the two sides different: the same count
+    and the same first witnesses."""
     M = _mutate(build_H8(), i, j, k, delta)
-    report = {c.name: c.witnesses for c in verify_axioms(M).checks}
+    report = _witnessed(verify_axioms(M))
     e, b = [M.basis_element(n) for n in range(M.dim)], M.basis
     assoc = [
         f"(e{p}*e{q})*e{r} != e{p}*(e{q}*e{r}) [{b[p]}, {b[q]}, {b[r]}]"
@@ -227,14 +240,14 @@ def test_mutation_witnesses_match_element_arithmetic(i, j, k, delta):
         for r in range(M.dim)
         if (e[p] * e[q]) * e[r] != e[p] * (e[q] * e[r])
     ]
-    assert report["associativity"] == tuple(assoc)
+    assert report["associativity"] == _kept(assoc)
     comul = [
         f"delta({b[p]}*{b[q]}) != delta({b[p]})*delta({b[q]})"
         for p in range(M.dim)
         for q in range(M.dim)
         if M.comultiply_dict(e[p] * e[q]) != _delta_product(M, e[p], e[q])
     ]
-    assert report["comultiplication-multiplicative"] == tuple(comul)
+    assert report["comultiplication-multiplicative"] == _kept(comul)
 
 
 def _delta_product(H, x, y):
@@ -272,9 +285,9 @@ def test_comul_mutation_witnesses_match_leg_by_leg_products(i, j, k, delta):
     where H.comultiply and H.multiply leg by leg find the two sides
     different."""
     M = _mutate_comul(build_H8(), i, j, k, delta)
-    report = {c.name: c.witnesses for c in verify_axioms(M).checks}
-    assert report["associativity"] == ()
-    assert report["comultiplication-multiplicative"] == _comul_mult_oracle(M)
+    report = _witnessed(verify_axioms(M))
+    assert report["associativity"] == (0, ())
+    assert report["comultiplication-multiplicative"] == _kept(_comul_mult_oracle(M))
 
 
 def _comul_mult_oracle(M):
@@ -411,12 +424,12 @@ def test_no_small_generating_set_takes_the_full_loops(monkeypatch):
     # run on every instance once, with the witness lists of the full loops
     firsts = _record_loops(monkeypatch)
     H = _square_zero(16)
-    report = {c.name: c.witnesses for c in verify_axioms(H).checks}
+    report = _witnessed(verify_axioms(H))
     assert firsts == [range(16), range(16)]
-    assert report.pop("comultiplication-multiplicative") == tuple(
+    assert report.pop("comultiplication-multiplicative") == _kept([
         f"delta(e{i}*e{j}) != delta(e{i})*delta(e{j})" for i in range(1, 16) for j in range(1, 16)
-    )
-    assert all(w == () for w in report.values())
+    ])
+    assert all(w == (0, ()) for w in report.values())
 
 
 def _truncated(one_times_x2, delta_one):
@@ -460,6 +473,81 @@ def test_certificate_preconditions_keep_the_full_witness_lists(monkeypatch):
         "delta(1) != 1 (x) 1", "delta(1*1) != delta(1)*delta(1)",
     )
     assert firsts == [[1], range(3)]
+
+
+def _counit_mult_oracle(M):
+    """The eps-multiplicativity witnesses by H.counit_of and Element
+    products over every pair, the eps(1) line first."""
+    e, b = [M.basis_element(n) for n in range(M.dim)], M.basis
+    eps = [M.counit_of(x) for x in e]
+    witnesses = [] if M.counit_of(M.one()) == ONE else ["eps(1) != 1"]
+    witnesses += [
+        f"eps({b[p]}*{b[q]}) != eps*eps"
+        for p in range(M.dim)
+        for q in range(M.dim)
+        if M.counit_of(e[p] * e[q]) != eps[p] * eps[q]
+    ]
+    return tuple(witnesses)
+
+
+def _with_counit(H, counit, mul=None):
+    return HopfAlgebraData(
+        H.name, H.basis, H.mul if mul is None else mul, H.unit, H.comul, counit, H.antipode
+    )
+
+
+def test_counit_certificate_preconditions_keep_the_full_witness_lists(T, monkeypatch):
+    # x generates k[x]/(x^3), and every pair (x, y) passes on the tables
+    # below, while some pair with 1 or x^2 first fails
+    firsts = []
+    loop = hopf._counit_mult_witnesses
+
+    def recording(H, tables, first):
+        firsts.append(first)
+        return loop(H, tables, first)
+
+    monkeypatch.setattr(hopf, "_counit_mult_witnesses", recording)
+    # eps(1) = 2: associativity is certified from x, but eps(1) = 1 fails,
+    # so every pair runs and finds eps(1*1) = 2 != 4
+    M = _with_counit(_truncated({2: ONE}, ONE), [Scalar(2), ZERO, ZERO])
+    report = _witnessed(verify_axioms(M))
+    assert report["associativity"] == (0, ())
+    assert report["counit-multiplicative"] == _kept(_counit_mult_oracle(M)) == (
+        2, ("eps(1) != 1", "eps(1*1) != eps*eps"),
+    )
+    assert firsts == [range(3)]
+    # x2 * x2 = 1 breaks associativity ((x x) x2 = 1, x (x x2) = 0) and eps
+    # of that one pair; 1 is a unit and eps(1) = 1, so only associativity
+    # keeps the pairs (x, y) from standing for every pair
+    firsts.clear()
+    base = _truncated({2: ONE}, ONE)
+    mul = [list(block) for block in base.mul]
+    mul[2][2] = {0: ONE}
+    M = _with_counit(base, base.counit, mul)
+    report = _witnessed(verify_axioms(M))
+    assert report["associativity"][0] > 0
+    assert report["counit-multiplicative"] == _kept(_counit_mult_oracle(M)) == (
+        1, ("eps(x2*x2) != eps*eps",),
+    )
+    assert firsts == [range(3)]
+    # on a product that five basis elements generate, only their pairs run
+    firsts.clear()
+    assert verify_axioms(T).all_passed
+    assert firsts == [[1, 2, 4, 8, 16]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.sampled_from(MUL_DELTAS))
+def test_counit_mutation_witnesses_match_element_arithmetic(i, j, k, delta):
+    """Mutated multiplications and counits of H8: the eps-multiplicativity
+    count and kept witnesses are those of the full loop by Element
+    arithmetic, whether or not the generator pairs stand for every pair."""
+    M = _mutate(build_H8(), i, j, k, delta)
+    assert _witnessed(verify_axioms(M))["counit-multiplicative"] == _kept(_counit_mult_oracle(M))
+    counit = list(M.counit)
+    counit[k] = counit[k] + delta
+    M = _with_counit(build_H8(), counit)
+    assert _witnessed(verify_axioms(M))["counit-multiplicative"] == _kept(_counit_mult_oracle(M))
 
 
 def test_generated_algebra_runs_only_the_generator_instances(T, monkeypatch):

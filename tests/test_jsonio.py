@@ -1,6 +1,7 @@
-"""Byte-reproducible file output: atomic writes through a unique temp file;
-and the `hopf-algebra/v1` loader's rule for repeated entries and the
-memory it holds."""
+"""Byte-reproducible file output: atomic writes through a unique temp file
+and the canonical text of `dumps`; the `hopf-algebra/v1` loader's rule
+for repeated entries and the memory it holds, and that of the axiom
+battery on such a file."""
 
 import hashlib
 import json
@@ -8,9 +9,12 @@ import os
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopffactor import jsonio
 from hopffactor.cli import EXIT_CHECK_FAILED, main
+from hopffactor.hopf import WITNESS_LIMIT, verify_axioms
 from hopffactor.presentations import build_H4
 
 
@@ -104,3 +108,69 @@ def test_verify_load_of_empty_tables_fails_the_axioms(tmp_path, capsys):
     counts = {a["name"]: a["witness_count"] for a in json.loads(report)["axioms"]}
     assert counts == EMPTY_WITNESS_COUNTS
     assert hashlib.sha256(report).hexdigest() == EMPTY_REPORT_SHA256
+
+
+def test_a_dim_512_battery_holds_only_the_printed_witnesses():
+    # 26.0 MB traced peak (43.2 MB peak RSS for `catalog verify --load`)
+    # when every one of the 262,144 counit-multiplicativity witnesses was
+    # kept as a string
+    H = jsonio.algebra_from_json(empty_tables(512))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_axioms(H)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    counts = {c.name: c.count for c in report.checks}
+    assert counts["counit-multiplicative"] == 512 * 512
+    assert counts["unit"] == counts["counit"] == counts["antipode"] == 2 * 512
+    assert all(len(c.witnesses) == min(c.count, WITNESS_LIMIT) for c in report.checks)
+    assert peak < 6_000_000, peak
+
+
+def _reference(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=json_values)
+def test_dumps_equals_json_dumps(payload):
+    assert jsonio.dumps(payload) == _reference(payload)
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"pair": (1, 2)},
+        [1, 2.5],
+        {"a": {1: "int key"}},
+        [_Label("a str subclass")],
+        {_Label("key"): 1},
+        [[1, True], [False, None], []],
+        {"deep": [[[[-(10**40)]]]], "text": "\u00e9\n\"\\", "": {}},
+    ],
+    ids=["tuple", "float", "int-key", "str-subclass", "str-subclass-key", "bools", "mixed"],
+)
+def test_dumps_equals_json_dumps_on_the_fallback_types(payload):
+    assert jsonio.dumps(payload) == _reference(payload)
+
+
+def test_dumps_leaves_a_cycle_to_json():
+    cycle = []
+    cycle.append(cycle)
+    with pytest.raises(ValueError, match="Circular reference"):
+        jsonio.dumps(cycle)
+

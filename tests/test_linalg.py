@@ -11,7 +11,7 @@ from hopffactor.linalg import Mat, kernel, rref, span_basis
 from hopffactor.poly import Poly
 from hopffactor.scalar import Scalar
 from hopffactor.solver import _solve_linear
-from oracles import evaluate, rref_scan
+from oracles import evaluate, rref_scan, solve_linear_scalar
 
 ZERO, ONE = Scalar(0), Scalar(1)
 
@@ -256,3 +256,29 @@ def test_solve_linear_rejects_inconsistent_row(data):
         bad = bad + p * data.draw(scalars)
     where = data.draw(st.integers(min_value=0, max_value=len(rows)))
     assert _solve_linear(rows[:where] + [bad] + rows[where:]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_linear_equals_the_scalar_oracle(data):
+    """Eliminating on the Polys' own numerators gives the mapping of the
+    elimination on Scalar rows: the same pivots in the same order, and
+    Polys with the same terms, term order, numerators and denominator;
+    None on the same inconsistent systems."""
+    names, point, rows = _planted_system(data)
+    if data.draw(st.booleans()):
+        bad = Poly.const(data.draw(scalars.filter(lambda c: not c.is_zero())))
+        for p in rows:
+            bad = bad + p * data.draw(scalars)
+        rows.insert(data.draw(st.integers(min_value=0, max_value=len(rows))), bad)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        # a row of several denominators, so rows of one are rescaled
+        rows.append(data.draw(st.sampled_from(rows)) * data.draw(scalars))
+    rows = [p for p in rows if not p.is_zero()]
+    got, want = _solve_linear(rows), solve_linear_scalar(rows)
+    if want is None:
+        assert got is None
+        return
+    assert list(got) == list(want)
+    for v, e in want.items():
+        assert (got[v].terms, got[v].nums, got[v].den) == (e.terms, e.nums, e.den)

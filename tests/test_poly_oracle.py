@@ -12,7 +12,7 @@ built from the same Scalar dict.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopffactor.poly import Poly, acc_add, acc_mul, from_acc
+from hopffactor.poly import Poly, _Batch, acc_add, acc_mul, from_acc
 from hopffactor.scalar import I, NEG_I, NEG_ONE, ONE, ZERO, Scalar
 from oracles import evaluate
 
@@ -150,3 +150,33 @@ def test_subst_many_matches_substituted_point(x, mapping, point):
     moved = {v: ref_eval(mapping[v], point) if v in mapping else point[v] for v in NAMES}
     assert evaluate(got, point) == evaluate(p, moved)
     assert_same(got, ref_subst(x, mapping), point)
+
+
+# targets over c and d only, so that v - e vanishes under {v: e} for v in a, b
+free_monomials = st.lists(st.sampled_from(("c", "d")), max_size=2).map(lambda m: tuple(sorted(m)))
+free_targets = st.one_of(st.just({}), st.dictionaries(free_monomials, factors, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=scalar_dicts,
+    y=scalar_dicts,
+    mapping=mappings,
+    closed=st.dictionaries(st.sampled_from(("a", "b")), free_targets, min_size=1, max_size=2),
+    noise=st.booleans(),
+)
+def test_zero_test_equals_apply_then_is_zero(x, y, mapping, closed, noise):
+    """`_Batch.is_zero_under(p)` is `apply(p).is_zero()`: on any polynomial
+    under any substitution (targets mapped to zero included), and on
+    combinations x*(v - e) of a substitution's own equations, which vanish
+    unless a noise term y is added."""
+    batch = _Batch({v: Poly(e) for v, e in mapping.items()})
+    p = Poly(x)
+    assert batch.is_zero_under(p) == batch.apply(p).is_zero()
+    batch = _Batch({v: Poly(e) for v, e in closed.items()})
+    p = Poly(y) if noise else Poly()
+    for v, e in closed.items():
+        p = p + Poly(x) * (Poly.var(v) - Poly(e))
+    assert batch.is_zero_under(p) == batch.apply(p).is_zero()
+    if not noise:
+        assert batch.is_zero_under(p)

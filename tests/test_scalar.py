@@ -144,8 +144,8 @@ def _stored_form_holds(s):
 
 
 @settings(max_examples=300)
-@given(a=fracs, b=fracs, c=fracs, e=fracs)
-def test_arithmetic_matches_a_fraction_oracle(a, b, c, e):
+@given(a=fracs, b=fracs, c=fracs, e=fracs, n=st.integers(min_value=-40, max_value=40))
+def test_arithmetic_matches_a_fraction_oracle(a, b, c, e, n):
     x, y = _of(a, b), _of(c, e)
     products = (a * c - b * e, a * e + b * c)
     for s, (re, im) in [
@@ -153,6 +153,13 @@ def test_arithmetic_matches_a_fraction_oracle(a, b, c, e):
         (x + y, (a + c, b + e)),
         (x - y, (a - c, b - e)),
         (x * y, products),
+        (-x, (-a, -b)),
+        # an int operand on either side
+        (x + n, (a + n, b)),
+        (n + x, (a + n, b)),
+        (x - n, (a - n, b)),
+        (x * n, (a * n, b * n)),
+        (n * x, (a * n, b * n)),
     ]:
         _stored_form_holds(s)
         assert s == _of(re, im)

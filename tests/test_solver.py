@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hopffactor import solver
 from hopffactor.poly import Poly
-from hopffactor.scalar import HALF, I, ONE, Scalar
+from hopffactor.scalar import HALF, I, ONE, ZERO, Scalar
 from hopffactor.solver import (
     Branch,
     IrreducibleSystemError,
@@ -14,7 +14,7 @@ from hopffactor.solver import (
     poly_sqrt,
     solve,
 )
-from oracles import contains_point, evaluate, sample
+from oracles import canonicalize_all_pairs, contains_point, evaluate, sample
 
 x, y, a, b, c = (Poly.var(v) for v in "xyabc")
 
@@ -184,6 +184,61 @@ def test_branch_subsumption_removed():
     small = Branch({"x": Poly(), "y": Poly.const(ONE)}, ())
     kept = _canonicalize_branches([small, big])
     assert kept == [big]
+
+
+UNKNOWNS = ("p", "q", "r", "s")
+BRANCH_COEFFS = [ONE, -ONE, I, HALF]
+
+
+@st.composite
+def branch_sets(draw):
+    """Random branches over four unknowns, in random order, with some
+    derived from others: a free unknown set to a constant (a branch inside
+    the other, of lower dimension), or traded with a substituted unknown
+    v = f + h (the same variety under another key and free set)."""
+    branches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        free = draw(st.lists(st.sampled_from(UNKNOWNS), unique=True, max_size=3))
+        monomial = st.lists(st.sampled_from(free), max_size=2) if free else st.just([])
+        coefficients = st.dictionaries(
+            monomial.map(lambda m: tuple(sorted(m))), st.sampled_from(BRANCH_COEFFS), max_size=3
+        )
+        subst = {v: Poly(draw(coefficients)) for v in UNKNOWNS if v not in free}
+        branches.append(Branch(subst, free))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        b = draw(st.sampled_from(branches))
+        if not b.free:
+            continue
+        f = draw(st.sampled_from(b.free))
+        if draw(st.booleans()):
+            k = Poly.const(draw(st.sampled_from(BRANCH_COEFFS + [ZERO])))
+            subst = {v: e.subst_many({f: k}) for v, e in b.subst.items()}
+            subst[f] = k
+            branches.append(Branch(subst, set(b.free) - {f}))
+            continue
+        traded = [
+            v for v, e in sorted(b.subst.items())
+            if e.coeff((f,)) == ONE and all(m == (f,) or f not in m for m in e.terms)
+        ]
+        if traded:
+            v = draw(st.sampled_from(traded))
+            inverse = Poly.var(v) - (b.subst[v] - Poly.var(f))  # f = v - h
+            subst = {w: e.subst_many({f: inverse}) for w, e in b.subst.items() if w != v}
+            subst[f] = inverse
+            branches.append(Branch(subst, (set(b.free) - {f}) | {v}))
+    return draw(st.permutations(branches))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=branch_sets())
+def test_canonicalization_equals_the_all_pairs_oracle(raw):
+    """Skipping the containment tests that the dimension lemma rules out,
+    and testing for zero without building, keeps exactly the branches of
+    the all-pairs canonicalisation, in the same order."""
+    from hopffactor.solver import _canonicalize_branches
+
+    got = _canonicalize_branches(raw)
+    assert [b.key() for b in got] == [b.key() for b in canonicalize_all_pairs(raw)]
 
 
 def test_disjoint_branches_survive():
