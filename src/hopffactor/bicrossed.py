@@ -1,8 +1,9 @@
 """Bicrossed products of a matched pair, presentation checks, and
 invariant reports.
 
-The product lives on the basis a (x) x (H4 factor first, matching the
-action directions |> : H8 (x) H4 -> H4 and <| : H8 (x) H4 -> H8) with
+The product lives on the basis a (x) x in the layout of
+`hopf._tensor_coords` (H4 factor first, matching the action directions
+|> : H8 (x) H4 -> H4 and <| : H8 (x) H4 -> H8), with
 
     (a (x) x)(b (x) y) = sum  a (x1 |> b1)  (x)  (x2 <| b2) y,
 
@@ -22,13 +23,13 @@ from hopffactor.hopf import (
     acc_outer,
     check_hopf_map,
     grouplikes,
-    is_grouplike,
     skew_primitives,
+    _tensor_coords,
     _twisted_product,
     verify_axioms,
 )
 from hopffactor.linalg import Mat
-from hopffactor.scalar import HALF, I, NEG_I, NEG_ONE, ZERO, join_signed
+from hopffactor.scalar import HALF, I, NEG_I, NEG_ONE, join_signed
 
 
 class BicrossedConstructionError(RuntimeError):
@@ -43,26 +44,20 @@ class BicrossedProduct:
 
     def embed_h4(self, element):
         """iota_A: a -> a (x) 1."""
-        h8, h4 = self.pair.left.h8, self.pair.left.h4
+        h4, h8 = self.algebra.factors
         if element.algebra is not h4:
             raise ValueError("element does not live in the H4 factor")
-        coords = [ZERO] * self.algebra.dim
-        for ai, c in enumerate(element.coords):
-            coords[ai * h8.dim] = c
-        return self.algebra.element(coords)
+        return self.algebra.element(_tensor_coords(self.algebra, element.coords, h8.unit))
 
     def embed_h8(self, element):
         """iota_H: x -> 1 (x) x."""
-        h8 = self.pair.left.h8
+        h4, h8 = self.algebra.factors
         if element.algebra is not h8:
             raise ValueError("element does not live in the H8 factor")
-        coords = [ZERO] * self.algebra.dim
-        for xi, c in enumerate(element.coords):
-            coords[xi] = c
-        return self.algebra.element(coords)
+        return self.algebra.element(_tensor_coords(self.algebra, h4.unit, element.coords))
 
     def generator(self, name):
-        h8, h4 = self.pair.left.h8, self.pair.left.h4
+        h4, h8 = self.algebra.factors
         if name in ("G", "X"):
             return self.embed_h4(h4.basis_element(name))
         return self.embed_h8(h8.basis_element(name))
@@ -248,25 +243,14 @@ def check_embeddings(product):
     """iota_A and iota_H are injective Hopf algebra maps (`check_hopf_map`),
     and multiplication H4 (x) H8 -> E is a linear isomorphism.  Returns a
     list of failure strings (empty when everything holds)."""
-    failures = []
     E = product.algebra
-    h8, h4 = product.pair.left.h8, product.pair.left.h4
-
-    for H, embed, tag in (
-        (h4, product.embed_h4, "iota_A"),
-        (h8, product.embed_h8, "iota_H"),
-    ):
-        images = [embed(H.basis_element(i)) for i in range(H.dim)]
-        failures += [f"{tag} {f}" for f in check_hopf_map(H, E, images)]
-
+    h4, h8 = E.factors
+    iota_a = [product.embed_h4(h4.basis_element(i)) for i in range(h4.dim)]
+    iota_h = [product.embed_h8(h8.basis_element(i)) for i in range(h8.dim)]
+    failures = [f"iota_A {f}" for f in check_hopf_map(h4, E, iota_a)]
+    failures += [f"iota_H {f}" for f in check_hopf_map(h8, E, iota_h)]
     # factorization: products iota_A(a_i) iota_H(x_j) form a basis of E
-    rows = []
-    for ai in range(h4.dim):
-        for xi in range(h8.dim):
-            el = product.embed_h4(h4.basis_element(ai)) * product.embed_h8(
-                h8.basis_element(xi)
-            )
-            rows.append(el.coords)
+    rows = [(a * x).coords for a in iota_a for x in iota_h]
     if Mat(rows).rank() != E.dim:
         failures.append("multiplication H4 (x) H8 -> E is not bijective")
     return failures
@@ -312,9 +296,6 @@ def invariant_report(product):
     commutativity flags, the zX relation shape, and antipode bijectivity."""
     E = product.algebra
     gls = grouplikes(E)
-    for g in gls:
-        if not is_grouplike(E, g):
-            raise AssertionError("invariant report found a bogus group-like")
     skew_dims = []
     for i, a in enumerate(gls):
         for j, b in enumerate(gls):

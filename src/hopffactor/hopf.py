@@ -204,11 +204,7 @@ class Element:
         return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other if isinstance(other, Element) else NotImplemented
 
     def __neg__(self):
         return Element(self.algebra, tuple(-a for a in self.coords))
@@ -221,11 +217,7 @@ class Element:
             return Element(self.algebra, tuple(c * a for a in self.coords))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = other if isinstance(other, Scalar) else Scalar(other)
-            return Element(self.algebra, tuple(c * a for a in self.coords))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -358,21 +350,31 @@ def verify_axioms(H):
     """Check every Hopf axiom exactly on all basis tuples of H.
 
     Associativity and the two multiplicative laws of delta and eps are
-    first tried on the generator instances only (`_certificate`); each
+    first tried on the generator instances only (`_certified`); each
     falls back to every basis instance unless that passes, so the
     witnesses are always those of the full loops."""
     T = _IntTables(H)
     S = _certificate(H)
-    assoc = AxiomCheck("associativity", _check_associativity(H, T, S))
+    assoc = AxiomCheck("associativity", _certified(H, T, S, _associativity_witnesses))
     # the two multiplicative certificates need H associative
     S_mult = S if assoc.passed else None
+    one = H.one()
+    unit_tensor = {}
+    acc_outer(unit_tensor, ONE, H.unit, H.unit)
+    delta_unit = None if H.comultiply_dict(one) == unit_tensor else "delta(1) != 1 (x) 1"
+    eps_unit = None if H.counit_of(one) == ONE else "eps(1) != 1"
     checks = [
         assoc,
         AxiomCheck("unit", _check_unit(H)),
         AxiomCheck("coassociativity", _check_coassociativity(H)),
         AxiomCheck("counit", _check_counit(H)),
-        AxiomCheck("comultiplication-multiplicative", _check_comul_mult(H, T, S_mult)),
-        AxiomCheck("counit-multiplicative", _check_counit_mult(H, T, S_mult)),
+        AxiomCheck(
+            "comultiplication-multiplicative",
+            _certified(H, T, S_mult, _comul_mult_witnesses, delta_unit),
+        ),
+        AxiomCheck(
+            "counit-multiplicative", _certified(H, T, S_mult, _counit_mult_witnesses, eps_unit)
+        ),
         AxiomCheck("antipode", _check_antipode(H)),
     ]
     return AxiomReport(H.name, H.dim, checks)
@@ -408,7 +410,7 @@ def verify_axioms(H):
 #
 # The certificate only ever concludes that a law holds.  When a restricted
 # loop finds a witness, or a precondition fails, the full loop runs, so the
-# witnesses and counts are those of the full loops.
+# witnesses and counts are those of the full loops (`_certified`).
 
 
 def _certificate(H):
@@ -419,6 +421,19 @@ def _certificate(H):
         return None
     S = _generators(H)
     return S if 2 * len(S) < H.dim else None
+
+
+def _certified(H, T, S, witnesses, broken=None):
+    """The witnesses of one law, whose loop `witnesses(H, T, first)` runs
+    the instances with a first index in `first`.  A failed precondition
+    yields its text `broken`, then every instance's witnesses.  Otherwise
+    the law holds when S is given and its instances pass, and every
+    instance runs when they do not."""
+    if broken is not None:
+        yield broken
+    elif S is not None and next(witnesses(H, T, S), None) is None:
+        return
+    yield from witnesses(H, T, range(H.dim))
 
 
 def _generators(H):
@@ -526,14 +541,6 @@ def _nonzero(acc):
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _check_associativity(H, T, S):
-    """Associativity witnesses; on the instances (e_s, e_j, e_k), s in S,
-    first when S is given, and on all instances unless those pass."""
-    if S is not None and next(_associativity_witnesses(H, T, S), None) is None:
-        return ()
-    return _associativity_witnesses(H, T, range(H.dim))
-
-
 def _associativity_witnesses(H, T, first):
     # both sides over D^2, accumulated inline, this being the battery's
     # longest loop; a generator, so a certificate stops at the first witness
@@ -614,24 +621,6 @@ def _check_counit(H):
             yield f"(id (x) eps) delta fails on {H.basis[i]}"
 
 
-def _check_comul_mult(H, T, S):
-    """delta(1) = 1 (x) 1 and the witnesses of delta(e_i e_j) =
-    delta(e_i)delta(e_j); on the pairs (e_s, e_j), s in S, first when S is
-    given (H then being associative) and delta(1) = 1 (x) 1 holds, and on
-    all pairs unless those pass."""
-    delta_unit = {}
-    for i, u in H.unit_sparse:
-        for c, j, k in H.comul[i]:
-            _acc(delta_unit, (j, k), u * c)
-    unit_tensor = {}
-    acc_outer(unit_tensor, ONE, H.unit, H.unit)
-    if delta_unit != unit_tensor:
-        yield "delta(1) != 1 (x) 1"
-    elif S is not None and next(_comul_mult_witnesses(H, T, S), None) is None:
-        return
-    yield from _comul_mult_witnesses(H, T, range(H.dim))
-
-
 def _comul_mult_witnesses(H, T, first):
     # delta(e_i e_j) over D^2, lifted to D^4, against delta(e_i)delta(e_j)
     # over D^4, both accumulated inline in the battery's costliest loop
@@ -659,18 +648,6 @@ def _comul_mult_witnesses(H, T, first):
                             rhs[m, n] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
             if not _same(lhs, rhs):
                 yield f"delta({H.basis[i]}*{H.basis[j]}) != delta({H.basis[i]})*delta({H.basis[j]})"
-
-
-def _check_counit_mult(H, T, S):
-    """eps(1) = 1 and the witnesses of eps(e_i e_j) = eps(e_i)eps(e_j); on
-    the pairs (e_s, e_j), s in S, first when S is given (H then being
-    associative) and eps(1) = 1 holds, and on all pairs unless those
-    pass."""
-    if sum((u * H.counit[i] for i, u in H.unit_sparse), ZERO) != ONE:
-        yield "eps(1) != 1"
-    elif S is not None and next(_counit_mult_witnesses(H, T, S), None) is None:
-        return
-    yield from _counit_mult_witnesses(H, T, range(H.dim))
 
 
 def _counit_mult_witnesses(H, T, first):

@@ -181,6 +181,12 @@ class Poly:
             return NotImplemented
         return self._plus(other, -1)
 
+    def __rsub__(self, other):
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._plus(self, -1)
+
     def _plus(self, other, sign):
         """self + sign*other."""
         acc = {}

@@ -147,9 +147,10 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    # Each operation tests for a Scalar operand first and builds its reduced
-    # result in place, as `_make` would, skipping the gcd when the
-    # denominator is 1; an int operand n is n/1.
+    # Addition and multiplication test for a Scalar operand first and build
+    # their reduced result in place, as `_make` would, skipping the gcd when
+    # the denominator is 1; an int operand n is n/1.  Subtraction adds the
+    # negation.
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
@@ -184,28 +185,14 @@ class Scalar:
         return s
 
     def __sub__(self, other):
-        if other.__class__ is not Scalar:
-            if isinstance(other, int):
-                s = _new(Scalar)
-                s.re, s.im, s.den = self.re - other * self.den, self.im, self.den
-                return s
-            if not isinstance(other, Scalar):
-                return NotImplemented
-        d, f = self.den, other.den
-        if d == f:
-            re, im = self.re - other.re, self.im - other.im
-        else:
-            re, im, d = self.re * f - other.re * d, self.im * f - other.im * d, d * f
-        s = _new(Scalar)
-        if d == 1:
-            s.re, s.im, s.den = re, im, 1
-            return s
-        g = gcd(re, im, d)
-        if g == 1:
-            s.re, s.im, s.den = re, im, d
-        else:
-            s.re, s.im, s.den = re // g, im // g, d // g
-        return s
+        if isinstance(other, (Scalar, int)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:

@@ -142,6 +142,29 @@ def test_embeddings_and_factorization(products):
         assert check_embeddings(E) == []
 
 
+def test_embeddings_follow_the_tensor_layout(products):
+    # the H4 index comes first: a (x) 1 is basis vector a*8 and 1 (x) x is x
+    h4, h8 = build_H4(), build_H8()
+    for E in products.values():
+        P = E.algebra
+        for a in range(h4.dim):
+            assert P.basis[a * 8] == f"{h4.basis[a]}⊗1"
+            assert E.embed_h4(h4.basis_element(a)) == P.basis_element(a * 8)
+        for x in range(h8.dim):
+            assert P.basis[x] == f"1⊗{h8.basis[x]}"
+            assert E.embed_h8(h8.basis_element(x)) == P.basis_element(x)
+        for name in ("G", "X"):
+            assert E.generator(name) == P.basis_element(h4.index[name] * 8)
+        for name in ("g", "h", "z"):
+            assert E.generator(name) == P.basis_element(h8.index[name])
+        with pytest.raises(ValueError):
+            E.embed_h4(h8.basis_element("g"))
+        with pytest.raises(ValueError):
+            E.embed_h8(h4.basis_element("G"))
+        with pytest.raises(ValueError):
+            E.embed_h8(P.basis_element(0))
+
+
 # -- isomorphism classes -----------------------------------------------------------
 #
 # phi_12 : tensor -> H32_1 and phi_34 : H32_2 -> H32_3, given by the images

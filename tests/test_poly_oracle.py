@@ -113,6 +113,9 @@ def test_arithmetic_matches_scalar_reference(x, y, f, point):
     assert_same(p - q, ref_add(x, y, NEG_ONE), point)
     assert_same(-p, ref_scale(x, NEG_ONE), point)
     assert_same(p * f, ref_scale(x, f), point)
+    # a Scalar or an int minus a Poly
+    assert_same(f - p, ref_add({(): f}, x, NEG_ONE), point)
+    assert_same(1 - p, ref_add({(): ONE}, x, NEG_ONE), point)
     assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
     assert evaluate(p + q, point) == evaluate(p, point) + evaluate(q, point)
     assert evaluate(p - q, point) == evaluate(p, point) - evaluate(q, point)

@@ -158,6 +158,7 @@ def test_arithmetic_matches_a_fraction_oracle(a, b, c, e, n):
         (x + n, (a + n, b)),
         (n + x, (a + n, b)),
         (x - n, (a - n, b)),
+        (n - x, (n - a, -b)),
         (x * n, (a * n, b * n)),
         (n * x, (a * n, b * n)),
     ]:
